@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -103,20 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=_positive, default=10)
 
     return parser
-
-
-def _threads_cap() -> int | None:
-    raw = os.environ.get("QSEMI_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        print(f"ignoring invalid QSEMI_THREADS={raw!r}", file=sys.stderr)
-        return None
-    return cap
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -283,7 +268,6 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _threads_cap()  # validated for forward compatibility; work is sequential
     try:
         return _COMMANDS[args.command](args)
     except (QsemiError, ValueError) as exc:

@@ -1,15 +1,22 @@
 """Finite checks of the window combinatorics behind the rewriting system.
 
-The first group of oracles is exhaustive: they scan every choice of table
-elements and positions and confirm that short factors of defining windows
-cannot collide except in the trivial ways (NotPossible, MaxOne, Big,
-Overlapp, and their mirror-image Sym* variants, obtained by reading words
-right to left and flipping positions p to n+1-p).
+The first group of oracles is exhaustive: each decides its whole quantifier
+range and confirms that short factors of defining windows cannot collide
+except in the trivial ways (NotPossible, MaxOne, Big, Overlapp).  They are
+queries on the table's pair index (`GroupTable.occurrences`, `windows_at`):
+image tuples are permutations, so the first two letters of a factor locate
+every window that contains it.  `stats["instances"]` is the size of the
+range decided.
 
-The second group (Stepss, Step3, SymStep3) is empirical: it enumerates
-members of actual congruence classes and confirms the forced prefix/suffix
-shapes of equivalent words.  Those checks sample seed words inside a
-configurable radius, so they are evidence, not proof.
+The second group (Stepss, Step3) is empirical: it enumerates members of
+actual congruence classes and confirms the forced prefix shapes of
+equivalent words within a sampled radius, so it is evidence, not proof.
+
+The mirror-image oracles (SymNotPossible, SymMaxOne, SymOverlapp, SymStep3)
+state the same lemmas read right to left.  Each is its forward oracle run on
+the mirrored table (image tuples reversed, labels unchanged), with the
+counterexample mapped back: words reversed, positions p to n+1-p, pair
+starts p to n-p, and for Overlapp sigma and tau swapped.
 
 Every oracle returns a LemmaReport; a planted violation (a table that is not
 a regular quaternion group) must surface as passed=False with a populated
@@ -19,9 +26,11 @@ counterexample.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Iterator
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 from .perms import Perm
 from .quaternion import GroupTable
@@ -54,241 +63,157 @@ class LemmaReport:
             raise ValueError("a passing report cannot carry a counterexample")
 
     def to_json(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id.value,
-            "k": self.k,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-            "stats": self.stats,
-        }
+        return {**asdict(self), "lemma_id": self.lemma_id.value}
 
 
-def _name(g: GroupTable, idx: int) -> str:
-    return g.label_name(idx)
-
-
-def _position_table(g: GroupTable) -> dict[tuple[int, int], list[int]]:
-    """(position, value) -> indices of elements sending position to value."""
-    table: dict[tuple[int, int], list[int]] = {}
-    for idx, e in enumerate(g.elements):
-        for pos in range(1, g.n + 1):
-            table.setdefault((pos, e[pos - 1]), []).append(idx)
-    return table
+def _failed(g: GroupTable, lemma_id: LemmaId, si: int, ti: int,
+            **cx) -> LemmaReport:
+    """A failed report whose counterexample names elements si and ti as
+    sigma and tau, followed by the entries of `cx`."""
+    return LemmaReport(lemma_id, g.k, False, counterexample={
+        "sigma": g.label_name(si), "tau": g.label_name(ti), **cx})
 
 
 def verify_not_possible(g: GroupTable) -> LemmaReport:
     """Adjacent pairs from the lower-half positions of one window never match
     adjacent pairs from the upper-half positions of another."""
-    n, half = g.n, g.n // 2
-    instances = 0
+    half = g.n // 2
     for si, s in enumerate(g.elements):
-        for ti, t in enumerate(g.elements):
-            for p in range(1, half):            # 1 <= p <= n/2 - 1
-                a, b = s[p - 1], s[p]
-                for q in range(half + 1, n):    # n/2 < q <= n - 1
-                    instances += 1
-                    if t[q - 1] == a and t[q] == b:
-                        return LemmaReport(
-                            LemmaId.NOT_POSSIBLE, g.k, False,
-                            counterexample={
-                                "sigma": _name(g, si), "tau": _name(g, ti),
-                                "p": p, "q": q, "pair": [a, b],
-                            })
+        for p in range(1, half):                        # 1 <= p <= n/2 - 1
+            for ti, q in g.occurrences(s[p - 1:p + 1]):
+                if q > half:                            # n/2 < q <= n - 1
+                    return _failed(g, LemmaId.NOT_POSSIBLE, si, ti, p=p, q=q,
+                                   pair=list(s[p - 1:p + 1]))
     return LemmaReport(LemmaId.NOT_POSSIBLE, g.k, True,
-                       stats={"instances": instances})
-
-
-def verify_sym_not_possible(g: GroupTable) -> LemmaReport:
-    """Mirror of NotPossible: upper-half pairs of one window against
-    lower-half pairs of another."""
-    n, half = g.n, g.n // 2
-    instances = 0
-    for si, s in enumerate(g.elements):
-        for ti, t in enumerate(g.elements):
-            for p in range(half + 1, n):        # n/2 < p <= n - 1
-                a, b = s[p - 1], s[p]
-                for q in range(1, half):        # 1 <= q <= n/2 - 1
-                    instances += 1
-                    if t[q - 1] == a and t[q] == b:
-                        return LemmaReport(
-                            LemmaId.SYM_NOT_POSSIBLE, g.k, False,
-                            counterexample={
-                                "sigma": _name(g, si), "tau": _name(g, ti),
-                                "p": p, "q": q, "pair": [a, b],
-                            })
-    return LemmaReport(LemmaId.SYM_NOT_POSSIBLE, g.k, True,
-                       stats={"instances": instances})
+                       stats={"instances": len(g) ** 2 * (half - 1) ** 2})
 
 
 def verify_max_one(g: GroupTable) -> LemmaReport:
-    """A suffix of one window starting before position n/2 - 1 matches an
-    interior factor of another only trivially: the factor has length 1, or it
-    is the whole window of the same element."""
+    """A suffix of one window matches an interior factor t(i..j) of another,
+    1 <= i < n/2 - 1, only trivially: the factor has length 1, or it is the
+    whole tail of the same element."""
     n, half = g.n, g.n // 2
-    instances = 0
     for si, s in enumerate(g.elements):
-        for ti, t in enumerate(g.elements):
-            for i in range(1, half - 1):        # 1 <= i < n/2 - 1
-                for j in range(i, n + 1):
-                    instances += 1
-                    if s[n - j + i - 1:] == t[i - 1:j]:
-                        if j == i or (j == n and si == ti):
-                            continue
-                        return LemmaReport(
-                            LemmaId.MAX_ONE, g.k, False,
-                            counterexample={
-                                "sigma": _name(g, si), "tau": _name(g, ti),
-                                "i": i, "j": j,
-                                "factor": list(t[i - 1:j]),
-                            })
-    return LemmaReport(LemmaId.MAX_ONE, g.k, True,
-                       stats={"instances": instances})
-
-
-def verify_sym_max_one(g: GroupTable) -> LemmaReport:
-    """Mirror of MaxOne: a prefix of one window against an interior factor
-    anchored past position n/2 + 2."""
-    n, half = g.n, g.n // 2
-    instances = 0
-    for si, s in enumerate(g.elements):
-        for ti, t in enumerate(g.elements):
-            for i in range(half + 3, n + 1):    # n/2 + 2 < i <= n
-                for j in range(1, i + 1):
-                    instances += 1
-                    if s[:i - j + 1] == t[j - 1:i]:
-                        if j == i or (j == 1 and si == ti):
-                            continue
-                        return LemmaReport(
-                            LemmaId.SYM_MAX_ONE, g.k, False,
-                            counterexample={
-                                "sigma": _name(g, si), "tau": _name(g, ti),
-                                "i": i, "j": j,
-                                "factor": list(t[j - 1:i]),
-                            })
-    return LemmaReport(LemmaId.SYM_MAX_ONE, g.k, True,
-                       stats={"instances": instances})
+        for r in range(1, n):                           # suffix s(r..n)
+            for ti, i in g.occurrences(s[r - 1:]):
+                j = i + n - r
+                if i < half - 1 and not (j == n and ti == si):
+                    return _failed(g, LemmaId.MAX_ONE, si, ti, i=i, j=j,
+                                   factor=list(s[r - 1:]))
+    return LemmaReport(LemmaId.MAX_ONE, g.k, True, stats={
+        "instances": len(g) ** 2 * sum(n - i + 1 for i in range(1, half - 1))})
 
 
 def verify_big(g: GroupTable) -> LemmaReport:
     """Windows of length n/2 + 1 inside defining words determine both the
     element and the offset."""
-    n, half = g.n, g.n // 2
-    instances = 0
+    half = g.n // 2
     for si, s in enumerate(g.elements):
-        for ti, t in enumerate(g.elements):
-            for j in range(1, half + 1):
-                for i in range(1, half + 1):
-                    instances += 1
-                    if s[j - 1:j + half] == t[i - 1:i + half]:
-                        if i == j and si == ti:
-                            continue
-                        return LemmaReport(
-                            LemmaId.BIG, g.k, False,
-                            counterexample={
-                                "sigma": _name(g, si), "tau": _name(g, ti),
-                                "i": i, "j": j,
-                                "factor": list(s[j - 1:j + half]),
-                            })
-    return LemmaReport(LemmaId.BIG, g.k, True, stats={"instances": instances})
+        for j in range(1, half + 1):
+            for ti, i in g.occurrences(s[j - 1:j + half]):
+                if not (i == j and ti == si):
+                    return _failed(g, LemmaId.BIG, si, ti, i=i, j=j,
+                                   factor=list(s[j - 1:j + half]))
+    return LemmaReport(LemmaId.BIG, g.k, True,
+                       stats={"instances": len(g) ** 2 * half * half})
 
 
 def verify_overlapp(g: GroupTable) -> LemmaReport:
-    """A tail-anchored mixed word s(j..l) t(l+1..m), m >= n-1, matches a
-    factor of a single window starting at position 1 or 2 only when both
-    parts are single letters (j = l and l + 1 = m).
+    """A tail-anchored mixed word s(j..l) t(l+1..m), s != t, m >= n-1,
+    matches lambda(i..m-j+i) for i = 1 or 2 only when both parts are single
+    letters (j = l and l + 1 = m).
 
-    Instances whose right side would need positions beyond n are counted as
-    unsatisfiable rather than silently skipped.
+    The search runs over (lambda, i, s): j is where s holds lambda(i), and
+    the s part is as long as s and lambda agree, since every t holding a
+    longer t part also holds a shorter one.  `instances` counts every
+    (s, t, m, l, j, i), and `unsatisfiable` those needing positions past n.
     """
-    n = g.n
-    postab = _position_table(g)
-    instances = 0
-    unsatisfiable = 0
-    for si, s in enumerate(g.elements):
-        for ti, t in enumerate(g.elements):
-            if si == ti:
-                continue
-            for m in (n - 1, n):
-                for l in range(1, m):
-                    for j in range(1, l + 1):
-                        lhs = s[j - 1:l] + t[l:m]
-                        for i in (1, 2):
-                            instances += 1
-                            end = m - j + i
-                            if end > n:
-                                unsatisfiable += 1
-                                continue
-                            for li in postab.get((i, lhs[0]), ()):
-                                lam = g.elements[li]
-                                if lam[i - 1:end] == lhs:
-                                    if j == l and l + 1 == m:
-                                        continue
-                                    return LemmaReport(
-                                        LemmaId.OVERLAPP, g.k, False,
-                                        counterexample={
-                                            "sigma": _name(g, si),
-                                            "tau": _name(g, ti),
-                                            "lambda": _name(g, li),
-                                            "j": j, "l": l, "m": m, "i": i,
-                                            "word": list(lhs),
-                                        })
+    n, els = g.n, g.elements
+    for li, lam in enumerate(els):
+        for i in (1, 2):
+            for si, s in enumerate(els):
+                j = s.index(lam[i - 1]) + 1
+                for m in (n - 1, n):
+                    end = m - j + i
+                    if j > m - 2 or end > n:  # trivial match or unsatisfiable
+                        continue
+                    a = 1                     # length of the s part
+                    while a < m - j and s[j - 1 + a] == lam[i - 1 + a]:
+                        a += 1
+                    l = j + a - 1
+                    for ti in g.windows_at(lam[i - 1 + a:end], l + 1):
+                        if ti != si:
+                            return _failed(
+                                g, LemmaId.OVERLAPP, si, ti,
+                                **{"lambda": g.label_name(li)}, j=j, l=l, m=m,
+                                i=i, word=list(lam[i - 1:end]))
+    mixed = len(g) * (len(g) - 1)
     return LemmaReport(LemmaId.OVERLAPP, g.k, True,
-                       stats={"instances": instances,
-                              "unsatisfiable": unsatisfiable})
+                       stats={"instances": 2 * mixed * (n - 1) ** 2,
+                              "unsatisfiable": mixed * (n - 1)})
+
+
+def _on_mirror(g: GroupTable, lemma_id: LemmaId, oracle: Callable[..., LemmaReport],
+               back: Callable[[dict], dict], **kwargs) -> LemmaReport:
+    """`oracle` run on the mirrored table (every image tuple reversed, element
+    numbers and labels unchanged), reported as `lemma_id` with its
+    counterexample mapped back to original coordinates by `back`."""
+    elements = tuple(e[::-1] for e in g.elements)
+    r = oracle(replace(g, elements=elements,
+                       index={e: i for i, e in enumerate(elements)}), **kwargs)
+    return LemmaReport(lemma_id, g.k, r.passed,
+                       r.counterexample and back(r.counterexample), r.stats)
+
+
+def verify_sym_not_possible(g: GroupTable) -> LemmaReport:
+    """Mirror of NotPossible: upper-half pairs of one window against
+    lower-half pairs of another."""
+    n = g.n
+    return _on_mirror(g, LemmaId.SYM_NOT_POSSIBLE, verify_not_possible, lambda c: {
+        **c, "p": n - c["p"], "q": n - c["q"], "pair": c["pair"][::-1]})
+
+
+def verify_sym_max_one(g: GroupTable) -> LemmaReport:
+    """Mirror of MaxOne: a prefix of one window against an interior factor
+    t(j..i) anchored past position n/2 + 2."""
+    n = g.n
+    return _on_mirror(g, LemmaId.SYM_MAX_ONE, verify_max_one, lambda c: {
+        **c, "i": n + 1 - c["i"], "j": n + 1 - c["j"],
+        "factor": c["factor"][::-1]})
 
 
 def verify_sym_overlapp(g: GroupTable) -> LemmaReport:
-    """Mirror of Overlapp: the mixed word starts at position 1 or 2 and the
-    matching factor of a single window ends at position n-1 or n."""
+    """Mirror of Overlapp: the mixed word s(j..l) t(l+1..m) starts at
+    position 1 or 2 and the matching factor of a single window ends at
+    position `end`, n-1 or n."""
     n = g.n
-    postab = _position_table(g)
-    instances = 0
-    unsatisfiable = 0
-    for si, s in enumerate(g.elements):
-        for ti, t in enumerate(g.elements):
-            if si == ti:
-                continue
-            for j in (1, 2):
-                for l in range(j, n):
-                    for m in range(l + 1, n + 1):
-                        lhs = s[j - 1:l] + t[l:m]
-                        for e in (n - 1, n):
-                            instances += 1
-                            start = e - (m - j)
-                            if start < 1:
-                                unsatisfiable += 1
-                                continue
-                            for li in postab.get((start, lhs[0]), ()):
-                                lam = g.elements[li]
-                                if lam[start - 1:e] == lhs:
-                                    if j == l and l + 1 == m:
-                                        continue
-                                    return LemmaReport(
-                                        LemmaId.SYM_OVERLAPP, g.k, False,
-                                        counterexample={
-                                            "sigma": _name(g, si),
-                                            "tau": _name(g, ti),
-                                            "lambda": _name(g, li),
-                                            "j": j, "l": l, "m": m, "end": e,
-                                            "word": list(lhs),
-                                        })
-    return LemmaReport(LemmaId.SYM_OVERLAPP, g.k, True,
-                       stats={"instances": instances,
-                              "unsatisfiable": unsatisfiable})
+    return _on_mirror(g, LemmaId.SYM_OVERLAPP, verify_overlapp, lambda c: {
+        "sigma": c["tau"], "tau": c["sigma"], "lambda": c["lambda"],
+        "j": n + 1 - c["m"], "l": n - c["l"], "m": n + 1 - c["j"],
+        "end": n + 1 - c["i"], "word": c["word"][::-1]})
 
 
-def _prefix_elements(g: GroupTable, postab, w: Word, length: int) -> list[int]:
-    """Indices of elements whose first `length` images spell w[:length],
-    located through the value at position 1."""
-    return [i for i in postab.get((1, w[0]), ())
-            if g.elements[i][:length] == w[:length]]
+def _distinct_first_pairs(members: list[Word], budget: int,
+                          rng: random.Random) -> tuple[Iterator[tuple[Word, Word]], bool]:
+    """Pairs (w1, w2) of a sorted class whose first letters differ: all of
+    them, in order, when they fit the budget, otherwise `budget` of them
+    drawn without replacement.  The flag says whether they were drawn."""
+    m = len(members)
+    runs = [len(list(run)) for _, run in groupby(members, key=itemgetter(0))]
+    total = sum(size * (m - size) for size in runs)
 
+    def pair(r: int) -> tuple[Word, Word]:
+        start = 0  # w1 from the run [start, start + size), w2 from outside it
+        for size in runs:
+            if r < size * (m - size):
+                a, b = divmod(r, m - size)
+                return members[start + a], members[b if b < start else b + size]
+            r -= size * (m - size)
+            start += size
 
-def _distinct_first_pairs(members: list[Word]) -> Iterator[tuple[Word, Word]]:
-    for w1 in members:
-        for w2 in members:
-            if w1[0] != w2[0]:
-                yield w1, w2
+    sampled = total > budget
+    picks = sorted(rng.sample(range(total), budget)) if sampled else range(total)
+    return map(pair, picks), sampled
 
 
 def default_stepss_seeds(g: GroupTable, max_extra: int,
@@ -327,49 +252,51 @@ def verify_stepss(g: GroupTable, cfg: RewriteConfig,
 
     Pairs are drawn from congruence classes of seed words of length up to
     n + max_extra, so this samples a radius rather than proving the claim.
+    Each class gets an equal share of `pair_cap` (`pair_budget` in the
+    stats); a class with more pairs than that is sampled with `rng`, and
+    `sampled_classes` counts those.
     """
     n = g.n
     if max_extra is None:
         max_extra = n
     rng = rng if rng is not None else random.Random(0)
-    postab = _position_table(g)
     all_seeds = list(seeds) or default_stepss_seeds(g, max_extra, rng,
                                                     seeds_per_length)
-    pairs = 0
+    budget = max(1, pair_cap // max(1, len(all_seeds)))
+    pairs = classes = sampled_classes = 0
     cond_counts = [0, 0, 0]  # both letters match / only first / only second
-    classes = 0
     for seed in all_seeds:
         cls = class_of(seed, g, cfg)
         classes += 1
-        members = sorted(cls.members)
-        for w1, w2 in _distinct_first_pairs(members):
-            if pairs >= pair_cap:
-                break
+        chosen, sampled = _distinct_first_pairs(sorted(cls.members), budget, rng)
+        sampled_classes += sampled
+        for w1, w2 in chosen:
             pairs += 1
-            bad = _stepss_pair_check(g, postab, w1, w2, cond_counts)
-            if bad is not None:
-                return LemmaReport(LemmaId.STEPSS, g.k, False,
-                                   counterexample=bad,
-                                   stats={"classes": classes, "pairs": pairs})
+            reason = _stepss_pair_check(g, w1, w2, cond_counts)
+            if reason is not None:
+                return LemmaReport(LemmaId.STEPSS, g.k, False, counterexample={
+                    "w1": format_word(w1), "w2": format_word(w2),
+                    "reason": reason}, stats={"classes": classes, "pairs": pairs})
     return LemmaReport(LemmaId.STEPSS, g.k, True,
                        stats={"classes": classes, "pairs": pairs,
-                              "condition_counts": cond_counts})
+                              "condition_counts": cond_counts,
+                              "pair_budget": budget,
+                              "sampled_classes": sampled_classes})
 
 
-def _stepss_pair_check(g: GroupTable, postab, w1: Word, w2: Word,
-                       cond_counts: list[int]) -> dict | None:
+def _stepss_pair_check(g: GroupTable, w1: Word, w2: Word,
+                       cond_counts: list[int]) -> str | None:
+    """The reason the pair breaks Stepss, or None after counting which
+    words keep their window."""
     n = g.n
-    base = {"w1": format_word(w1), "w2": format_word(w2)}
     if len(w1) < n:
-        return {**base, "reason": "equivalent pair shorter than a window"}
-    sig = _prefix_elements(g, postab, w1, n - 1)
-    tau = _prefix_elements(g, postab, w2, n - 1)
-    if not sig or not tau:
-        return {**base, "reason": "first n-1 letters are not a window prefix"}
-    c1 = any(g.elements[i][n - 1] == w1[n - 1] for i in sig)
-    c2 = any(g.elements[i][n - 1] == w2[n - 1] for i in tau)
+        return "equivalent pair shorter than a window"
+    if not g.windows_at(w1[:n - 1], 1) or not g.windows_at(w2[:n - 1], 1):
+        return "first n-1 letters are not a window prefix"
+    c1 = w1[:n] in g.index
+    c2 = w2[:n] in g.index
     if not c1 and not c2:
-        return {**base, "reason": "both words break their window at letter n"}
+        return "both words break their window at letter n"
     if c1 and c2:
         cond_counts[0] += 1
     elif c1:
@@ -379,17 +306,16 @@ def _stepss_pair_check(g: GroupTable, postab, w1: Word, w2: Word,
     return None
 
 
-def _step3_tail(g: GroupTable, postab, t: Perm, rng: random.Random,
+def _step3_tail(g: GroupTable, cands: list[int], rng: random.Random,
                 max_tail: int) -> Word:
     """Half the time, a tail that completes a window one letter into the
-    kept prefix (so rewrites actually fire); otherwise uniform letters."""
+    kept prefix (so rewrites actually fire); otherwise uniform letters.
+    `cands` are the windows that start with the prefix's last letter."""
     n = g.n
-    if rng.random() < 0.5:
-        cands = postab.get((1, t[n - 1]), ())
-        if cands:
-            lam = g.elements[cands[rng.randrange(len(cands))]]
-            extra = rng.randint(0, max(0, max_tail - (n - 1)))
-            return lam[1:] + tuple(rng.randint(1, n) for _ in range(extra))
+    if rng.random() < 0.5 and cands:
+        lam = g.elements[cands[rng.randrange(len(cands))]]
+        extra = rng.randint(0, max(0, max_tail - (n - 1)))
+        return lam[1:] + tuple(rng.randint(1, n) for _ in range(extra))
     return tuple(rng.randint(1, n) for _ in range(rng.randint(0, max_tail)))
 
 
@@ -404,15 +330,14 @@ def verify_step3(g: GroupTable, cfg: RewriteConfig,
     rng = rng if rng is not None else random.Random(0)
     if max_tail is None:
         max_tail = n
-    postab = _position_table(g)
     instances = 0
     members_checked = 0
     for ti, t in enumerate(g.elements):
+        cands = g.windows_at(t[n - 1:], 1)
         for i in range(1, n):
             seen: set[Word] = set()
             for _ in range(samples):
-                tail = _step3_tail(g, postab, t, rng, max_tail)
-                w = t[i:] + tail
+                w = t[i:] + _step3_tail(g, cands, rng, max_tail)
                 if w in seen:
                     continue
                 seen.add(w)
@@ -420,12 +345,11 @@ def verify_step3(g: GroupTable, cfg: RewriteConfig,
                 cls = class_of(w, g, cfg)
                 for w1 in cls.members:
                     members_checked += 1
-                    bad = _step3_member_check(g, postab, t, i, w1)
-                    if bad is not None:
-                        bad.update({"tau": _name(g, ti), "i": i,
-                                    "seed": format_word(w)})
-                        return LemmaReport(
-                            LemmaId.STEP3, g.k, False, counterexample=bad,
+                    reason = _step3_member_check(g, t, i, w1)
+                    if reason is not None:
+                        return LemmaReport(LemmaId.STEP3, g.k, False, counterexample={
+                            "w1": format_word(w1), "reason": reason,
+                            "tau": g.label_name(ti), "i": i, "seed": format_word(w)},
                             stats={"instances": instances,
                                    "members_checked": members_checked})
     return LemmaReport(LemmaId.STEP3, g.k, True,
@@ -433,37 +357,29 @@ def verify_step3(g: GroupTable, cfg: RewriteConfig,
                               "members_checked": members_checked})
 
 
-def _step3_member_check(g: GroupTable, postab, t: Perm, i: int,
-                        w1: Word) -> dict | None:
+def _step3_member_check(g: GroupTable, t: Perm, i: int,
+                        w1: Word) -> str | None:
+    """The reason w1 has neither prefix shape, or None."""
     n = g.n
     if w1[:n - i] == t[i:]:
         return None
     head_len = n - 1 - i
     if w1[:head_len] != t[i:n - 1]:
-        return {"w1": format_word(w1),
-                "reason": "prefix leaves t(i+1..n-1) before letter n"}
+        return "prefix leaves t(i+1..n-1) before letter n"
     if len(w1) < head_len + n - 1:
-        return {"w1": format_word(w1),
-                "reason": "too short for the alternative prefix shape"}
-    seg = w1[head_len:head_len + n - 1]
-    if not _prefix_elements(g, postab, seg, n - 1):
-        return {"w1": format_word(w1),
-                "reason": "no window prefix after t(i+1..n-1)"}
+        return "too short for the alternative prefix shape"
+    if not g.windows_at(w1[head_len:head_len + n - 1], 1):
+        return "no window prefix after t(i+1..n-1)"
     return None
 
 
-def _sym_step3_head(g: GroupTable, postab, t: Perm, rng: random.Random,
-                    max_tail: int) -> Word:
-    """Mirror of _step3_tail: a head that completes a window one letter into
-    the kept suffix, half the time."""
-    n = g.n
-    if rng.random() < 0.5:
-        cands = postab.get((n, t[0]), ())
-        if cands:
-            lam = g.elements[cands[rng.randrange(len(cands))]]
-            extra = rng.randint(0, max(0, max_tail - (n - 1)))
-            return tuple(rng.randint(1, n) for _ in range(extra)) + lam[:n - 1]
-    return tuple(rng.randint(1, n) for _ in range(rng.randint(0, max_tail)))
+_SYM_STEP3_REASONS = {
+    "prefix leaves t(i+1..n-1) before letter n":
+        "suffix leaves t(2..i) after letter 1",
+    "too short for the alternative prefix shape":
+        "too short for the alternative suffix shape",
+    "no window prefix after t(i+1..n-1)": "no window suffix before t(2..i)",
+}
 
 
 def verify_sym_step3(g: GroupTable, cfg: RewriteConfig,
@@ -474,64 +390,14 @@ def verify_sym_step3(g: GroupTable, cfg: RewriteConfig,
     w2 t(1..i) either keeps that exact suffix or replaces the first letter
     of the t-part by a fresh length n-1 window suffix."""
     n = g.n
-    rng = rng if rng is not None else random.Random(0)
-    if max_tail is None:
-        max_tail = n
-    postab = _position_table(g)
-    instances = 0
-    members_checked = 0
-    for ti, t in enumerate(g.elements):
-        for i in range(1, n):
-            seen: set[Word] = set()
-            for _ in range(samples):
-                head = _sym_step3_head(g, postab, t, rng, max_tail)
-                w = head + t[:i]
-                if w in seen:
-                    continue
-                seen.add(w)
-                instances += 1
-                cls = class_of(w, g, cfg)
-                for w1 in cls.members:
-                    members_checked += 1
-                    bad = _sym_step3_member_check(g, postab, t, i, w1)
-                    if bad is not None:
-                        bad.update({"tau": _name(g, ti), "i": i,
-                                    "seed": format_word(w)})
-                        return LemmaReport(
-                            LemmaId.SYM_STEP3, g.k, False, counterexample=bad,
-                            stats={"instances": instances,
-                                   "members_checked": members_checked})
-    return LemmaReport(LemmaId.SYM_STEP3, g.k, True,
-                       stats={"instances": instances,
-                              "members_checked": members_checked})
+    return _on_mirror(g, LemmaId.SYM_STEP3, verify_step3, lambda c: {
+        "w1": _reversed_word(c["w1"]), "reason": _SYM_STEP3_REASONS[c["reason"]],
+        "tau": c["tau"], "i": n - c["i"], "seed": _reversed_word(c["seed"])},
+        cfg=cfg, samples=samples, rng=rng, max_tail=max_tail)
 
 
-def _suffix_elements(g: GroupTable, postab, seg: Word) -> list[int]:
-    """Indices of elements whose images at positions 2..n spell seg."""
-    n = g.n
-    return [i for i in postab.get((2, seg[0]), ())
-            if g.elements[i][1:n] == seg]
-
-
-def _sym_step3_member_check(g: GroupTable, postab, t: Perm, i: int,
-                            w1: Word) -> dict | None:
-    n = g.n
-    if w1[len(w1) - i:] == t[:i]:
-        return None
-    tail2 = t[1:i]  # t(2..i), empty when i = 1
-    t2 = len(tail2)
-    if t2 and w1[len(w1) - t2:] != tail2:
-        return {"w1": format_word(w1),
-                "reason": "suffix leaves t(2..i) after letter 1"}
-    need = t2 + n - 1
-    if len(w1) < need:
-        return {"w1": format_word(w1),
-                "reason": "too short for the alternative suffix shape"}
-    seg = w1[len(w1) - need:len(w1) - t2]
-    if not _suffix_elements(g, postab, seg):
-        return {"w1": format_word(w1),
-                "reason": "no window suffix before t(2..i)"}
-    return None
+def _reversed_word(text: str) -> str:
+    return ",".join(reversed(text.split(",")))
 
 
 def verify_symmetric_analogs(g: GroupTable, cfg: RewriteConfig,
@@ -572,8 +438,5 @@ def run_lemma_suite(g: GroupTable, cfg: RewriteConfig,
         verify_overlapp(g),
         verify_stepss(g, cfg, max_extra=stepss_extra, rng=rng),
         verify_step3(g, cfg, samples=step3_samples, rng=rng),
-        verify_sym_not_possible(g),
-        verify_sym_max_one(g),
-        verify_sym_step3(g, cfg, samples=step3_samples, rng=rng),
-        verify_sym_overlapp(g),
+        *verify_symmetric_analogs(g, cfg, samples=step3_samples, rng=rng),
     ]

@@ -15,9 +15,11 @@ form; any disagreement raises ConsistencyError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ClosureError, ConsistencyError
-from .perms import Perm, compose, cycle_string, from_cycles, identity, inverse
+from .perms import (Perm, compose, cycle_string, from_cycles, identity,
+                    inverse, power)
 
 Label = tuple[int, int]  # (i, j) stands for t^i u^j with 0 <= i < 2k, j in {0, 1}
 
@@ -67,17 +69,41 @@ class GroupTable:
     def element(self, i: int, j: int) -> Perm:
         return self.elements[self.labels[(i % (2 * self.k), j % 2)]]
 
-    def label_of(self, idx: int) -> Label:
+    def label_name(self, idx: int) -> str:
+        """The label t^i u^j of element number idx, or `#idx` when the
+        table carries no label for it."""
         for lab, i in self.labels.items():
             if i == idx:
-                return lab
-        raise KeyError(idx)
+                return format_label(lab)
+        return f"#{idx}"
 
-    def label_name(self, idx: int) -> str:
-        if not self.labels:
-            return f"#{idx}"
-        i, j = self.label_of(idx)
-        return format_label((i, j))
+    @cached_property
+    def pair_index(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        """Adjacent letter pair -> (element index, position of its first
+        letter) for every occurrence in an image tuple: n(n-1) entries."""
+        index: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for idx, e in enumerate(self.elements):
+            for p in range(1, self.n):
+                index.setdefault(e[p - 1:p + 1], []).append((idx, p))
+        return index
+
+    def occurrences(self, factor: tuple[int, ...]) -> list[tuple[int, int]]:
+        """(element index, 1-based start) of every occurrence of a factor of
+        length >= 2 in an image tuple, in element order.  Image tuples are
+        permutations, so the factor's first two letters locate every
+        candidate."""
+        elements, end = self.elements, len(factor) - 1
+        return [(idx, p) for idx, p in self.pair_index.get(factor[:2], ())
+                if elements[idx][p - 1:p + end] == factor]
+
+    def windows_at(self, factor: tuple[int, ...], p: int) -> list[int]:
+        """Indices of the elements whose images from position p spell
+        factor, in element order."""
+        elements, end = self.elements, p - 1 + len(factor)
+        if len(factor) == 1:
+            return [i for i, e in enumerate(elements) if e[p - 1] == factor[0]]
+        return [i for i, q in self.pair_index.get(factor[:2], ())
+                if q == p and elements[i][p - 1:end] == factor]
 
 
 def format_label(label: Label) -> str:
@@ -187,9 +213,9 @@ def _validate(cfg: QuaternionConfig, t: Perm, u: Perm, elements: list[Perm]) -> 
     e = identity(n)
     u2 = compose(u, u)
     checks = [
-        (power_eq(t, 2 * k, e), "t^(2k) = 1"),
+        (power(t, 2 * k) == e, "t^(2k) = 1"),
         (compose(u2, u2) == e, "u^4 = 1"),
-        (u2 == _power(t, k), "u^2 = t^k"),
+        (u2 == power(t, k), "u^2 = t^k"),
         (compose(compose(inverse(u), t), u) == inverse(t), "u^-1 t u = t^-1"),
     ]
     for ok, name in checks:
@@ -198,17 +224,6 @@ def _validate(cfg: QuaternionConfig, t: Perm, u: Perm, elements: list[Perm]) -> 
     for p in elements:
         if p != e and any(p[i] == i + 1 for i in range(n)):
             raise ConsistencyError(f"non-identity element with a fixed point at k={k}")
-
-
-def _power(p: Perm, e: int) -> Perm:
-    out = identity(len(p))
-    for _ in range(e):
-        out = compose(p, out)
-    return out
-
-
-def power_eq(p: Perm, e: int, target: Perm) -> bool:
-    return _power(p, e) == target
 
 
 def point_of_label(label: Label, k: int) -> int:

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .quaternion import GroupTable
-from .words import (CongruenceClass, RewriteConfig, Word, canonicalizer,
-                    class_of, concat, format_word, random_member, random_word,
-                    seeded_word, words_equal)
+from .words import (RewriteConfig, Word, canonicalizer, class_of, concat,
+                    format_word, random_member, seeded_word, words_equal)
 
 
 @dataclass(frozen=True)

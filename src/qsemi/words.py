@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import BadFactor, ClassTooLarge
 from .perms import Perm
@@ -193,16 +193,12 @@ def canonicalizer(g: GroupTable, cfg: RewriteConfig,
 
 def check_overlap_bound(g: GroupTable) -> bool:
     """A proper suffix of one defining window never matches a prefix of
-    another beyond a single letter: for 2 <= j <= n the length-j suffix of
-    one image tuple equals the length-j prefix of another only when j = n
-    and the tuples coincide."""
+    another beyond a single letter: for 2 <= j < n the length-j suffix of
+    one image tuple is never the length-j prefix of another (at j = n the
+    two would be the same tuple)."""
     n = g.n
-    for s in g.elements:
-        for t in g.elements:
-            for j in range(2, n + 1):
-                if s[n - j:] == t[:j] and not (j == n and s == t):
-                    return False
-    return True
+    return not any(g.windows_at(s[n - j:], 1)
+                   for s in g.elements for j in range(2, n))
 
 
 def random_word(rng: random.Random, n_letters: int, length: int) -> Word:
@@ -226,8 +222,3 @@ def seeded_word(rng: random.Random, g: GroupTable, length: int,
 def random_member(rng: random.Random, cls: CongruenceClass) -> Word:
     members = sorted(cls.members)
     return members[rng.randrange(len(members))]
-
-
-def words_from_classes(words: Iterable[Word], g: GroupTable,
-                       cfg: RewriteConfig) -> dict[Word, CongruenceClass]:
-    return {w: class_of(w, g, cfg) for w in words}

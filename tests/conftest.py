@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from qsemi.perms import compose, from_cycles, identity
@@ -23,6 +26,16 @@ def cfg2(g2):
 @pytest.fixture(scope="session")
 def cfg3(g3):
     return default_config(g3.n)
+
+
+def bench_module(name):
+    """A module of the benchmark harness (`bench/<name>.py`), loaded from
+    its file without touching it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"qsemi_bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def bare_table(k, perms, t=None, u=None):

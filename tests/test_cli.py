@@ -135,12 +135,3 @@ def test_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--k", "2"])
     assert exc.value.code == 2
-
-
-def test_threads_env_is_validated(capsys, monkeypatch):
-    monkeypatch.setenv("QSEMI_THREADS", "not-a-number")
-    assert main(["gen-group", "--k", "2"]) == 0
-    assert "ignoring invalid QSEMI_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("QSEMI_THREADS", "4")
-    assert main(["gen-group", "--k", "2"]) == 0
-    assert "QSEMI_THREADS" not in capsys.readouterr().err

@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+from conftest import bench_module
 from qsemi.lemmas import (LemmaId, LemmaReport, default_stepss_seeds,
                           exhaustive_reports, run_lemma_suite, verify_big,
                           verify_max_one, verify_not_possible, verify_overlapp,
                           verify_step3, verify_stepss, verify_sym_max_one,
                           verify_sym_not_possible, verify_sym_overlapp,
                           verify_sym_step3, verify_symmetric_analogs)
+from qsemi.quaternion import QuaternionConfig, generate_group
+from qsemi.words import default_config
 
 SUITE_ORDER = ["NotPossible", "MaxOne", "Big", "Overlapp", "Stepss", "Step3",
                "SymNotPossible", "SymMaxOne", "SymStep3", "SymOverlapp"]
@@ -45,12 +48,17 @@ def test_exhaustive_stats_are_populated(g2):
     assert verify_sym_overlapp(g2).stats["unsatisfiable"] > 0
 
 
-def test_stepss_exercises_all_three_conditions(g2, cfg2):
-    r = verify_stepss(g2, cfg2, rng=random.Random(0))
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_stepss_exercises_all_three_conditions(k):
+    # large classes must not use up the pair cap before later classes,
+    # whose pairs break a window at letter n, are reached
+    g = generate_group(QuaternionConfig(k))
+    r = verify_stepss(g, default_config(g.n), rng=random.Random(0))
     assert r.passed
     both, first_only, second_only = r.stats["condition_counts"]
     assert both > 0 and first_only > 0 and second_only > 0
-    assert r.stats["pairs"] > 0 and r.stats["classes"] > 0
+    assert r.stats["pairs"] <= r.stats["pair_budget"] * r.stats["classes"]
+    assert (r.stats["sampled_classes"] > 0) == (k > 2)
 
 
 def test_stepss_seed_words_cover_chained_windows(g2):
@@ -70,6 +78,8 @@ def test_step3_enumerates_nontrivial_classes(g2, cfg2):
     r = verify_sym_step3(g2, cfg2, samples=200, rng=random.Random(2))
     assert r.passed
     assert r.stats["members_checked"] > r.stats["instances"]
+    # Step3 on the mirrored table draws what the hand-written mirror drew
+    assert r.stats == {"instances": 5121, "members_checked": 8642}
 
 
 def test_symmetric_analogs_order_and_pass(g3, cfg3):
@@ -135,3 +145,30 @@ def test_poisoned_table_breaks_overlapp(poisoned8):
     assert not verify_sym_overlapp(poisoned8).passed
     assert not verify_big(poisoned8).passed
     assert not verify_max_one(poisoned8).passed
+
+
+def test_traced_suite_reaches_every_oracle(g2, cfg2):
+    # the benchmark's traced run wraps oracles and class_of by module
+    # attribute; the suite must keep those names and call each oracle
+    # through them (the Sym* oracles reaching a forward one do not count)
+    from qsemi import cli
+    spans = bench_module("spans")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        cli.run_lemma_suite(g2, cfg2, stepss_extra=1, step3_samples=2,
+                            rng=random.Random(0))
+    finally:
+        tracer.uninstall()
+    calls = {name: row["calls"]
+             for name, row in tracer.aggregate()["spans"].items()}
+    assert all(calls[name] > 0 for name in calls
+               if name.startswith("lemmas.") or name == "words.class_of"), calls
+    names = list(tracer._name_ids)
+    suite = {i for i, name in enumerate(tracer.span_name)
+             if names[name] == "lemmas.run_lemma_suite"}
+    called = sorted(names[tracer.span_name[i]]
+                    for i, parent in enumerate(tracer.span_parent)
+                    if parent in suite)
+    assert called == sorted(f"lemmas.{f}" for f in
+                            spans.EXHAUSTIVE_ORACLES + spans.SAMPLED_ORACLES)

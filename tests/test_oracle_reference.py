@@ -1,0 +1,212 @@
+"""The pair-index window oracles against the brute-force reference scans,
+and every reported counterexample against its table by direct slicing."""
+
+import random
+
+import pytest
+
+from conftest import bare_table, bench_module
+from qsemi.lemmas import (exhaustive_reports, verify_step3, verify_stepss,
+                          verify_sym_step3)
+from qsemi.quaternion import QuaternionConfig, generate_group
+from qsemi.words import check_overlap_bound, class_of, parse_word
+from reference_oracles import FORWARD, overlap_bound, reversed_table
+
+SYM = {"SymNotPossible": "NotPossible", "SymMaxOne": "MaxOne",
+       "SymOverlapp": "Overlapp"}
+REAL = {k: generate_group(QuaternionConfig(k)) for k in (2, 3, 4, 5)}
+
+
+def _random_tables(count: int, seed: int) -> list:
+    """Seeded k=2,3 tables: every second one is the real table with one
+    image tuple changed by a transposition of two positions, the others are
+    two to four random permutations."""
+    rng = random.Random(seed)
+    tables = []
+    while len(tables) < count:
+        k = 2 if len(tables) % 3 else 3
+        n = 4 * k
+        if len(tables) % 2:
+            els = list(REAL[k].elements)
+            e = rng.randrange(n)
+            a, b = rng.sample(range(n), 2)
+            p = list(els[e])
+            p[a], p[b] = p[b], p[a]
+            if tuple(p) in els:
+                continue
+            els[e] = tuple(p)
+        else:
+            picked = set()
+            size = rng.randint(2, 4)
+            while len(picked) < size:
+                picked.add(tuple(rng.sample(range(1, n + 1), n)))
+            els = sorted(picked)
+        tables.append(bare_table(k, els))
+    return tables
+
+
+RANDOM = _random_tables(120, 7)
+
+
+@pytest.fixture(scope="module")
+def planted(cyclic8, dihedral8, poisoned8, two_element8):
+    return [cyclic8, dihedral8, poisoned8, two_element8]
+
+
+def _check_against_reference(g) -> dict[str, bool]:
+    """Compare every exhaustive oracle with the reference on g; return the
+    verdicts by lemma id."""
+    mirrored = reversed_table(g)
+    verdicts = {}
+    for r in exhaustive_reports(g):
+        name = r.lemma_id.value
+        table = mirrored if name in SYM else g
+        holds, instances, unsatisfiable = FORWARD[SYM.get(name, name)](table)
+        assert r.passed == holds, (name, g.elements)
+        if r.passed:
+            assert r.stats["instances"] == instances, name
+            assert r.stats.get("unsatisfiable", 0) == unsatisfiable, name
+        verdicts[name] = r.passed
+    assert check_overlap_bound(g) == overlap_bound(g)
+    return verdicts
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_real_tables_match_reference_and_closed_forms(k):
+    exhaustive_instances = bench_module("workloads").exhaustive_instances
+    g = REAL[k]
+    assert all(_check_against_reference(g).values())
+    counts = {r.lemma_id.value: r.stats["instances"]
+              for r in exhaustive_reports(g)}
+    assert counts == exhaustive_instances(k)
+
+
+def test_planted_tables_match_reference(planted):
+    for g in planted:
+        _check_against_reference(g)
+
+
+def test_random_tables_match_reference():
+    verdicts = [_check_against_reference(g) for g in RANDOM]
+    for name in verdicts[0]:
+        outcomes = {v[name] for v in verdicts}
+        assert outcomes == {True, False}, name
+
+
+# --- counterexamples, re-checked in original coordinates ---
+
+
+def _element(g, name):
+    return {g.label_name(i): e for i, e in enumerate(g.elements)}[name]
+
+
+def _witness_not_possible(g, c, sym):
+    n, half = g.n, g.n // 2
+    p, q = c["p"], c["q"]
+    if sym:
+        assert half < p <= n - 1 and 1 <= q <= half - 1
+    else:
+        assert 1 <= p <= half - 1 and half < q <= n - 1
+    s, t = _element(g, c["sigma"]), _element(g, c["tau"])
+    assert list(s[p - 1:p + 1]) == c["pair"] == list(t[q - 1:q + 1])
+
+
+def _witness_max_one(g, c, sym):
+    n, half = g.n, g.n // 2
+    i, j = c["i"], c["j"]
+    s, t = _element(g, c["sigma"]), _element(g, c["tau"])
+    same = c["sigma"] == c["tau"]
+    if sym:
+        assert half + 2 < i <= n and 1 <= j < i and not (j == 1 and same)
+        assert list(t[j - 1:i]) == c["factor"] == list(s[:i - j + 1])
+    else:
+        assert 1 <= i < half - 1 and i < j <= n and not (j == n and same)
+        assert list(t[i - 1:j]) == c["factor"] == list(s[n - j + i - 1:])
+
+
+def _witness_big(g, c, sym):
+    half = g.n // 2
+    i, j = c["i"], c["j"]
+    assert 1 <= i <= half and 1 <= j <= half
+    assert not (i == j and c["sigma"] == c["tau"])
+    s, t = _element(g, c["sigma"]), _element(g, c["tau"])
+    assert list(s[j - 1:j + half]) == c["factor"] == list(t[i - 1:i + half])
+
+
+def _witness_overlapp(g, c, sym):
+    n = g.n
+    j, l, m = c["j"], c["l"], c["m"]
+    assert c["sigma"] != c["tau"]
+    assert 1 <= j <= l < m <= n and not (j == l and l + 1 == m)
+    s, t = _element(g, c["sigma"]), _element(g, c["tau"])
+    lam, word = _element(g, c["lambda"]), c["word"]
+    assert list(s[j - 1:l] + t[l:m]) == word
+    if sym:
+        assert j in (1, 2) and c["end"] in (n - 1, n)
+        start = c["end"] - len(word) + 1
+        assert start >= 1 and list(lam[start - 1:c["end"]]) == word
+    else:
+        assert m in (n - 1, n) and c["i"] in (1, 2)
+        assert list(lam[c["i"] - 1:c["i"] - 1 + len(word)]) == word
+        assert c["i"] - 1 + len(word) <= n
+
+
+WITNESS = {"NotPossible": _witness_not_possible, "MaxOne": _witness_max_one,
+           "Big": _witness_big, "Overlapp": _witness_overlapp}
+KEYS = {"NotPossible": {"sigma", "tau", "p", "q", "pair"},
+        "MaxOne": {"sigma", "tau", "i", "j", "factor"},
+        "Big": {"sigma", "tau", "i", "j", "factor"},
+        "Overlapp": {"sigma", "tau", "lambda", "j", "l", "m", "i", "word"},
+        "SymOverlapp": {"sigma", "tau", "lambda", "j", "l", "m", "end", "word"}}
+
+
+def test_counterexamples_hold_in_original_coordinates(planted):
+    seen = set()
+    for g in planted + RANDOM:
+        for r in exhaustive_reports(g):
+            if r.passed:
+                continue
+            name = r.lemma_id.value
+            forward = SYM.get(name, name)
+            assert set(r.counterexample) == KEYS.get(name, KEYS[forward])
+            WITNESS[forward](g, r.counterexample, sym=name in SYM)
+            seen.add(name)
+    assert seen == {"NotPossible", "MaxOne", "Big", "Overlapp",
+                    "SymNotPossible", "SymMaxOne", "SymOverlapp"}
+
+
+
+def test_sampled_counterexamples_hold_in_original_coordinates(cyclic8, cfg2):
+    g, n = cyclic8, cyclic8.n
+
+    def is_prefix(w):
+        return any(e[:n - 1] == w for e in g.elements)
+
+    r = verify_stepss(g, cfg2, seeds=[tuple(range(1, 9)) + (1,)])
+    w1, w2 = (parse_word(r.counterexample[w], n) for w in ("w1", "w2"))
+    assert w1[0] != w2[0] and w2 in class_of(w1, g, cfg2).members
+    assert r.counterexample["reason"] == "first n-1 letters are not a window prefix"
+    assert not is_prefix(w1[:n - 1]) or not is_prefix(w2[:n - 1])
+
+    for verify, sym in ((verify_step3, False), (verify_sym_step3, True)):
+        c = verify(g, cfg2, samples=5, rng=random.Random(1)).counterexample
+        t, i = _element(g, c["tau"]), c["i"]
+        seed, w1 = parse_word(c["seed"], n), parse_word(c["w1"], n)
+        assert w1 in class_of(seed, g, cfg2).members
+        if sym:
+            # w2 t(1..i): the suffix t(1..i) is lost, and so is either
+            # t(2..i) or the window suffix of length n-1 just before it
+            assert seed[-i:] == t[:i] and w1[-i:] != t[:i]
+            head = len(w1) - (i - 1)
+            broken = {"suffix leaves t(2..i) after letter 1": w1[head:] != t[1:i],
+                      "too short for the alternative suffix shape": head < n - 1,
+                      "no window suffix before t(2..i)": not any(
+                          e[1:] == w1[head - (n - 1):head] for e in g.elements)}
+        else:
+            assert seed[:n - i] == t[i:] and w1[:n - i] != t[i:]
+            head = n - 1 - i
+            broken = {"prefix leaves t(i+1..n-1) before letter n": w1[:head] != t[i:n - 1],
+                      "too short for the alternative prefix shape": len(w1) < head + n - 1,
+                      "no window prefix after t(i+1..n-1)": not is_prefix(
+                          w1[head:head + n - 1])}
+        assert broken[c["reason"]], c
