@@ -14,10 +14,8 @@ import random
 from typing import Callable, Iterable
 
 from .quaternion import GroupTable
-from .words import (RewriteConfig, Word, canonicalizer, concat, format_word,
-                    random_word, seeded_word)
-
-Canon = Callable[[Word], Word]
+from .words import (Canon, RewriteConfig, Word, canonicalizer, concat,
+                    format_word, random_word, seeded_word)
 
 
 def _is_prime(p: int) -> bool:
@@ -89,11 +87,6 @@ def element_from_pairs(pairs: Iterable[tuple[Word, int]], p: int,
     return AlgebraElement(p, {w: c for w, c in terms.items() if c})
 
 
-def make_element(pairs: Iterable[tuple[Word, int]], p: int,
-                 g: GroupTable, cfg: RewriteConfig) -> AlgebraElement:
-    return element_from_pairs(pairs, p, canonicalizer(g, cfg))
-
-
 def algebra_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     if x.p != y.p:
         raise ValueError("mixed moduli")
@@ -122,12 +115,6 @@ def mul_with_canon(x: AlgebraElement, y: AlgebraElement,
             else:
                 terms.pop(key, None)
     return AlgebraElement(p, terms)
-
-
-def algebra_mul(x: AlgebraElement, y: AlgebraElement, g: GroupTable,
-                cfg: RewriteConfig,
-                cache: dict[Word, Word] | None = None) -> AlgebraElement:
-    return mul_with_canon(x, y, canonicalizer(g, cfg, cache))
 
 
 def random_element(rng: random.Random, p: int, canon: Canon,
@@ -179,5 +166,5 @@ def zero_divisor_search(g: GroupTable, cfg: RewriteConfig, p: int = 2,
         return seeded_word(r, g, r.randint(1, max_len))
 
     return zero_divisor_search_with_canon(
-        canonicalizer(g, cfg, {}), g.n, p, trials, max_support, max_len, rng,
+        canonicalizer(g, cfg), g.n, p, trials, max_support, max_len, rng,
         word_sampler=sampler, progress=progress)

@@ -13,7 +13,6 @@ import json
 import random
 import sys
 
-from . import structure
 from .errors import QsemiError
 from .lemmas import run_lemma_suite
 from .quaternion import (QuaternionConfig, describe_elements, generate_group,
@@ -21,8 +20,8 @@ from .quaternion import (QuaternionConfig, describe_elements, generate_group,
 from .structure import (canonical_ground_set, cancellation_report,
                         run_tup_sweep)
 from .algebra import zero_divisor_search
-from .words import (RewriteConfig, canonical_form, default_config,
-                    format_word, parse_word, words_equal)
+from .words import (RewriteConfig, canonical_form, format_word, parse_word,
+                    words_equal)
 
 
 def _k_value(text: str) -> int:
@@ -49,53 +48,54 @@ def _nonnegative(text: str) -> int:
     return v
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--k", type=_k_value, required=True,
-                     help="group size parameter, order 4k (k >= 2)")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for any randomized sampling")
-    sub.add_argument("--max-class-size", type=_positive, default=1_000_000)
-    sub.add_argument("--max-word-length", type=_nonnegative, default=0,
-                     help="cap on word length; 0 means 3n")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsemi",
         description="Verification tools for the quaternion-relation monoid")
     subs = parser.add_subparsers(dest="command", required=True)
+    # flag groups; each subcommand takes the ones it reads
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--k", type=_k_value, required=True,
+                        help="group size parameter, order 4k (k >= 2)")
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    caps = argparse.ArgumentParser(add_help=False)
+    caps.add_argument("--max-class-size", type=_positive, default=1_000_000)
+    caps.add_argument("--max-word-length", type=_nonnegative, default=0,
+                      help="cap on word length; 0 means 3n")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0,
+                      help="seed for the randomized sampling")
 
-    p = subs.add_parser("gen-group", help="list the group elements")
-    _add_common(p)
+    subs.add_parser("gen-group", parents=[common],
+                    help="list the group elements")
 
-    p = subs.add_parser("verify-lemmas", help="run every lemma oracle")
-    _add_common(p)
+    p = subs.add_parser("verify-lemmas", parents=[common, caps, seed],
+                        help="run every lemma oracle")
     p.add_argument("--stepss-extra", type=int, default=-1,
                    help="extra length above n for seed words; -1 means n")
     p.add_argument("--step3-samples", type=_positive, default=1000,
                    help="random tails per (element, position) cell")
 
-    p = subs.add_parser("word-eq", help="decide equality of two words")
-    _add_common(p)
+    p = subs.add_parser("word-eq", parents=[common, caps],
+                        help="decide equality of two words")
     p.add_argument("w1", help="comma-separated word, e.g. 1,2,3")
     p.add_argument("w2")
 
-    p = subs.add_parser("tup-check", help="sweep subset pairs for unique products")
-    _add_common(p)
+    p = subs.add_parser("tup-check", parents=[common, caps],
+                        help="sweep subset pairs for unique products")
     p.add_argument("--max-len", type=_nonnegative, default=2,
                    help="ground set: canonical words up to this length")
     p.add_argument("--max-size", type=_positive, default=3)
     p.add_argument("--limit", type=_nonnegative, default=200_000,
                    help="cap on subset pairs checked; 0 means no cap")
 
-    p = subs.add_parser("cancel-sample", help="sample the cancellation laws")
-    _add_common(p)
+    p = subs.add_parser("cancel-sample", parents=[common, caps, seed],
+                        help="sample the cancellation laws")
     p.add_argument("--trials", type=_positive, default=10_000)
     p.add_argument("--max-len", type=_positive, default=12)
 
-    p = subs.add_parser("zero-divisor", help="search for vanishing products")
-    _add_common(p)
+    p = subs.add_parser("zero-divisor", parents=[common, caps, seed],
+                        help="search for vanishing products")
     p.add_argument("--p", type=_positive, default=2, help="prime modulus")
     p.add_argument("--trials", type=_positive, default=10_000)
     p.add_argument("--max-support", type=_positive, default=3)
@@ -131,8 +131,7 @@ def _progress(label: str):
 
 
 def cmd_gen_group(args) -> int:
-    qc, _ = _configs(args)
-    g = generate_group(qc)
+    g = generate_group(QuaternionConfig(args.k))
     rows = describe_elements(g)
     lines = [f"group of order {len(g)} on {g.n} points (k={g.k})"]
     for r in rows:

@@ -217,8 +217,8 @@ def _distinct_first_pairs(members: list[Word], budget: int,
 
 
 def default_stepss_seeds(g: GroupTable, max_extra: int,
-                         rng: random.Random, per_length: int = 4) -> list[Word]:
-    """Seed words: an image tuple with a random tail, one batch per length,
+                         rng: random.Random) -> list[Word]:
+    """Seed words: an image tuple with a random tail, four per length,
     plus chained seeds where a second window overlaps the first in exactly
     one letter (those classes mix rewrites at both ends, so the two words of
     a pair can break their windows at letter n in different ways)."""
@@ -226,7 +226,7 @@ def default_stepss_seeds(g: GroupTable, max_extra: int,
     pin1 = {e[0]: e for e in g.elements}
     seeds = []
     for extra in range(max_extra + 1):
-        for _ in range(per_length):
+        for _ in range(4):
             e = g.elements[rng.randrange(len(g.elements))]
             tail = tuple(rng.randint(1, n) for _ in range(extra))
             seeds.append(e + tail)
@@ -243,16 +243,14 @@ def default_stepss_seeds(g: GroupTable, max_extra: int,
 def verify_stepss(g: GroupTable, cfg: RewriteConfig,
                   max_extra: int | None = None,
                   rng: random.Random | None = None,
-                  seeds: Iterable[Word] = (),
-                  seeds_per_length: int = 4,
-                  pair_cap: int = 20000) -> LemmaReport:
+                  seeds: Iterable[Word] = ()) -> LemmaReport:
     """Equivalent words of equal length whose first letters differ must each
     start with the first n-1 letters of some window, and at most one of the
     two may break the window at its n-th letter.
 
     Pairs are drawn from congruence classes of seed words of length up to
     n + max_extra, so this samples a radius rather than proving the claim.
-    Each class gets an equal share of `pair_cap` (`pair_budget` in the
+    Each class gets an equal share of 20000 pairs (`pair_budget` in the
     stats); a class with more pairs than that is sampled with `rng`, and
     `sampled_classes` counts those.
     """
@@ -260,9 +258,8 @@ def verify_stepss(g: GroupTable, cfg: RewriteConfig,
     if max_extra is None:
         max_extra = n
     rng = rng if rng is not None else random.Random(0)
-    all_seeds = list(seeds) or default_stepss_seeds(g, max_extra, rng,
-                                                    seeds_per_length)
-    budget = max(1, pair_cap // max(1, len(all_seeds)))
+    all_seeds = list(seeds) or default_stepss_seeds(g, max_extra, rng)
+    budget = max(1, 20000 // max(1, len(all_seeds)))
     pairs = classes = sampled_classes = 0
     cond_counts = [0, 0, 0]  # both letters match / only first / only second
     for seed in all_seeds:
@@ -325,11 +322,13 @@ def verify_step3(g: GroupTable, cfg: RewriteConfig,
                  max_tail: int | None = None) -> LemmaReport:
     """Every member of the class of t(i+1..n) w2 either keeps that exact
     prefix or replaces its last letter by a fresh window prefix of length
-    n-1.  `samples` random tails are drawn per (element, i) cell."""
+    n-1.  `samples` random tails are drawn per (element, i) cell, `draws` in
+    all; a repeated draw is skipped, so `instances` counts distinct words."""
     n = g.n
     rng = rng if rng is not None else random.Random(0)
     if max_tail is None:
         max_tail = n
+    draws = 0
     instances = 0
     members_checked = 0
     for ti, t in enumerate(g.elements):
@@ -338,6 +337,7 @@ def verify_step3(g: GroupTable, cfg: RewriteConfig,
             seen: set[Word] = set()
             for _ in range(samples):
                 w = t[i:] + _step3_tail(g, cands, rng, max_tail)
+                draws += 1
                 if w in seen:
                     continue
                 seen.add(w)
@@ -350,10 +350,10 @@ def verify_step3(g: GroupTable, cfg: RewriteConfig,
                         return LemmaReport(LemmaId.STEP3, g.k, False, counterexample={
                             "w1": format_word(w1), "reason": reason,
                             "tau": g.label_name(ti), "i": i, "seed": format_word(w)},
-                            stats={"instances": instances,
+                            stats={"draws": draws, "instances": instances,
                                    "members_checked": members_checked})
     return LemmaReport(LemmaId.STEP3, g.k, True,
-                       stats={"instances": instances,
+                       stats={"draws": draws, "instances": instances,
                               "members_checked": members_checked})
 
 
@@ -400,18 +400,6 @@ def _reversed_word(text: str) -> str:
     return ",".join(reversed(text.split(",")))
 
 
-def verify_symmetric_analogs(g: GroupTable, cfg: RewriteConfig,
-                             samples: int = 1000,
-                             rng: random.Random | None = None) -> list[LemmaReport]:
-    """The four mirror-image oracles, in enum order."""
-    return [
-        verify_sym_not_possible(g),
-        verify_sym_max_one(g),
-        verify_sym_step3(g, cfg, samples=samples, rng=rng),
-        verify_sym_overlapp(g),
-    ]
-
-
 def exhaustive_reports(g: GroupTable) -> list[LemmaReport]:
     """The oracles that scan their whole quantifier range."""
     return [
@@ -438,5 +426,8 @@ def run_lemma_suite(g: GroupTable, cfg: RewriteConfig,
         verify_overlapp(g),
         verify_stepss(g, cfg, max_extra=stepss_extra, rng=rng),
         verify_step3(g, cfg, samples=step3_samples, rng=rng),
-        *verify_symmetric_analogs(g, cfg, samples=step3_samples, rng=rng),
+        verify_sym_not_possible(g),
+        verify_sym_max_one(g),
+        verify_sym_step3(g, cfg, samples=step3_samples, rng=rng),
+        verify_sym_overlapp(g),
     ]

@@ -11,15 +11,6 @@ def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
-def apply(p: Perm, i: int) -> int:
-    """Image of the point i under p (both 1-based)."""
-    return p[i - 1]
-
-
-def is_perm(p: Sequence[int]) -> bool:
-    return sorted(p) == list(range(1, len(p) + 1))
-
-
 def compose(p: Perm, q: Perm) -> Perm:
     """(p o q)(x) = p(q(x)): q acts first."""
     return tuple(p[q[x] - 1] for x in range(len(p)))

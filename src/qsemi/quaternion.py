@@ -59,16 +59,6 @@ class GroupTable:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, p: Perm) -> bool:
-        return p in self.index
-
-    @property
-    def identity(self) -> Perm:
-        return identity(self.n)
-
-    def element(self, i: int, j: int) -> Perm:
-        return self.elements[self.labels[(i % (2 * self.k), j % 2)]]
-
     def label_name(self, idx: int) -> str:
         """The label t^i u^j of element number idx, or `#idx` when the
         table carries no label for it."""
@@ -268,7 +258,7 @@ def check_disjoi(g: GroupTable) -> bool:
 
 def check_stabilizer_free(g: GroupTable) -> bool:
     """No non-identity element fixes a point."""
-    e = g.identity
+    e = identity(g.n)
     for p in g.elements:
         if p == e:
             continue

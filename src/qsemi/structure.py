@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .quaternion import GroupTable
-from .words import (RewriteConfig, Word, canonicalizer, class_of, concat,
-                    format_word, random_member, seeded_word, words_equal)
+from .words import (Canon, RewriteConfig, Word, canonicalizer, class_of,
+                    concat, format_word, random_member, seeded_word,
+                    words_equal)
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,7 @@ class ProductReport:
     unique_count: int
 
 
-def product_report(spec: SubsetSpec, g: GroupTable, cfg: RewriteConfig,
-                   cache: dict[Word, Word] | None = None) -> ProductReport:
-    canon = canonicalizer(g, cfg, cache)
+def product_report(spec: SubsetSpec, canon: Canon) -> ProductReport:
     products: dict[Word, list[tuple[int, int]]] = {}
     for ci, c in enumerate(spec.C):
         for di, d in enumerate(spec.D):
@@ -61,27 +60,24 @@ def product_report(spec: SubsetSpec, g: GroupTable, cfg: RewriteConfig,
     return ProductReport(products=products, unique_count=unique)
 
 
-def check_tup(spec: SubsetSpec, g: GroupTable, cfg: RewriteConfig,
-              cache: dict[Word, Word] | None = None,
-              diagnostics=None) -> bool:
+def check_tup(spec: SubsetSpec, canon: Canon) -> bool:
     """True iff at least two products of C x D have a unique presentation.
 
     Subset pairs with |C| + |D| <= 2 are rejected: the property is only
     claimed for larger pairs.  A False return means a genuine counterexample
-    to the two-unique-products property, so the full report is dumped.
+    to the two-unique-products property, so the full report is dumped to
+    stderr.
     """
     if len(spec.C) + len(spec.D) <= 2:
         raise ValueError("|C| + |D| must exceed 2")
-    report = product_report(spec, g, cfg, cache)
+    report = product_report(spec, canon)
     if report.unique_count >= 2:
         return True
-    if diagnostics is None:
-        diagnostics = sys.stderr
-    print("two-unique-products failure:", file=diagnostics)
-    print(f"  C = {[format_word(w) for w in spec.C]}", file=diagnostics)
-    print(f"  D = {[format_word(w) for w in spec.D]}", file=diagnostics)
+    print("two-unique-products failure:", file=sys.stderr)
+    print(f"  C = {[format_word(w) for w in spec.C]}", file=sys.stderr)
+    print(f"  D = {[format_word(w) for w in spec.D]}", file=sys.stderr)
     for w, fibre in sorted(report.products.items()):
-        print(f"  {format_word(w)} <- {fibre}", file=diagnostics)
+        print(f"  {format_word(w)} <- {fibre}", file=sys.stderr)
     return False
 
 
@@ -115,15 +111,6 @@ def _colex(m: int, size: int) -> Iterator[tuple[int, ...]]:
             yield rest + (last,)
 
 
-def enumerate_subset_specs(g: GroupTable, cfg: RewriteConfig,
-                           max_len: int, max_size: int) -> Iterator[SubsetSpec]:
-    """All subset pairs over the canonical representatives of words of
-    length <= max_len with |C|, |D| <= max_size and |C| + |D| > 2, streamed
-    lazily (the full space is astronomically large beyond toy parameters)."""
-    reps = canonical_ground_set(g, cfg, max_len)
-    yield from subset_specs_over(reps, max_size)
-
-
 def subset_specs_over(reps: Sequence[Word],
                       max_size: int) -> Iterator[SubsetSpec]:
     sides = list(subsets_colex(len(reps), max_size))
@@ -142,7 +129,7 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
     """Check every streamed SubsetSpec over `reps`; stop at the cap or at the
     first failure.  Returns (summary, failure-or-None)."""
     t0 = time.perf_counter()
-    cache: dict[Word, Word] = {}
+    canon = canonicalizer(g, cfg)
     checked = 0
     min_unique: int | None = None
     failure: dict | None = None
@@ -150,7 +137,7 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
         if limit is not None and checked >= limit:
             break
         checked += 1
-        report = product_report(spec, g, cfg, cache)
+        report = product_report(spec, canon)
         if min_unique is None or report.unique_count < min_unique:
             min_unique = report.unique_count
         if report.unique_count < 2:
@@ -226,13 +213,3 @@ def cancellation_report(g: GroupTable, cfg: RewriteConfig, trials: int,
         "passed": not violations,
     }
 
-
-def check_cancellative_samples(g: GroupTable, cfg: RewriteConfig, trials: int,
-                               max_len: int,
-                               rng: random.Random | None = None) -> bool:
-    """True iff no sampled violation of either cancellation law."""
-    report = cancellation_report(g, cfg, trials, max_len, rng)
-    if not report["passed"]:
-        for v in report["violations"]:
-            print(f"cancellation violation: {v}", file=sys.stderr)
-    return report["passed"]

@@ -20,6 +20,7 @@ from .perms import Perm
 from .quaternion import GroupTable
 
 Word = tuple[int, ...]
+Canon = Callable[[Word], Word]  # word -> canonical form of its class
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ def canonical_form(w: Word, g: GroupTable, cfg: RewriteConfig) -> Word:
 
 
 def canonicalizer(g: GroupTable, cfg: RewriteConfig,
-                  cache: dict[Word, Word] | None = None) -> Callable[[Word], Word]:
+                  cache: dict[Word, Word] | None = None) -> Canon:
     """Memoizing wrapper around canonical_form."""
     memo: dict[Word, Word] = {} if cache is None else cache
 

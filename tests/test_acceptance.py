@@ -8,9 +8,8 @@ module stays well inside its stated time budgets on commodity hardware.
 import random
 from time import perf_counter
 
-from qsemi.algebra import (algebra_add, element_from_pairs, mul_with_canon,
-                           random_element, zero_divisor_search,
-                           zero_divisor_search_with_canon)
+from qsemi.algebra import (algebra_add, mul_with_canon, random_element,
+                           zero_divisor_search, zero_divisor_search_with_canon)
 from qsemi.lemmas import (exhaustive_reports, verify_step3, verify_stepss,
                           verify_sym_step3)
 from qsemi.perms import identity, power

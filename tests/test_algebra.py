@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from qsemi.algebra import (AlgebraElement, algebra_add, algebra_mul,
-                           element_from_pairs, make_element, mul_with_canon,
-                           random_element, zero_divisor_search,
+from qsemi.algebra import (AlgebraElement, algebra_add, element_from_pairs,
+                           mul_with_canon, random_element, zero_divisor_search,
                            zero_divisor_search_with_canon)
 from qsemi.words import canonicalizer, seeded_word
 
@@ -48,8 +47,9 @@ def test_validation():
 
 def test_element_from_pairs_merges_equivalent_words(g2, cfg2):
     pairs = [(g2.t, 1), (g2.u, 1)]
-    assert make_element(pairs, 2, g2, cfg2).is_zero()
-    x = make_element(pairs, 3, g2, cfg2)
+    canon = canonicalizer(g2, cfg2)
+    assert element_from_pairs(pairs, 2, canon).is_zero()
+    x = element_from_pairs(pairs, 3, canon)
     assert x.terms == {tuple(range(1, 9)): 2}
 
 
@@ -63,9 +63,10 @@ def test_add():
 
 
 def test_mul_concatenates_and_grades(g2, cfg2):
-    x = make_element([((1,), 1)], 3, g2, cfg2)
-    y = make_element([((2,), 2), ((3, 4), 1)], 3, g2, cfg2)
-    xy = algebra_mul(x, y, g2, cfg2)
+    canon = canonicalizer(g2, cfg2)
+    x = element_from_pairs([((1,), 1)], 3, canon)
+    y = element_from_pairs([((2,), 2), ((3, 4), 1)], 3, canon)
+    xy = mul_with_canon(x, y, canon)
     assert xy.terms == {(1, 2): 2, (1, 3, 4): 1}
     assert xy.support_lengths() == {2, 3}
     with pytest.raises(ValueError):
@@ -75,10 +76,11 @@ def test_mul_concatenates_and_grades(g2, cfg2):
 def test_square_of_window_plus_neighbor_is_nonzero(g2, cfg2):
     # (2,1,3,...,8) is one transposition away from the identity window and is
     # not a table element, so the square must survive over F_2
-    x = make_element([(tuple(range(1, 9)), 1), ((2, 1, 3, 4, 5, 6, 7, 8), 1)],
-                     2, g2, cfg2)
+    canon = canonicalizer(g2, cfg2)
+    x = element_from_pairs(
+        [(tuple(range(1, 9)), 1), ((2, 1, 3, 4, 5, 6, 7, 8), 1)], 2, canon)
     assert len(x.terms) == 2
-    sq = algebra_mul(x, x, g2, cfg2)
+    sq = mul_with_canon(x, x, canon)
     assert not sq.is_zero()
     assert sq.support_lengths() == {16}
 

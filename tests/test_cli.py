@@ -135,3 +135,13 @@ def test_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--k", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-group", "--seed", "1"], ["gen-group", "--max-class-size", "5"],
+    ["gen-group", "--max-word-length", "5"],
+    ["word-eq", "--seed", "1", "1", "1"], ["tup-check", "--seed", "1"]])
+def test_rejects_flags_the_subcommand_does_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--k", "2"] + argv[1:])
+    assert exc.value.code == 2

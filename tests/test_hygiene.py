@@ -1,0 +1,39 @@
+"""Every name a module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "qsemi").glob("*.py")
+                 if p.name != "__init__.py") + sorted(
+                     (ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_detects_an_unused_import():
+    assert unused_imports("import os\nfrom a.b import c, d as e\ne()\n") == [
+        "c (line 2)", "os (line 1)"]
+    assert unused_imports("import a.b\na.b.f()\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -8,7 +8,7 @@ from qsemi.lemmas import (LemmaId, LemmaReport, default_stepss_seeds,
                           verify_max_one, verify_not_possible, verify_overlapp,
                           verify_step3, verify_stepss, verify_sym_max_one,
                           verify_sym_not_possible, verify_sym_overlapp,
-                          verify_sym_step3, verify_symmetric_analogs)
+                          verify_sym_step3)
 from qsemi.quaternion import QuaternionConfig, generate_group
 from qsemi.words import default_config
 
@@ -79,12 +79,22 @@ def test_step3_enumerates_nontrivial_classes(g2, cfg2):
     assert r.passed
     assert r.stats["members_checked"] > r.stats["instances"]
     # Step3 on the mirrored table draws what the hand-written mirror drew
-    assert r.stats == {"instances": 5121, "members_checked": 8642}
+    assert r.stats == {"draws": 8 * 7 * 200, "instances": 5121,
+                       "members_checked": 8642}
+
+
+def test_step3_reports_draws():
+    # repeated tails are skipped; the stats must say how many were drawn
+    g = generate_group(QuaternionConfig(8))
+    for verify in (verify_step3, verify_sym_step3):
+        r = verify(g, default_config(g.n), samples=1, rng=random.Random(0))
+        assert r.stats["draws"] == len(g) * (g.n - 1)
+        assert r.stats["instances"] <= r.stats["draws"]
 
 
 def test_symmetric_analogs_order_and_pass(g3, cfg3):
-    reports = verify_symmetric_analogs(g3, cfg3, samples=50,
-                                       rng=random.Random(3))
+    reports = run_lemma_suite(g3, cfg3, step3_samples=50,
+                              rng=random.Random(3))[6:]
     assert [r.lemma_id for r in reports] == [
         LemmaId.SYM_NOT_POSSIBLE, LemmaId.SYM_MAX_ONE, LemmaId.SYM_STEP3,
         LemmaId.SYM_OVERLAPP]
@@ -172,3 +182,32 @@ def test_traced_suite_reaches_every_oracle(g2, cfg2):
                     if parent in suite)
     assert called == sorted(f"lemmas.{f}" for f in
                             spans.EXHAUSTIVE_ORACLES + spans.SAMPLED_ORACLES)
+
+
+def test_traced_layers_outside_lemmas_are_reached(g2, cfg2):
+    # the benchmark's traced run also wraps cli, structure, algebra and words
+    # functions and both canonicalizer factories by module attribute; each
+    # name must exist and be called through it
+    from qsemi import cli, quaternion, structure
+    spans = bench_module("spans")
+    word = ",".join(map(str, g2.elements[1]))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["word-eq", "--k", "2", word, "1,2,3,4,5,6,7,8"]) == 0
+        assert cli.main(["cancel-sample", "--k", "2", "--trials", "20"]) == 0
+        assert cli.main(["zero-divisor", "--k", "2", "--trials", "5"]) == 0
+        g = quaternion.generate_group(QuaternionConfig(2))
+        before = tracer.canon_calls
+        halves = sorted({e[:4] for e in g.elements})[:4]
+        structure.run_tup_sweep(g, cfg2, halves, 2)
+        swept = tracer.canon_calls - before
+    finally:
+        tracer.uninstall()
+    result = tracer.aggregate()
+    calls = {name: row["calls"] for name, row in result["spans"].items()}
+    assert all(calls[name] > 0 for name in calls
+               if not name.startswith("lemmas.")), calls
+    assert result["counters"]["canon_calls"] > 0
+    assert result["counters"]["canon_misses"] > 0
+    assert swept > 0

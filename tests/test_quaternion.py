@@ -84,14 +84,6 @@ def test_point_label_round_trip():
         label_of_point(9, 2)
 
 
-def test_element_accessor_wraps(g2):
-    assert g2.element(0, 0) == identity(8)
-    assert g2.element(1, 0) == g2.t
-    assert g2.element(0, 1) == g2.u
-    assert g2.element(4, 2) == g2.element(0, 0)
-    assert g2.element(-1, 1) == g2.element(3, 1)
-
-
 def test_format_label_and_names(g2):
     assert format_label((0, 0)) == "e"
     assert format_label((1, 0)) == "t"
