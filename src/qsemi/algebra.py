@@ -14,8 +14,8 @@ import random
 from typing import Callable, Iterable
 
 from .quaternion import GroupTable
-from .words import (Canon, RewriteConfig, Word, canonicalizer, concat,
-                    format_word, random_word, seeded_word)
+from .words import (Canon, RewriteConfig, Word, canonicalizer, format_word,
+                    seeded_word)
 
 
 def _is_prime(p: int) -> bool:
@@ -43,10 +43,6 @@ class AlgebraElement:
         self.p = p
         self.terms = dict(terms)
 
-    @classmethod
-    def zero(cls, p: int) -> "AlgebraElement":
-        return cls(p, {})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -56,9 +52,6 @@ class AlgebraElement:
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgebraElement)
                 and self.p == other.p and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.p, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         return f"AlgebraElement(p={self.p}, {self.to_text()!r})"
@@ -108,7 +101,7 @@ def mul_with_canon(x: AlgebraElement, y: AlgebraElement,
     terms: dict[Word, int] = {}
     for w1, c1 in x.terms.items():
         for w2, c2 in y.terms.items():
-            key = canon(concat(w1, w2))
+            key = canon(w1 + w2)
             s = (terms.get(key, 0) + c1 * c2) % p
             if s:
                 terms[key] = s
@@ -131,17 +124,14 @@ def random_element(rng: random.Random, p: int, canon: Canon,
 
 
 def zero_divisor_search_with_canon(
-        canon: Canon, n_letters: int, p: int, trials: int, max_support: int,
-        max_len: int, rng: random.Random | None = None,
-        word_sampler: Callable[[random.Random], Word] | None = None,
+        canon: Canon, word_sampler: Callable[[random.Random], Word], p: int,
+        trials: int, max_support: int, rng: random.Random | None = None,
         progress: Callable[[int], None] | None = None,
 ) -> tuple[AlgebraElement, AlgebraElement] | None:
     """Random search for x, y != 0 with x*y = 0 under the given
-    canonicalizer.  Returns the first hit or None."""
+    canonicalizer, support words drawn by `word_sampler`.  Returns the
+    first hit or None."""
     rng = rng if rng is not None else random.Random(0)
-    if word_sampler is None:
-        def word_sampler(r: random.Random) -> Word:
-            return random_word(r, n_letters, r.randint(1, max_len))
     for trial in range(trials):
         x = random_element(rng, p, canon, word_sampler, max_support)
         y = random_element(rng, p, canon, word_sampler, max_support)
@@ -166,5 +156,4 @@ def zero_divisor_search(g: GroupTable, cfg: RewriteConfig, p: int = 2,
         return seeded_word(r, g, r.randint(1, max_len))
 
     return zero_divisor_search_with_canon(
-        canonicalizer(g, cfg), g.n, p, trials, max_support, max_len, rng,
-        word_sampler=sampler, progress=progress)
+        canonicalizer(g, cfg), sampler, p, trials, max_support, rng, progress)

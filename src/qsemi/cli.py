@@ -15,37 +15,29 @@ import sys
 
 from .errors import QsemiError
 from .lemmas import run_lemma_suite
-from .quaternion import (QuaternionConfig, describe_elements, generate_group,
-                         group_checks)
+from .quaternion import (GroupTable, QuaternionConfig, describe_elements,
+                         generate_group, group_checks)
 from .structure import (canonical_ground_set, cancellation_report,
                         run_tup_sweep)
 from .algebra import zero_divisor_search
-from .words import (RewriteConfig, canonical_form, format_word, parse_word,
-                    words_equal)
+from .words import (RewriteConfig, canonical_form, default_config, format_word,
+                    parse_word, words_equal)
 
 
-def _k_value(text: str) -> int:
-    try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"k must be an integer, got {text!r}")
-    if k < 2:
-        raise argparse.ArgumentTypeError("k must be at least 2")
-    return k
+def _int_at_least(lo: int):
+    """argparse type: an integer no smaller than lo."""
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}")
+        return v
+    return parse
 
 
-def _positive(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError("must be positive")
-    return v
-
-
-def _nonnegative(text: str) -> int:
-    v = int(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return v
+_positive, _nonnegative = _int_at_least(1), _int_at_least(0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,13 +47,14 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     # flag groups; each subcommand takes the ones it reads
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--k", type=_k_value, required=True,
+    common.add_argument("--k", type=_int_at_least(2), required=True,
                         help="group size parameter, order 4k (k >= 2)")
     common.add_argument("--format", choices=("text", "json"), default="text")
     caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument("--max-class-size", type=_positive, default=1_000_000)
-    caps.add_argument("--max-word-length", type=_nonnegative, default=0,
-                      help="cap on word length; 0 means 3n")
+    caps.add_argument("--max-class-size", type=_positive,
+                      help="cap on class members; default: words.default_config")
+    caps.add_argument("--max-word-length", type=_nonnegative,
+                      help="cap on word length; unset or 0: words.default_config")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0,
                       help="seed for the randomized sampling")
@@ -71,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify-lemmas", parents=[common, caps, seed],
                         help="run every lemma oracle")
-    p.add_argument("--stepss-extra", type=int, default=-1,
+    p.add_argument("--stepss-extra", type=_int_at_least(-1), default=-1,
                    help="extra length above n for seed words; -1 means n")
     p.add_argument("--step3-samples", type=_positive, default=1000,
                    help="random tails per (element, position) cell")
@@ -117,11 +110,11 @@ def _payload(args, passed: bool, params: dict, details: dict) -> dict:
             "passed": passed, "details": details}
 
 
-def _configs(args) -> tuple[QuaternionConfig, RewriteConfig]:
-    qc = QuaternionConfig(args.k)
-    max_len = args.max_word_length or 3 * qc.n
-    return qc, RewriteConfig(max_class_size=args.max_class_size,
-                             max_word_length=max_len)
+def _caps(args, n: int) -> RewriteConfig:
+    """default_config(n), overridden by the caps set on the command line."""
+    cfg = default_config(n)
+    return RewriteConfig(args.max_class_size or cfg.max_class_size,
+                         args.max_word_length or cfg.max_word_length)
 
 
 def _progress(label: str):
@@ -130,8 +123,7 @@ def _progress(label: str):
     return report
 
 
-def cmd_gen_group(args) -> int:
-    g = generate_group(QuaternionConfig(args.k))
+def cmd_gen_group(args, g: GroupTable) -> int:
     rows = describe_elements(g)
     lines = [f"group of order {len(g)} on {g.n} points (k={g.k})"]
     for r in rows:
@@ -142,12 +134,10 @@ def cmd_gen_group(args) -> int:
     return 0
 
 
-def cmd_verify_lemmas(args) -> int:
-    qc, cfg = _configs(args)
-    g = generate_group(qc)
+def cmd_verify_lemmas(args, g: GroupTable) -> int:
     rng = random.Random(args.seed)
     stepss_extra = None if args.stepss_extra < 0 else args.stepss_extra
-    reports = run_lemma_suite(g, cfg, stepss_extra=stepss_extra,
+    reports = run_lemma_suite(g, _caps(args, g.n), stepss_extra=stepss_extra,
                               step3_samples=args.step3_samples, rng=rng)
     checks = group_checks(g)
     ok = all(r.passed for r in reports) and all(checks.values())
@@ -167,9 +157,8 @@ def cmd_verify_lemmas(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_word_eq(args) -> int:
-    qc, cfg = _configs(args)
-    g = generate_group(qc)
+def cmd_word_eq(args, g: GroupTable) -> int:
+    cfg = _caps(args, g.n)
     w1 = parse_word(args.w1, g.n)
     w2 = parse_word(args.w2, g.n)
     equal = words_equal(w1, w2, g, cfg)
@@ -187,9 +176,8 @@ def cmd_word_eq(args) -> int:
     return 0 if equal else 1
 
 
-def cmd_tup_check(args) -> int:
-    qc, cfg = _configs(args)
-    g = generate_group(qc)
+def cmd_tup_check(args, g: GroupTable) -> int:
+    cfg = _caps(args, g.n)
     print(f"building ground set (length <= {args.max_len})", file=sys.stderr)
     reps = canonical_ground_set(g, cfg, args.max_len)
     print(f"{len(reps)} canonical representatives", file=sys.stderr)
@@ -197,7 +185,10 @@ def cmd_tup_check(args) -> int:
     summary, failure = run_tup_sweep(g, cfg, reps, args.max_size, limit=limit,
                                      progress=_progress("tup-check"))
     ok = failure is None
-    lines = [json.dumps(summary), f"tup-check: {'PASS' if ok else 'FAIL'}"]
+    verdict = "PASS" if ok else "FAIL"
+    if summary["capped"]:
+        verdict += f" over the first {summary['specs_checked']} pairs (--limit)"
+    lines = [json.dumps(summary), f"tup-check: {verdict}"]
     if failure is not None:
         lines.append(f"failure: {failure}")
     params = {"max_len": args.max_len, "max_size": args.max_size,
@@ -209,9 +200,8 @@ def cmd_tup_check(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_cancel_sample(args) -> int:
-    qc, cfg = _configs(args)
-    g = generate_group(qc)
+def cmd_cancel_sample(args, g: GroupTable) -> int:
+    cfg = _caps(args, g.n)
     rng = random.Random(args.seed)
     report = cancellation_report(g, cfg, args.trials, args.max_len, rng,
                                  progress=_progress("cancel-sample"))
@@ -228,9 +218,8 @@ def cmd_cancel_sample(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_zero_divisor(args) -> int:
-    qc, cfg = _configs(args)
-    g = generate_group(qc)
+def cmd_zero_divisor(args, g: GroupTable) -> int:
+    cfg = _caps(args, g.n)
     rng = random.Random(args.seed)
     found = zero_divisor_search(g, cfg, p=args.p, trials=args.trials,
                                 max_support=args.max_support,
@@ -268,7 +257,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        g = generate_group(QuaternionConfig(args.k))
+        return _COMMANDS[args.command](args, g)
     except (QsemiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

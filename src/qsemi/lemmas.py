@@ -303,31 +303,27 @@ def _stepss_pair_check(g: GroupTable, w1: Word, w2: Word,
     return None
 
 
-def _step3_tail(g: GroupTable, cands: list[int], rng: random.Random,
-                max_tail: int) -> Word:
+def _step3_tail(g: GroupTable, cands: list[int], rng: random.Random) -> Word:
     """Half the time, a tail that completes a window one letter into the
-    kept prefix (so rewrites actually fire); otherwise uniform letters.
-    `cands` are the windows that start with the prefix's last letter."""
+    kept prefix (so rewrites actually fire), then at most one more letter;
+    otherwise up to n uniform letters.  `cands` are the windows that start
+    with the prefix's last letter."""
     n = g.n
     if rng.random() < 0.5 and cands:
         lam = g.elements[cands[rng.randrange(len(cands))]]
-        extra = rng.randint(0, max(0, max_tail - (n - 1)))
-        return lam[1:] + tuple(rng.randint(1, n) for _ in range(extra))
-    return tuple(rng.randint(1, n) for _ in range(rng.randint(0, max_tail)))
+        return lam[1:] + tuple(rng.randint(1, n) for _ in range(rng.randint(0, 1)))
+    return tuple(rng.randint(1, n) for _ in range(rng.randint(0, n)))
 
 
 def verify_step3(g: GroupTable, cfg: RewriteConfig,
                  samples: int = 1000,
-                 rng: random.Random | None = None,
-                 max_tail: int | None = None) -> LemmaReport:
+                 rng: random.Random | None = None) -> LemmaReport:
     """Every member of the class of t(i+1..n) w2 either keeps that exact
     prefix or replaces its last letter by a fresh window prefix of length
     n-1.  `samples` random tails are drawn per (element, i) cell, `draws` in
     all; a repeated draw is skipped, so `instances` counts distinct words."""
     n = g.n
     rng = rng if rng is not None else random.Random(0)
-    if max_tail is None:
-        max_tail = n
     draws = 0
     instances = 0
     members_checked = 0
@@ -336,7 +332,7 @@ def verify_step3(g: GroupTable, cfg: RewriteConfig,
         for i in range(1, n):
             seen: set[Word] = set()
             for _ in range(samples):
-                w = t[i:] + _step3_tail(g, cands, rng, max_tail)
+                w = t[i:] + _step3_tail(g, cands, rng)
                 draws += 1
                 if w in seen:
                     continue
@@ -384,8 +380,7 @@ _SYM_STEP3_REASONS = {
 
 def verify_sym_step3(g: GroupTable, cfg: RewriteConfig,
                      samples: int = 1000,
-                     rng: random.Random | None = None,
-                     max_tail: int | None = None) -> LemmaReport:
+                     rng: random.Random | None = None) -> LemmaReport:
     """Mirror of Step3 for suffixes: every member of the class of
     w2 t(1..i) either keeps that exact suffix or replaces the first letter
     of the t-part by a fresh length n-1 window suffix."""
@@ -393,7 +388,7 @@ def verify_sym_step3(g: GroupTable, cfg: RewriteConfig,
     return _on_mirror(g, LemmaId.SYM_STEP3, verify_step3, lambda c: {
         "w1": _reversed_word(c["w1"]), "reason": _SYM_STEP3_REASONS[c["reason"]],
         "tau": c["tau"], "i": n - c["i"], "seed": _reversed_word(c["seed"])},
-        cfg=cfg, samples=samples, rng=rng, max_tail=max_tail)
+        cfg=cfg, samples=samples, rng=rng)
 
 
 def _reversed_word(text: str) -> str:

@@ -6,15 +6,13 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .quaternion import GroupTable
 from .words import (Canon, RewriteConfig, Word, canonicalizer, class_of,
-                    concat, format_word, random_member, seeded_word,
-                    words_equal)
+                    format_word, random_member, seeded_word, words_equal)
 
 
 @dataclass(frozen=True)
@@ -24,20 +22,6 @@ class SubsetSpec:
 
     C: tuple[Word, ...]
     D: tuple[Word, ...]
-
-
-def make_subset_spec(C: Sequence[Word], D: Sequence[Word],
-                     g: GroupTable, cfg: RewriteConfig) -> SubsetSpec:
-    """Canonicalize both sides; equivalent duplicates within a side are
-    rejected because the subsets live in the monoid, not in the free one."""
-    canon = canonicalizer(g, cfg)
-    sides = []
-    for name, side in (("C", C), ("D", D)):
-        reps = tuple(canon(w) for w in side)
-        if len(set(reps)) != len(reps):
-            raise ValueError(f"side {name} contains equivalent words")
-        sides.append(reps)
-    return SubsetSpec(C=sides[0], D=sides[1])
 
 
 @dataclass
@@ -53,32 +37,11 @@ def product_report(spec: SubsetSpec, canon: Canon) -> ProductReport:
     products: dict[Word, list[tuple[int, int]]] = {}
     for ci, c in enumerate(spec.C):
         for di, d in enumerate(spec.D):
-            w = canon(concat(c, d))
+            w = canon(c + d)
             assert len(w) == len(c) + len(d)  # relations preserve length
             products.setdefault(w, []).append((ci, di))
     unique = sum(1 for fibre in products.values() if len(fibre) == 1)
     return ProductReport(products=products, unique_count=unique)
-
-
-def check_tup(spec: SubsetSpec, canon: Canon) -> bool:
-    """True iff at least two products of C x D have a unique presentation.
-
-    Subset pairs with |C| + |D| <= 2 are rejected: the property is only
-    claimed for larger pairs.  A False return means a genuine counterexample
-    to the two-unique-products property, so the full report is dumped to
-    stderr.
-    """
-    if len(spec.C) + len(spec.D) <= 2:
-        raise ValueError("|C| + |D| must exceed 2")
-    report = product_report(spec, canon)
-    if report.unique_count >= 2:
-        return True
-    print("two-unique-products failure:", file=sys.stderr)
-    print(f"  C = {[format_word(w) for w in spec.C]}", file=sys.stderr)
-    print(f"  D = {[format_word(w) for w in spec.D]}", file=sys.stderr)
-    for w, fibre in sorted(report.products.items()):
-        print(f"  {format_word(w)} <- {fibre}", file=sys.stderr)
-    return False
 
 
 def canonical_ground_set(g: GroupTable, cfg: RewriteConfig,
@@ -99,16 +62,8 @@ def subsets_colex(m: int, max_size: int) -> Iterator[tuple[int, ...]]:
     """Nonempty subsets of range(m) with at most max_size members, by size
     and then in colexicographic order, so a failure index is reproducible."""
     for size in range(1, max_size + 1):
-        yield from _colex(m, size)
-
-
-def _colex(m: int, size: int) -> Iterator[tuple[int, ...]]:
-    if size == 0:
-        yield ()
-        return
-    for last in range(size - 1, m):
-        for rest in _colex(last, size - 1):
-            yield rest + (last,)
+        yield from sorted(itertools.combinations(range(m), size),
+                          key=lambda s: s[::-1])
 
 
 def subset_specs_over(reps: Sequence[Word],
@@ -127,14 +82,17 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
                   progress: Callable[[int], None] | None = None
                   ) -> tuple[dict, dict | None]:
     """Check every streamed SubsetSpec over `reps`; stop at the cap or at the
-    first failure.  Returns (summary, failure-or-None)."""
+    first failure.  Returns (summary, failure-or-None); the summary's
+    `capped` is True when the cap stopped the sweep with specs left."""
     t0 = time.perf_counter()
     canon = canonicalizer(g, cfg)
     checked = 0
+    capped = False
     min_unique: int | None = None
     failure: dict | None = None
     for spec in subset_specs_over(reps, max_size):
         if limit is not None and checked >= limit:
+            capped = True
             break
         checked += 1
         report = product_report(spec, canon)
@@ -155,6 +113,7 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
         "max_len": max((len(r) for r in reps), default=0),
         "max_size": max_size,
         "specs_checked": checked,
+        "capped": capped,
         "min_unique_count": min_unique,
         "elapsed_ms": int((time.perf_counter() - t0) * 1000),
     }
@@ -190,8 +149,7 @@ def cancellation_report(g: GroupTable, cfg: RewriteConfig, trials: int,
                 b = seeded_word(rng, g, la)
             c = seeded_word(rng, g, rng.randint(1, max_len))
         ab_equal: bool | None = None
-        for side, x, y in (("right", concat(a, c), concat(b, c)),
-                           ("left", concat(c, a), concat(c, b))):
+        for side, x, y in (("right", a + c, b + c), ("left", c + a, c + b)):
             if not words_equal(x, y, g, cfg):
                 continue
             antecedent_hits += 1

@@ -44,7 +44,6 @@ def default_config(n: int) -> RewriteConfig:
 class CongruenceClass:
     representative: Word
     members: frozenset[Word]
-    length: int
 
 
 def check_word(w: Word, n: int) -> None:
@@ -70,23 +69,12 @@ def format_word(w: Word) -> str:
     return ",".join(str(x) for x in w)
 
 
-def concat(w1: Word, w2: Word) -> Word:
-    return w1 + w2
-
-
 def find_relation_factors(w: Word, g: GroupTable) -> list[tuple[int, Perm]]:
     """All (position, element) pairs where a length-n window of w spells out
     a table element's image tuple.  Positions are 1-based."""
-    n = g.n
-    out = []
-    for p0 in range(len(w) - n + 1):
-        win = w[p0:p0 + n]
-        if len(set(win)) != n:  # cheap reject before the table lookup
-            continue
-        idx = g.index.get(win)
-        if idx is not None:
-            out.append((p0 + 1, g.elements[idx]))
-    return out
+    n, index = g.n, g.index
+    return [(p0 + 1, win) for p0 in range(len(w) - n + 1)
+            if (win := w[p0:p0 + n]) in index]
 
 
 def rewrite_step(w: Word, position: int, src: Perm, dst: Perm, g: GroupTable) -> Word:
@@ -119,17 +107,11 @@ def _closure(w: Word, g: GroupTable, cfg: RewriteConfig,
     seen: set[Word] = {w}
     frontier = [w]
     elements = g.elements
-    index = g.index
     while frontier:
         nxt = []
         for word in frontier:
-            for p0 in range(len(word) - n + 1):
-                win = word[p0:p0 + n]
-                if len(set(win)) != n:
-                    continue
-                if win not in index:
-                    continue
-                head, tail = word[:p0], word[p0 + n:]
+            for pos, win in find_relation_factors(word, g):
+                head, tail = word[:pos - 1], word[pos - 1 + n:]
                 for repl in elements:
                     if repl == win:
                         continue
@@ -151,9 +133,9 @@ def _closure(w: Word, g: GroupTable, cfg: RewriteConfig,
 def class_of(w: Word, g: GroupTable, cfg: RewriteConfig) -> CongruenceClass:
     """The full congruence class of w."""
     if len(w) < g.n:
-        return CongruenceClass(w, frozenset((w,)), len(w))
+        return CongruenceClass(w, frozenset((w,)))
     members, _ = _closure(w, g, cfg)
-    return CongruenceClass(min(members), frozenset(members), len(w))
+    return CongruenceClass(min(members), frozenset(members))
 
 
 def words_equal(w1: Word, w2: Word, g: GroupTable, cfg: RewriteConfig) -> bool:
@@ -177,10 +159,9 @@ def canonical_form(w: Word, g: GroupTable, cfg: RewriteConfig) -> Word:
     return min(members)
 
 
-def canonicalizer(g: GroupTable, cfg: RewriteConfig,
-                  cache: dict[Word, Word] | None = None) -> Canon:
+def canonicalizer(g: GroupTable, cfg: RewriteConfig) -> Canon:
     """Memoizing wrapper around canonical_form."""
-    memo: dict[Word, Word] = {} if cache is None else cache
+    memo: dict[Word, Word] = {}
 
     def canon(w: Word) -> Word:
         r = memo.get(w)

@@ -5,7 +5,7 @@ import pytest
 from qsemi.algebra import (AlgebraElement, algebra_add, element_from_pairs,
                            mul_with_canon, random_element, zero_divisor_search,
                            zero_divisor_search_with_canon)
-from qsemi.words import canonicalizer, seeded_word
+from qsemi.words import canonicalizer, random_word, seeded_word
 
 
 def collapse_canon(w):
@@ -42,7 +42,7 @@ def test_validation():
     x = AlgebraElement(3, {(1,): 2, (1, 2): 1})
     assert not x.is_zero()
     assert x.support_lengths() == {1, 2}
-    assert AlgebraElement.zero(5).is_zero()
+    assert AlgebraElement(5, {}).is_zero()
 
 
 def test_element_from_pairs_merges_equivalent_words(g2, cfg2):
@@ -87,8 +87,7 @@ def test_square_of_window_plus_neighbor_is_nonzero(g2, cfg2):
 
 def test_ring_laws_sampled(g2, cfg2):
     rng = random.Random(11)
-    cache = {}
-    canon = canonicalizer(g2, cfg2, cache)
+    canon = canonicalizer(g2, cfg2)
 
     def sampler(r):
         return seeded_word(r, g2, r.randint(1, 8))
@@ -130,9 +129,9 @@ def test_no_zero_divisor_found_on_the_monoid(g2, cfg2):
 def test_planted_quotient_has_zero_divisors():
     x = element_from_pairs([((1,), 1), ((1, 1), 1)], 2, collapse_canon)
     assert mul_with_canon(x, x, collapse_canon).is_zero()
-    hit = zero_divisor_search_with_canon(collapse_canon, n_letters=2, p=2,
-                                         trials=3000, max_support=3,
-                                         max_len=2, rng=random.Random(0))
+    hit = zero_divisor_search_with_canon(
+        collapse_canon, lambda r: random_word(r, 2, r.randint(1, 2)), p=2,
+        trials=3000, max_support=3, rng=random.Random(0))
     assert hit is not None
     a, b = hit
     assert not a.is_zero() and not b.is_zero()
@@ -152,8 +151,7 @@ def test_serialization():
     assert x.to_text() == "1*1 + 2*2,1"
     assert x.to_json() == {"p": 3, "terms": [{"coef": 1, "word": "1"},
                                              {"coef": 2, "word": "2,1"}]}
-    assert AlgebraElement.zero(2).to_text() == "0"
+    assert AlgebraElement(2, {}).to_text() == "0"
     assert "1*1" in repr(x)
     assert x == AlgebraElement(3, {(1,): 1, (2, 1): 2})
-    assert hash(x) == hash(AlgebraElement(3, {(1,): 1, (2, 1): 2}))
     assert x != AlgebraElement(3, {(1,): 1})

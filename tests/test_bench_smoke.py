@@ -1,0 +1,28 @@
+"""Every benchmark workload runs at its tiny scale and gets right answers.
+
+The harness calls the package through names it does not own
+(`qsemi.cli.main`, `qsemi.structure.run_tup_sweep`, `words.rewrite_step`,
+`words.default_config`, ...), so a change to one of them that breaks the
+benchmark fails here first.
+"""
+
+import importlib
+from pathlib import Path
+from time import perf_counter
+
+import pytest
+
+from conftest import bench_module
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.mark.parametrize("name", bench_module("workloads").WORKLOADS)
+def test_tiny_round_is_correct(name, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    child = importlib.import_module("child")
+    plan = workloads.make_plan(name, seed=3, scale="tiny")
+    result = child.run_round(plan, perf_counter(), "run")
+    assert len(result["ops"]) == len(plan["jobs"])
+    assert all(workloads.check_round(plan, result, None)), result["ops"]

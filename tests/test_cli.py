@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from qsemi import cli
 from qsemi.cli import main
+from qsemi.errors import QsemiError
+from qsemi.words import RewriteConfig, default_config
 
 K2_T = [2, 3, 4, 1, 6, 7, 8, 5]
 K2_U = [5, 8, 7, 6, 3, 2, 1, 4]
@@ -95,7 +98,38 @@ def test_tup_check(capsys):
     assert details["specs_checked"] == 45 * 45 - 81
     assert details["min_unique_count"] >= 2
     assert details["max_len"] == 1
+    assert details["capped"] is False
     assert "failure" not in details
+
+
+def test_tup_check_says_when_the_limit_cut_it_short(capsys):
+    code, payload = run_json(capsys, ["tup-check", "--k", "2", "--max-len",
+                                      "1", "--max-size", "2", "--limit", "10"])
+    assert code == 0
+    assert payload["details"]["specs_checked"] == 10
+    assert payload["details"]["capped"] is True
+    assert main(["tup-check", "--k", "2", "--max-len", "1", "--max-size",
+                 "2", "--limit", "10"]) == 0
+    assert "PASS over the first 10 pairs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, entry", [
+    (["verify-lemmas"], "run_lemma_suite"),
+    (["word-eq", "1", "1"], "words_equal"),
+    (["tup-check"], "canonical_ground_set"),
+    (["cancel-sample"], "cancellation_report"),
+    (["zero-divisor"], "zero_divisor_search")])
+def test_caps_default_to_default_config(monkeypatch, argv, entry):
+    used = []
+
+    def stop(*args, **kwargs):
+        used.extend(a for a in args + tuple(kwargs.values())
+                    if isinstance(a, RewriteConfig))
+        raise QsemiError("stopped once the caps are known")
+
+    monkeypatch.setattr(cli, entry, stop)
+    assert main(argv[:1] + ["--k", "3"] + argv[1:]) == 2
+    assert used == [default_config(12)]
 
 
 def test_cancel_sample(capsys):
@@ -123,6 +157,12 @@ def test_sampling_commands_are_seed_deterministic(capsys):
               "--format", "json"])
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+def test_rejects_stepss_extra_below_minus_one():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-lemmas", "--k", "2", "--stepss-extra", "-2"])
+    assert exc.value.code == 2
 
 
 def test_rejects_k_below_two():

@@ -6,9 +6,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(p for p in (ROOT / "src" / "qsemi").glob("*.py")
-                 if p.name != "__init__.py") + sorted(
-                     (ROOT / "tests").glob("*.py"))
+MODULES = sorted((ROOT / "src" / "qsemi").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -1,34 +1,17 @@
 import random
 
-import pytest
-
 from qsemi.structure import (SubsetSpec, canonical_ground_set,
-                             cancellation_report, check_tup, make_subset_spec,
-                             product_report, run_tup_sweep, subset_specs_over,
-                             subsets_colex)
-from qsemi.words import (canonicalizer, class_of, concat, seeded_word,
-                         words_equal)
+                             cancellation_report, product_report,
+                             run_tup_sweep, subset_specs_over, subsets_colex)
+from qsemi.words import canonicalizer, class_of, seeded_word, words_equal
 
 # both halves of the identity window against both halves shifted by one
 C_HALVES = ((1, 2, 3, 4), (2, 3, 4, 1))
 D_HALVES = ((5, 6, 7, 8), (6, 7, 8, 5))
 
 
-def test_make_subset_spec_canonicalizes(g2, cfg2):
-    spec = make_subset_spec([g2.u + (3,)], [(1, 2)], g2, cfg2)
-    assert spec.C == (tuple(range(1, 9)) + (3,),)
-    assert spec.D == ((1, 2),)
-
-
-def test_make_subset_spec_rejects_equivalent_members(g2, cfg2):
-    with pytest.raises(ValueError, match="side C"):
-        make_subset_spec([g2.t, g2.u], [(1,)], g2, cfg2)
-    with pytest.raises(ValueError, match="side D"):
-        make_subset_spec([(1,)], [g2.t, g2.u], g2, cfg2)
-
-
 def test_product_report_hand_example(g2, cfg2):
-    spec = make_subset_spec(C_HALVES, D_HALVES, g2, cfg2)
+    spec = SubsetSpec(C=C_HALVES, D=D_HALVES)  # shorter than n: canonical
     report = product_report(spec, canonicalizer(g2, cfg2))
     # (1,2,3,4)+(5,6,7,8) spells the identity window and (2,3,4,1)+(6,7,8,5)
     # spells t, so those two products merge; the cross products stay apart
@@ -42,32 +25,16 @@ def test_product_report_agrees_with_pairwise_equality(g2, cfg2):
     rng = random.Random(5)
     canon = canonicalizer(g2, cfg2)
     for _ in range(5):
-        spec = make_subset_spec(
-            {seeded_word(rng, g2, rng.randint(1, 5)) for _ in range(2)},
-            {seeded_word(rng, g2, rng.randint(1, 5)) for _ in range(2)},
-            g2, cfg2)
+        # words shorter than n are their own canonical forms
+        spec = SubsetSpec(
+            C=tuple({seeded_word(rng, g2, rng.randint(1, 5)) for _ in range(2)}),
+            D=tuple({seeded_word(rng, g2, rng.randint(1, 5)) for _ in range(2)}))
         report = product_report(spec, canon)
-        raw = [concat(c, d) for c in spec.C for d in spec.D]
+        raw = [c + d for c in spec.C for d in spec.D]
         unique = sum(
             1 for w in raw
             if sum(words_equal(w, v, g2, cfg2) for v in raw) == 1)
         assert report.unique_count == unique
-
-
-def test_check_tup(g2, cfg2):
-    spec = make_subset_spec(C_HALVES, D_HALVES, g2, cfg2)
-    canon = canonicalizer(g2, cfg2)
-    assert check_tup(spec, canon)
-    with pytest.raises(ValueError):
-        check_tup(make_subset_spec([(1,)], [(2,)], g2, cfg2), canon)
-
-
-def test_check_tup_reports_planted_failure(two_element8, cfg2, capsys):
-    spec = SubsetSpec(C=((1, 2), (2, 1)), D=((3, 4, 5, 6, 7, 8),))
-    assert not check_tup(spec, canonicalizer(two_element8, cfg2))
-    err = capsys.readouterr().err
-    assert "two-unique-products failure" in err
-    assert "1,2,3,4,5,6,7,8" in err
 
 
 def test_subsets_colex():
@@ -76,6 +43,10 @@ def test_subsets_colex():
     assert got[:5] == [(0,), (1,), (2,), (3,), (4,)]
     assert got[5:9] == [(0, 1), (0, 2), (1, 2), (0, 3)]
     assert all(len(set(s)) == len(s) for s in got)
+    # colex: by size, then by largest member, then by the next largest, ...
+    triples = list(subsets_colex(6, 3))[6 + 15:]
+    assert triples[:5] == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4)]
+    assert len(triples) == 20 and triples[-1] == (3, 4, 5)
 
 
 def test_subset_specs_over_counts():
@@ -101,8 +72,20 @@ def test_run_tup_sweep_summary(g2, cfg2):
     assert summary["max_len"] == 1
     assert summary["max_size"] == 2
     assert summary["specs_checked"] == 500
+    assert summary["capped"] is True
     assert summary["min_unique_count"] >= 2
     assert summary["elapsed_ms"] >= 0
+
+
+def test_run_tup_sweep_says_when_the_limit_cut_it_short(g2, cfg2):
+    reps = canonical_ground_set(g2, cfg2, 1)
+    total = 45 * 45 - 9 * 9  # nine reps: 45 subsets a side, minus 1 x 1
+    for limit, capped in ((500, True), (total - 1, True), (total, False),
+                          (None, False)):
+        summary, failure = run_tup_sweep(g2, cfg2, reps, 2, limit=limit)
+        assert failure is None
+        assert summary["capped"] is capped
+        assert summary["specs_checked"] == min(limit or total, total)
 
 
 def test_run_tup_sweep_detects_planted_failure(two_element8, cfg2):
@@ -114,6 +97,7 @@ def test_run_tup_sweep_detects_planted_failure(two_element8, cfg2):
     assert failure["unique_count"] == 0
     assert summary["specs_checked"] == failure["spec_index"] + 1
     assert summary["min_unique_count"] == 0
+    assert summary["capped"] is False  # stopped by the failure, not a cap
 
 
 def test_cancellation_report_passes_on_the_monoid(g2, cfg2):
@@ -142,5 +126,5 @@ def test_cancellation_antecedent_via_classes(g2, cfg2):
         cls = class_of(a, g2, cfg2)
         for b in sorted(cls.members)[:4]:
             c = seeded_word(rng, g2, 3)
-            assert words_equal(concat(a, c), concat(b, c), g2, cfg2)
-            assert words_equal(concat(c, a), concat(c, b), g2, cfg2)
+            assert words_equal(a + c, b + c, g2, cfg2)
+            assert words_equal(c + a, c + b, g2, cfg2)

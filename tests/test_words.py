@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from qsemi import words
 from qsemi.errors import BadFactor, ClassTooLarge
 from qsemi.words import (RewriteConfig, canonical_form, canonicalizer,
-                         check_overlap_bound, check_word, class_of, concat,
+                         check_overlap_bound, check_word, class_of,
                          default_config, find_relation_factors, format_word,
                          parse_word, random_member, random_word, rewrite_step,
                          seeded_word, words_equal)
@@ -73,6 +74,13 @@ def test_find_relation_factors(g2):
     assert find_relation_factors((1,) * 10, g2) == []
 
 
+def test_closure_scans_only_through_find_relation_factors(g2, cfg2, monkeypatch):
+    # the class closure has no window scan of its own
+    monkeypatch.setattr(words, "find_relation_factors", lambda w, g: [])
+    assert class_of(REGRESSION_WORD, g2, cfg2).members == {REGRESSION_WORD}
+    assert not words_equal(g2.t, g2.u, g2, cfg2)
+
+
 def test_rewrite_step(g2):
     w = g2.t + (3, 3)
     got = rewrite_step(w, 1, g2.t, g2.u, g2)
@@ -99,7 +107,6 @@ def test_short_words_are_singletons(g2, cfg2):
     cls = class_of((1, 2, 3), g2, cfg2)
     assert cls.members == frozenset(((1, 2, 3),))
     assert cls.representative == (1, 2, 3)
-    assert cls.length == 3
 
 
 def test_window_class_is_the_whole_table(g2, cfg2):
@@ -109,11 +116,34 @@ def test_window_class_is_the_whole_table(g2, cfg2):
         assert cls.representative == tuple(range(1, 9))
 
 
-def test_class_matches_naive_closure(g2, cfg2):
+def chained_word(rng, g, windows, gap):
+    """`windows` random windows, each followed by 0..gap random letters."""
+    w = ()
+    for _ in range(windows):
+        w += g.elements[rng.randrange(len(g))] + random_word(
+            rng, g.n, rng.randint(0, gap))
+    return w
+
+
+def test_class_matches_naive_closure(g2, g3, cfg2, cfg3):
     rng = random.Random(1)
     for _ in range(12):
         w = seeded_word(rng, g2, rng.randint(8, 11))
         assert class_of(w, g2, cfg2).members == frozenset(naive_class(w, g2))
+    # k=3, and words holding two or three windows, some of them chained
+    for _ in range(6):
+        w = seeded_word(rng, g3, rng.randint(12, 16))
+        assert class_of(w, g3, cfg3).members == frozenset(naive_class(w, g3))
+    sizes = []
+    # (three windows fill the 3n length cap, so they leave no gaps)
+    for g, cfg, windows, gap in ((g2, cfg2, 2, 2), (g2, cfg2, 3, 0),
+                                 (g3, cfg3, 2, 2), (g3, cfg3, 3, 0)):
+        for _ in range(3):
+            w = chained_word(rng, g, windows, gap)
+            members = class_of(w, g, cfg).members
+            assert members == frozenset(naive_class(w, g))
+            sizes.append(len(members))
+    assert max(sizes) > 100
 
 
 def test_regression_class(g2, cfg2):
@@ -138,7 +168,7 @@ def test_word_length_cap(g2):
     with pytest.raises(ValueError):
         class_of((1,) * 10, g2, cfg)
     # below the relation length nothing is enumerated, so no cap applies
-    assert class_of((1,) * 7, g2, cfg).length == 7
+    assert class_of((1,) * 7, g2, cfg).members == {(1,) * 7}
 
 
 def test_words_equal(g2, cfg2):
@@ -161,12 +191,19 @@ def test_canonical_form(g2, cfg2):
         assert c <= w
 
 
-def test_canonicalizer_caches(g2, cfg2):
-    cache = {}
-    canon = canonicalizer(g2, cfg2, cache)
+def test_canonicalizer_caches(g2, cfg2, monkeypatch):
+    computed = []
+
+    def counting(w, g, cfg):
+        computed.append(w)
+        return canonical_form(w, g, cfg)
+
+    monkeypatch.setattr(words, "canonical_form", counting)
+    canon = canonicalizer(g2, cfg2)
     assert canon(REGRESSION_WORD) == REGRESSION_CANON
-    assert cache[REGRESSION_WORD] == REGRESSION_CANON
     assert canon(REGRESSION_WORD) == REGRESSION_CANON
+    assert canon(STUCK_WORD) == STUCK_CANON
+    assert computed == [REGRESSION_WORD, STUCK_WORD]
 
 
 def test_congruence_respects_concat(g2, cfg2):
@@ -176,8 +213,8 @@ def test_congruence_respects_concat(g2, cfg2):
         cls = class_of(w1, g2, cfg2)
         w2 = random_member(rng, cls)
         x = random_word(rng, g2.n, rng.randint(0, 3))
-        assert words_equal(concat(w1, x), concat(w2, x), g2, cfg2)
-        assert words_equal(concat(x, w1), concat(x, w2), g2, cfg2)
+        assert words_equal(w1 + x, w2 + x, g2, cfg2)
+        assert words_equal(x + w1, x + w2, g2, cfg2)
 
 
 def test_overlap_bound(g2, g3, cyclic8):
