@@ -76,9 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("tup-check", parents=[common, caps],
                         help="sweep subset pairs for unique products")
-    p.add_argument("--max-len", type=_nonnegative, default=2,
+    p.add_argument("--max-len", type=_positive, default=2,
                    help="ground set: canonical words up to this length")
-    p.add_argument("--max-size", type=_positive, default=3)
+    p.add_argument("--max-size", type=_int_at_least(2), default=3)
     p.add_argument("--limit", type=_nonnegative, default=200_000,
                    help="cap on subset pairs checked; 0 means no cap")
 

@@ -10,7 +10,8 @@ range decided.
 
 The second group (Stepss, Step3) is empirical: it enumerates members of
 actual congruence classes and confirms the forced prefix shapes of
-equivalent words within a sampled radius, so it is evidence, not proof.
+equivalent words within a radius, so it is evidence, not proof.  Stepss
+decides every pair of the classes it builds; Step3 samples its seeds.
 
 The mirror-image oracles (SymNotPossible, SymMaxOne, SymOverlapp, SymStep3)
 state the same lemmas read right to left.  Each is its forward oracle run on
@@ -28,9 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from itertools import groupby
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from .perms import Perm
 from .quaternion import GroupTable
@@ -193,29 +192,6 @@ def verify_sym_overlapp(g: GroupTable) -> LemmaReport:
         "end": n + 1 - c["i"], "word": c["word"][::-1]})
 
 
-def _distinct_first_pairs(members: list[Word], budget: int,
-                          rng: random.Random) -> tuple[Iterator[tuple[Word, Word]], bool]:
-    """Pairs (w1, w2) of a sorted class whose first letters differ: all of
-    them, in order, when they fit the budget, otherwise `budget` of them
-    drawn without replacement.  The flag says whether they were drawn."""
-    m = len(members)
-    runs = [len(list(run)) for _, run in groupby(members, key=itemgetter(0))]
-    total = sum(size * (m - size) for size in runs)
-
-    def pair(r: int) -> tuple[Word, Word]:
-        start = 0  # w1 from the run [start, start + size), w2 from outside it
-        for size in runs:
-            if r < size * (m - size):
-                a, b = divmod(r, m - size)
-                return members[start + a], members[b if b < start else b + size]
-            r -= size * (m - size)
-            start += size
-
-    sampled = total > budget
-    picks = sorted(rng.sample(range(total), budget)) if sampled else range(total)
-    return map(pair, picks), sampled
-
-
 def default_stepss_seeds(g: GroupTable, max_extra: int,
                          rng: random.Random) -> list[Word]:
     """Seed words: an image tuple with a random tail, four per length,
@@ -242,65 +218,65 @@ def default_stepss_seeds(g: GroupTable, max_extra: int,
 
 def verify_stepss(g: GroupTable, cfg: RewriteConfig,
                   max_extra: int | None = None,
-                  rng: random.Random | None = None,
-                  seeds: Iterable[Word] = ()) -> LemmaReport:
+                  rng: random.Random | None = None) -> LemmaReport:
     """Equivalent words of equal length whose first letters differ must each
     start with the first n-1 letters of some window, and at most one of the
     two may break the window at its n-th letter.
 
-    Pairs are drawn from congruence classes of seed words of length up to
-    n + max_extra, so this samples a radius rather than proving the claim.
-    Each class gets an equal share of 20000 pairs (`pair_budget` in the
-    stats); a class with more pairs than that is sampled with `rng`, and
-    `sampled_classes` counts those.
+    The pairs come from the congruence classes of seed words of length up to
+    n + max_extra, so this covers a radius rather than proving the claim.
+    The pair condition is a conjunction of single-word properties, so each
+    class is decided by tallying its members by first letter: K_a keep the
+    window at letter n, B_a break it.  `pairs` and `condition_counts` count
+    every ordered pair with first letters a != b: both keep sum K_a K_b,
+    only the first keeps sum K_a B_b, and only the second as many.
     """
     n = g.n
-    if max_extra is None:
-        max_extra = n
     rng = rng if rng is not None else random.Random(0)
-    all_seeds = list(seeds) or default_stepss_seeds(g, max_extra, rng)
-    budget = max(1, 20000 // max(1, len(all_seeds)))
-    pairs = classes = sampled_classes = 0
+    seeds = default_stepss_seeds(g, n if max_extra is None else max_extra, rng)
+    pairs = classes = 0
     cond_counts = [0, 0, 0]  # both letters match / only first / only second
-    for seed in all_seeds:
-        cls = class_of(seed, g, cfg)
+    for seed in seeds:
+        members = class_of(seed, g, cfg).members
         classes += 1
-        chosen, sampled = _distinct_first_pairs(sorted(cls.members), budget, rng)
-        sampled_classes += sampled
-        for w1, w2 in chosen:
-            pairs += 1
-            reason = _stepss_pair_check(g, w1, w2, cond_counts)
-            if reason is not None:
-                return LemmaReport(LemmaId.STEPSS, g.k, False, counterexample={
-                    "w1": format_word(w1), "w2": format_word(w2),
-                    "reason": reason}, stats={"classes": classes, "pairs": pairs})
+        keep: dict[int, int] = {}
+        brk: dict[int, int] = {}
+        for w in members:
+            tally = keep if w[:n] in g.index else brk
+            tally[w[0]] = tally.get(w[0], 0) + 1
+        if len(keep.keys() | brk.keys()) < 2:
+            continue  # one first letter: no pair
+        if len(brk) > 1 or not all(g.windows_at(w[:n - 1], 1) for w in members):
+            return _stepss_failure(g, sorted(members), classes, pairs)
+        nk, nb = sum(keep.values()), sum(brk.values())
+        both = nk * nk - sum(v * v for v in keep.values())
+        one = sum(v * (nb - brk.get(a, 0)) for a, v in keep.items())
+        pairs += both + 2 * one
+        cond_counts = [c + d for c, d in zip(cond_counts, (both, one, one))]
     return LemmaReport(LemmaId.STEPSS, g.k, True,
                        stats={"classes": classes, "pairs": pairs,
-                              "condition_counts": cond_counts,
-                              "pair_budget": budget,
-                              "sampled_classes": sampled_classes})
+                              "condition_counts": cond_counts})
 
 
-def _stepss_pair_check(g: GroupTable, w1: Word, w2: Word,
-                       cond_counts: list[int]) -> str | None:
-    """The reason the pair breaks Stepss, or None after counting which
-    words keep their window."""
+def _stepss_failure(g: GroupTable, members: list[Word], classes: int,
+                    pairs: int) -> LemmaReport:
+    """The first pair of the sorted class that breaks Stepss; `pairs` counts
+    the pairs decided before it, that one included."""
     n = g.n
-    if len(w1) < n:
-        return "equivalent pair shorter than a window"
-    if not g.windows_at(w1[:n - 1], 1) or not g.windows_at(w2[:n - 1], 1):
-        return "first n-1 letters are not a window prefix"
-    c1 = w1[:n] in g.index
-    c2 = w2[:n] in g.index
-    if not c1 and not c2:
-        return "both words break their window at letter n"
-    if c1 and c2:
-        cond_counts[0] += 1
-    elif c1:
-        cond_counts[1] += 1
-    else:
-        cond_counts[2] += 1
-    return None
+    for w1 in members:
+        for w2 in members:
+            if w1[0] == w2[0]:
+                continue
+            pairs += 1
+            if not g.windows_at(w1[:n - 1], 1) or not g.windows_at(w2[:n - 1], 1):
+                reason = "first n-1 letters are not a window prefix"
+            elif w1[:n] not in g.index and w2[:n] not in g.index:
+                reason = "both words break their window at letter n"
+            else:
+                continue
+            return LemmaReport(LemmaId.STEPSS, g.k, False, counterexample={
+                "w1": format_word(w1), "w2": format_word(w2), "reason": reason},
+                stats={"classes": classes, "pairs": pairs})
 
 
 def _step3_tail(g: GroupTable, cands: list[int], rng: random.Random) -> Word:

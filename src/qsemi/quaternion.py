@@ -193,12 +193,15 @@ def generate_group(cfg: QuaternionConfig) -> GroupTable:
     if closure != set(elements):
         raise ClosureError(f"closure of t, u is not the labelled set at k={k}")
 
-    _validate(cfg, t, u, elements)
-    return GroupTable(k=k, n=n, elements=tuple(elements), labels=labels,
-                      index=index, t=t, u=u)
+    _validate(cfg, t, u)
+    g = GroupTable(k=k, n=n, elements=tuple(elements), labels=labels,
+                   index=index, t=t, u=u)
+    if not check_stabilizer_free(g):
+        raise ConsistencyError(f"non-identity element with a fixed point at k={k}")
+    return g
 
 
-def _validate(cfg: QuaternionConfig, t: Perm, u: Perm, elements: list[Perm]) -> None:
+def _validate(cfg: QuaternionConfig, t: Perm, u: Perm) -> None:
     k, n = cfg.k, cfg.n
     e = identity(n)
     u2 = compose(u, u)
@@ -211,9 +214,6 @@ def _validate(cfg: QuaternionConfig, t: Perm, u: Perm, elements: list[Perm]) -> 
     for ok, name in checks:
         if not ok:
             raise ConsistencyError(f"defining relation {name} fails at k={k}")
-    for p in elements:
-        if p != e and any(p[i] == i + 1 for i in range(n)):
-            raise ConsistencyError(f"non-identity element with a fixed point at k={k}")
 
 
 def point_of_label(label: Label, k: int) -> int:

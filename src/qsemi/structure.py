@@ -7,7 +7,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .quaternion import GroupTable
@@ -15,33 +14,16 @@ from .words import (Canon, RewriteConfig, Word, canonicalizer, class_of,
                     format_word, random_member, seeded_word, words_equal)
 
 
-@dataclass(frozen=True)
-class SubsetSpec:
-    """Two finite subsets of the monoid, each given by canonical words that
-    are pairwise inequivalent within a side."""
-
-    C: tuple[Word, ...]
-    D: tuple[Word, ...]
-
-
-@dataclass
-class ProductReport:
-    """products maps each canonical product to the (ci, di) index pairs that
-    produce it; unique_count is the number of singleton fibers."""
-
-    products: dict[Word, list[tuple[int, int]]]
-    unique_count: int
-
-
-def product_report(spec: SubsetSpec, canon: Canon) -> ProductReport:
-    products: dict[Word, list[tuple[int, int]]] = {}
-    for ci, c in enumerate(spec.C):
-        for di, d in enumerate(spec.D):
+def product_report(C: Sequence[Word], D: Sequence[Word], canon: Canon) -> int:
+    """The number of products c d, c in C and d in D, that no other pair
+    of C x D presents."""
+    counts: dict[Word, int] = {}
+    for c in C:
+        for d in D:
             w = canon(c + d)
             assert len(w) == len(c) + len(d)  # relations preserve length
-            products.setdefault(w, []).append((ci, di))
-    unique = sum(1 for fibre in products.values() if len(fibre) == 1)
-    return ProductReport(products=products, unique_count=unique)
+            counts[w] = counts.get(w, 0) + 1
+    return sum(1 for fibre in counts.values() if fibre == 1)
 
 
 def canonical_ground_set(g: GroupTable, cfg: RewriteConfig,
@@ -66,43 +48,52 @@ def subsets_colex(m: int, max_size: int) -> Iterator[tuple[int, ...]]:
                           key=lambda s: s[::-1])
 
 
-def subset_specs_over(reps: Sequence[Word],
-                      max_size: int) -> Iterator[SubsetSpec]:
-    sides = list(subsets_colex(len(reps), max_size))
-    for cidx in sides:
-        C = tuple(reps[i] for i in cidx)
-        for didx in sides:
-            if len(cidx) + len(didx) <= 2:
-                continue
-            yield SubsetSpec(C=C, D=tuple(reps[i] for i in didx))
+def subset_specs_over(reps: Sequence[Word], max_size: int
+                      ) -> Iterator[tuple[tuple[Word, ...], tuple[Word, ...]]]:
+    """Subset pairs (C, D) over `reps` with |C| + |D| > 2, C-major in the
+    order of `subsets_colex`."""
+    sides = [tuple(reps[i] for i in idx)
+             for idx in subsets_colex(len(reps), max_size)]
+    for C in sides:
+        for D in sides:
+            if len(C) + len(D) > 2:
+                yield C, D
 
 
 def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
                   max_size: int, limit: int | None = None,
                   progress: Callable[[int], None] | None = None
                   ) -> tuple[dict, dict | None]:
-    """Check every streamed SubsetSpec over `reps`; stop at the cap or at the
-    first failure.  Returns (summary, failure-or-None); the summary's
-    `capped` is True when the cap stopped the sweep with specs left."""
+    """Check every subset pair over `reps`, which must be canonical and
+    pairwise distinct (ValueError otherwise); stop at the cap or at the first
+    failure.  Returns (summary, failure-or-None); the summary's `capped` is
+    True when the cap stopped the sweep with specs left."""
     t0 = time.perf_counter()
     canon = canonicalizer(g, cfg)
+    seen: set[Word] = set()
+    for r in reps:
+        if canon(r) != r:
+            raise ValueError(f"rep {format_word(r)} is not its canonical form")
+        if r in seen:
+            raise ValueError(f"rep {format_word(r)} repeats an earlier rep")
+        seen.add(r)
     checked = 0
     capped = False
     min_unique: int | None = None
     failure: dict | None = None
-    for spec in subset_specs_over(reps, max_size):
+    for C, D in subset_specs_over(reps, max_size):
         if limit is not None and checked >= limit:
             capped = True
             break
         checked += 1
-        report = product_report(spec, canon)
-        if min_unique is None or report.unique_count < min_unique:
-            min_unique = report.unique_count
-        if report.unique_count < 2:
+        unique = product_report(C, D, canon)
+        if min_unique is None or unique < min_unique:
+            min_unique = unique
+        if unique < 2:
             failure = {
-                "C": [format_word(w) for w in spec.C],
-                "D": [format_word(w) for w in spec.D],
-                "unique_count": report.unique_count,
+                "C": [format_word(w) for w in C],
+                "D": [format_word(w) for w in D],
+                "unique_count": unique,
                 "spec_index": checked - 1,
             }
             break

@@ -1,6 +1,6 @@
-"""Brute-force scans of the four forward window lemmas and of the overlap
-bound: the slow reference that the pair-index oracles in `qsemi.lemmas` and
-`qsemi.words.check_overlap_bound` are tested against.
+"""Brute-force scans of the four forward window lemmas, of the overlap
+bound and of Stepss: the slow reference that the pair-index oracles in
+`qsemi.lemmas` and `qsemi.words.check_overlap_bound` are tested against.
 
 Each lemma scan walks its quantifier range in the order of the statement and
 returns `(holds, instances, unsatisfiable)`.  It stops at the first
@@ -10,7 +10,11 @@ lemma holds.
 
 from __future__ import annotations
 
+import random
+
+from qsemi.lemmas import default_stepss_seeds
 from qsemi.quaternion import GroupTable
+from qsemi.words import class_of
 
 
 def reversed_table(g):
@@ -96,3 +100,30 @@ def overlap_bound(g):
     return not any(s[n - j:] == t[:j] and not (j == n and s == t)
                    for s in g.elements for t in g.elements
                    for j in range(2, n + 1))
+
+
+def stepss(g, cfg, max_extra=None, rng=None):
+    """Every ordered pair of members with distinct first letters, in every
+    class of the default Stepss seeds: `(holds, pairs, condition_counts)`,
+    the counts being both / only the first / only the second word keeping
+    its window at letter n.  Stops at the first pair, in sorted order, that
+    breaks Stepss."""
+    n = g.n
+    seeds = default_stepss_seeds(g, n if max_extra is None else max_extra,
+                                 rng if rng is not None else random.Random(0))
+    prefixes = {e[:n - 1] for e in g.elements}
+    pairs, counts = 0, [0, 0, 0]
+    for seed in seeds:
+        members = sorted(class_of(seed, g, cfg).members)
+        for w1 in members:
+            for w2 in members:
+                if w1[0] == w2[0]:
+                    continue
+                pairs += 1
+                if w1[:n - 1] not in prefixes or w2[:n - 1] not in prefixes:
+                    return False, pairs, counts
+                c1, c2 = w1[:n] in g.index, w2[:n] in g.index
+                if not (c1 or c2):
+                    return False, pairs, counts
+                counts[0 if c1 and c2 else 1 if c1 else 2] += 1
+    return True, pairs, counts

@@ -165,6 +165,15 @@ def test_rejects_stepss_extra_below_minus_one():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--max-size", "1"),
+                                         ("--max-len", "0")])
+def test_tup_check_rejects_sweeps_over_nothing(flag, value):
+    # one-member subsets only, or the empty word alone: no pair to check
+    with pytest.raises(SystemExit) as exc:
+        main(["tup-check", "--k", "2", flag, value])
+    assert exc.value.code == 2
+
+
 def test_rejects_k_below_two():
     with pytest.raises(SystemExit) as exc:
         main(["gen-group", "--k", "1"])

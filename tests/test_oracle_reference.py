@@ -9,8 +9,9 @@ from conftest import bare_table, bench_module
 from qsemi.lemmas import (exhaustive_reports, verify_step3, verify_stepss,
                           verify_sym_step3)
 from qsemi.quaternion import QuaternionConfig, generate_group
-from qsemi.words import check_overlap_bound, class_of, parse_word
-from reference_oracles import FORWARD, overlap_bound, reversed_table
+from qsemi.words import (check_overlap_bound, class_of, default_config,
+                         parse_word)
+from reference_oracles import FORWARD, overlap_bound, reversed_table, stepss
 
 SYM = {"SymNotPossible": "NotPossible", "SymMaxOne": "MaxOne",
        "SymOverlapp": "Overlapp"}
@@ -175,6 +176,31 @@ def test_counterexamples_hold_in_original_coordinates(planted):
                     "SymNotPossible", "SymMaxOne", "SymOverlapp"}
 
 
+def test_stepss_matches_reference(planted, cfg2):
+    reasons = set()
+    for g in planted + RANDOM:
+        cfg = default_config(g.n)
+        holds, pairs, counts = stepss(g, cfg)
+        r = verify_stepss(g, cfg)
+        assert (r.passed, r.stats["pairs"]) == (holds, pairs), g.elements
+        if holds:
+            assert r.stats["condition_counts"] == counts
+            continue
+        c = r.counterexample
+        w1, w2 = (parse_word(c[w], g.n) for w in ("w1", "w2"))
+        assert w1[0] != w2[0] and w2 in class_of(w1, g, cfg).members
+        prefixes = {e[:g.n - 1] for e in g.elements}
+        broken = {"first n-1 letters are not a window prefix":
+                  not {w1[:g.n - 1], w2[:g.n - 1]} <= prefixes,
+                  "both words break their window at letter n":
+                  w1[:g.n] not in g.index and w2[:g.n] not in g.index}
+        assert broken[c["reason"]], c
+        reasons.add(c["reason"])
+    assert reasons == {"first n-1 letters are not a window prefix",
+                       "both words break their window at letter n"}
+    assert [verify_stepss(g, cfg2).passed for g in planted] == [
+        False, False, True, True]
+
 
 def test_sampled_counterexamples_hold_in_original_coordinates(cyclic8, cfg2):
     g, n = cyclic8, cyclic8.n
@@ -182,7 +208,7 @@ def test_sampled_counterexamples_hold_in_original_coordinates(cyclic8, cfg2):
     def is_prefix(w):
         return any(e[:n - 1] == w for e in g.elements)
 
-    r = verify_stepss(g, cfg2, seeds=[tuple(range(1, 9)) + (1,)])
+    r = verify_stepss(g, cfg2)
     w1, w2 = (parse_word(r.counterexample[w], n) for w in ("w1", "w2"))
     assert w1[0] != w2[0] and w2 in class_of(w1, g, cfg2).members
     assert r.counterexample["reason"] == "first n-1 letters are not a window prefix"

@@ -123,3 +123,10 @@ def test_build_u_cross_check(monkeypatch):
                         lambda cfg: identity(cfg.n))
     with pytest.raises(ConsistencyError):
         qsemi.quaternion.build_u(QuaternionConfig(2))
+
+
+def test_generate_group_runs_the_fixed_point_check(monkeypatch):
+    monkeypatch.setattr(qsemi.quaternion, "check_stabilizer_free",
+                        lambda g: False)
+    with pytest.raises(ConsistencyError, match="fixed point"):
+        generate_group(QuaternionConfig(2))

@@ -1,8 +1,10 @@
 import random
 
-from qsemi.structure import (SubsetSpec, canonical_ground_set,
-                             cancellation_report, product_report,
-                             run_tup_sweep, subset_specs_over, subsets_colex)
+import pytest
+
+from qsemi.structure import (canonical_ground_set, cancellation_report,
+                             product_report, run_tup_sweep, subset_specs_over,
+                             subsets_colex)
 from qsemi.words import canonicalizer, class_of, seeded_word, words_equal
 
 # both halves of the identity window against both halves shifted by one
@@ -11,14 +13,14 @@ D_HALVES = ((5, 6, 7, 8), (6, 7, 8, 5))
 
 
 def test_product_report_hand_example(g2, cfg2):
-    spec = SubsetSpec(C=C_HALVES, D=D_HALVES)  # shorter than n: canonical
-    report = product_report(spec, canonicalizer(g2, cfg2))
+    canon = canonicalizer(g2, cfg2)
+    # shorter than n: canonical
+    assert product_report(C_HALVES, D_HALVES, canon) == 2
     # (1,2,3,4)+(5,6,7,8) spells the identity window and (2,3,4,1)+(6,7,8,5)
     # spells t, so those two products merge; the cross products stay apart
-    assert report.unique_count == 2
-    merged = report.products[tuple(range(1, 9))]
-    assert sorted(merged) == [(0, 0), (1, 1)]
-    assert len(report.products) == 3
+    products = [canon(c + d) for c in C_HALVES for d in D_HALVES]
+    assert products[0] == products[3] == tuple(range(1, 9))
+    assert len(set(products)) == 3
 
 
 def test_product_report_agrees_with_pairwise_equality(g2, cfg2):
@@ -26,15 +28,13 @@ def test_product_report_agrees_with_pairwise_equality(g2, cfg2):
     canon = canonicalizer(g2, cfg2)
     for _ in range(5):
         # words shorter than n are their own canonical forms
-        spec = SubsetSpec(
-            C=tuple({seeded_word(rng, g2, rng.randint(1, 5)) for _ in range(2)}),
-            D=tuple({seeded_word(rng, g2, rng.randint(1, 5)) for _ in range(2)}))
-        report = product_report(spec, canon)
-        raw = [c + d for c in spec.C for d in spec.D]
+        C = tuple({seeded_word(rng, g2, rng.randint(1, 5)) for _ in range(2)})
+        D = tuple({seeded_word(rng, g2, rng.randint(1, 5)) for _ in range(2)})
+        raw = [c + d for c in C for d in D]
         unique = sum(
             1 for w in raw
             if sum(words_equal(w, v, g2, cfg2) for v in raw) == 1)
-        assert report.unique_count == unique
+        assert product_report(C, D, canon) == unique
 
 
 def test_subsets_colex():
@@ -54,8 +54,8 @@ def test_subset_specs_over_counts():
     specs = list(subset_specs_over(reps, 2))
     # 10 subsets a side, minus the 16 pairs of two singletons
     assert len(specs) == 10 * 10 - 4 * 4
-    assert specs[0] == SubsetSpec(C=((1,),), D=((1,), (2,)))
-    assert all(len(s.C) + len(s.D) > 2 for s in specs)
+    assert specs[0] == (((1,),), ((1,), (2,)))
+    assert all(len(C) + len(D) > 2 for C, D in specs)
 
 
 def test_canonical_ground_set(g2, cfg2):
@@ -98,6 +98,15 @@ def test_run_tup_sweep_detects_planted_failure(two_element8, cfg2):
     assert summary["specs_checked"] == failure["spec_index"] + 1
     assert summary["min_unique_count"] == 0
     assert summary["capped"] is False  # stopped by the failure, not a cap
+
+
+def test_run_tup_sweep_rejects_reps_that_are_not_canonical_and_distinct(
+        g2, cfg2):
+    # t and u are the same monoid element, and neither is its canonical form
+    with pytest.raises(ValueError, match="not its canonical form"):
+        run_tup_sweep(g2, cfg2, [g2.t, g2.u], 2)
+    with pytest.raises(ValueError, match="2,1 repeats an earlier rep"):
+        run_tup_sweep(g2, cfg2, [(1,), (2, 1), (3,), (2, 1)], 2)
 
 
 def test_cancellation_report_passes_on_the_monoid(g2, cfg2):
