@@ -130,7 +130,9 @@ def zero_divisor_search_with_canon(
 ) -> tuple[AlgebraElement, AlgebraElement] | None:
     """Random search for x, y != 0 with x*y = 0 under the given
     canonicalizer, support words drawn by `word_sampler`.  Returns the
-    first hit or None."""
+    first hit or None; ValueError if p is not prime."""
+    if not _is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
     rng = rng if rng is not None else random.Random(0)
     for trial in range(trials):
         x = random_element(rng, p, canon, word_sampler, max_support)
@@ -149,8 +151,11 @@ def zero_divisor_search(g: GroupTable, cfg: RewriteConfig, p: int = 2,
                         progress: Callable[[int], None] | None = None,
                         ) -> tuple[AlgebraElement, AlgebraElement] | None:
     """Search the monoid algebra itself.  Support words are biased to
-    contain defining windows so products actually merge terms."""
-    rng = rng if rng is not None else random.Random(0)
+    contain defining windows so products actually merge terms; ValueError
+    if 2 * max_len exceeds the word-length cap."""
+    if 2 * max_len > cfg.max_word_length:
+        raise ValueError(f"max_len {max_len} gives products of {2 * max_len} "
+                         f"letters, over the word-length cap {cfg.max_word_length}")
 
     def sampler(r: random.Random) -> Word:
         return seeded_word(r, g, r.randint(1, max_len))

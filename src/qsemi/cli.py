@@ -1,14 +1,16 @@
 """Command line front end.
 
 Subcommands: gen-group, verify-lemmas, word-eq, tup-check, cancel-sample,
-zero-divisor.  Results go to stdout (text or JSON via --format), progress to
-stderr.  Exit status: 0 on success/pass, 1 on a failed check (for word-eq:
-words not equal), 2 on usage or runtime errors.
+zero-divisor.  Each binds a handler that returns (passed, details, lines);
+`main` prints them as text or as JSON, and progress goes to stderr.  Exit
+status: 0 on success/pass, 1 on a failed check (for word-eq: words not
+equal), 2 on usage or runtime errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -40,7 +42,9 @@ def _int_at_least(lo: int):
 _positive, _nonnegative = _int_at_least(1), _int_at_least(0)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once; each parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="qsemi",
         description="Verification tools for the quaternion-relation monoid")
@@ -59,8 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=int, default=0,
                       help="seed for the randomized sampling")
 
-    subs.add_parser("gen-group", parents=[common],
-                    help="list the group elements")
+    p = subs.add_parser("gen-group", parents=[common],
+                        help="list the group elements")
+    p.set_defaults(run=cmd_gen_group)
 
     p = subs.add_parser("verify-lemmas", parents=[common, caps, seed],
                         help="run every lemma oracle")
@@ -68,11 +73,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="extra length above n for seed words; -1 means n")
     p.add_argument("--step3-samples", type=_positive, default=1000,
                    help="random tails per (element, position) cell")
+    p.set_defaults(run=cmd_verify_lemmas)
 
     p = subs.add_parser("word-eq", parents=[common, caps],
                         help="decide equality of two words")
     p.add_argument("w1", help="comma-separated word, e.g. 1,2,3")
     p.add_argument("w2")
+    p.set_defaults(run=cmd_word_eq)
 
     p = subs.add_parser("tup-check", parents=[common, caps],
                         help="sweep subset pairs for unique products")
@@ -81,11 +88,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=_int_at_least(2), default=3)
     p.add_argument("--limit", type=_nonnegative, default=200_000,
                    help="cap on subset pairs checked; 0 means no cap")
+    p.set_defaults(run=cmd_tup_check)
 
     p = subs.add_parser("cancel-sample", parents=[common, caps, seed],
                         help="sample the cancellation laws")
     p.add_argument("--trials", type=_positive, default=10_000)
     p.add_argument("--max-len", type=_positive, default=12)
+    p.set_defaults(run=cmd_cancel_sample)
 
     p = subs.add_parser("zero-divisor", parents=[common, caps, seed],
                         help="search for vanishing products")
@@ -93,21 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive, default=10_000)
     p.add_argument("--max-support", type=_positive, default=3)
     p.add_argument("--max-len", type=_positive, default=10)
+    p.set_defaults(run=cmd_zero_divisor)
 
     return parser
-
-
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _payload(args, passed: bool, params: dict, details: dict) -> dict:
-    return {"command": args.command, "k": args.k, "params": params,
-            "passed": passed, "details": details}
 
 
 def _caps(args, n: int) -> RewriteConfig:
@@ -123,18 +120,16 @@ def _progress(label: str):
     return report
 
 
-def cmd_gen_group(args, g: GroupTable) -> int:
+def cmd_gen_group(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
     rows = describe_elements(g)
     lines = [f"group of order {len(g)} on {g.n} points (k={g.k})"]
     for r in rows:
         images = ",".join(str(x) for x in r["images"])
         lines.append(f"{r['index']:3d}  {r['label']:<10} {r['cycles']:<40} {images}")
-    payload = _payload(args, True, {}, {"order": len(g), "elements": rows})
-    _emit(args, payload, lines)
-    return 0
+    return True, {"order": len(g), "elements": rows}, lines
 
 
-def cmd_verify_lemmas(args, g: GroupTable) -> int:
+def cmd_verify_lemmas(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
     rng = random.Random(args.seed)
     stepss_extra = None if args.stepss_extra < 0 else args.stepss_extra
     reports = run_lemma_suite(g, _caps(args, g.n), stepss_extra=stepss_extra,
@@ -149,119 +144,93 @@ def cmd_verify_lemmas(args, g: GroupTable) -> int:
             lines.append(f"  counterexample: {r.counterexample}")
     for name, value in checks.items():
         lines.append(f"{name:<16} k={args.k}  {'PASS' if value else 'FAIL'}")
-    params = {"seed": args.seed, "stepss_extra": args.stepss_extra,
-              "step3_samples": args.step3_samples}
     details = {"lemmas": [r.to_json() for r in reports],
                "group_checks": checks}
-    _emit(args, _payload(args, ok, params, details), lines)
-    return 0 if ok else 1
+    return ok, details, lines
 
 
-def cmd_word_eq(args, g: GroupTable) -> int:
+def cmd_word_eq(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
     cfg = _caps(args, g.n)
     w1 = parse_word(args.w1, g.n)
     w2 = parse_word(args.w2, g.n)
     equal = words_equal(w1, w2, g, cfg)
-    c1 = canonical_form(w1, g, cfg)
-    c2 = canonical_form(w2, g, cfg)
-    lines = [
-        f"equal: {'yes' if equal else 'no'}",
-        f"canonical w1: {format_word(c1)}",
-        f"canonical w2: {format_word(c2)}",
-    ]
-    params = {"w1": args.w1, "w2": args.w2}
-    details = {"equal": equal, "canonical_w1": format_word(c1),
-               "canonical_w2": format_word(c2)}
-    _emit(args, _payload(args, equal, params, details), lines)
-    return 0 if equal else 1
+    c1 = format_word(canonical_form(w1, g, cfg))
+    c2 = format_word(canonical_form(w2, g, cfg))
+    lines = [f"equal: {'yes' if equal else 'no'}",
+             f"canonical w1: {c1}", f"canonical w2: {c2}"]
+    return equal, {"equal": equal, "canonical_w1": c1, "canonical_w2": c2}, lines
 
 
-def cmd_tup_check(args, g: GroupTable) -> int:
+def cmd_tup_check(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
     cfg = _caps(args, g.n)
     print(f"building ground set (length <= {args.max_len})", file=sys.stderr)
     reps = canonical_ground_set(g, cfg, args.max_len)
     print(f"{len(reps)} canonical representatives", file=sys.stderr)
-    limit = args.limit or None
-    summary, failure = run_tup_sweep(g, cfg, reps, args.max_size, limit=limit,
+    summary, failure = run_tup_sweep(g, cfg, reps, args.max_size,
+                                     limit=args.limit or None,
                                      progress=_progress("tup-check"))
     ok = failure is None
     verdict = "PASS" if ok else "FAIL"
     if summary["capped"]:
         verdict += f" over the first {summary['specs_checked']} pairs (--limit)"
     lines = [json.dumps(summary), f"tup-check: {verdict}"]
-    if failure is not None:
-        lines.append(f"failure: {failure}")
-    params = {"max_len": args.max_len, "max_size": args.max_size,
-              "limit": args.limit}
     details = dict(summary)
     if failure is not None:
+        lines.append(f"failure: {failure}")
         details["failure"] = failure
-    _emit(args, _payload(args, ok, params, details), lines)
-    return 0 if ok else 1
+    return ok, details, lines
 
 
-def cmd_cancel_sample(args, g: GroupTable) -> int:
-    cfg = _caps(args, g.n)
-    rng = random.Random(args.seed)
-    report = cancellation_report(g, cfg, args.trials, args.max_len, rng,
+def cmd_cancel_sample(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
+    report = cancellation_report(g, _caps(args, g.n), args.trials,
+                                 args.max_len, random.Random(args.seed),
                                  progress=_progress("cancel-sample"))
-    ok = report["passed"]
     lines = [
         f"trials: {report['trials']}",
         f"antecedent hits: {report['antecedent_hits']}",
         f"violations: {len(report['violations'])}",
-        f"cancel-sample: {'PASS' if ok else 'FAIL'}",
+        f"cancel-sample: {'PASS' if report['passed'] else 'FAIL'}",
     ]
-    params = {"trials": args.trials, "max_len": args.max_len,
-              "seed": args.seed}
-    _emit(args, _payload(args, ok, params, report), lines)
-    return 0 if ok else 1
+    return report["passed"], report, lines
 
 
-def cmd_zero_divisor(args, g: GroupTable) -> int:
-    cfg = _caps(args, g.n)
-    rng = random.Random(args.seed)
-    found = zero_divisor_search(g, cfg, p=args.p, trials=args.trials,
+def cmd_zero_divisor(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
+    found = zero_divisor_search(g, _caps(args, g.n), p=args.p,
+                                trials=args.trials,
                                 max_support=args.max_support,
-                                max_len=args.max_len, rng=rng,
+                                max_len=args.max_len,
+                                rng=random.Random(args.seed),
                                 progress=_progress("zero-divisor"))
-    ok = found is None
     if found is None:
         lines = [f"no vanishing product in {args.trials} trials",
                  "zero-divisor: PASS"]
-        details = {"trials": args.trials, "found": None}
-    else:
-        x, y = found
-        lines = [f"vanishing product found: ({x.to_text()}) * ({y.to_text()})",
-                 "zero-divisor: FAIL"]
-        details = {"trials": args.trials,
-                   "found": {"x": x.to_json(), "y": y.to_json()}}
-    params = {"p": args.p, "trials": args.trials,
-              "max_support": args.max_support, "max_len": args.max_len,
-              "seed": args.seed}
-    _emit(args, _payload(args, ok, params, details), lines)
-    return 0 if ok else 1
-
-
-_COMMANDS = {
-    "gen-group": cmd_gen_group,
-    "verify-lemmas": cmd_verify_lemmas,
-    "word-eq": cmd_word_eq,
-    "tup-check": cmd_tup_check,
-    "cancel-sample": cmd_cancel_sample,
-    "zero-divisor": cmd_zero_divisor,
-}
+        return True, {"trials": args.trials, "found": None}, lines
+    x, y = found
+    lines = [f"vanishing product found: ({x.to_text()}) * ({y.to_text()})",
+             "zero-divisor: FAIL"]
+    details = {"trials": args.trials,
+               "found": {"x": x.to_json(), "y": y.to_json()}}
+    return False, details, lines
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         g = generate_group(QuaternionConfig(args.k))
-        return _COMMANDS[args.command](args, g)
+        passed, details, lines = args.run(args, g)
     except (QsemiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        params = {key: value for key, value in vars(args).items()
+                  if key not in ("command", "run", "k", "format",
+                                 "max_class_size", "max_word_length")}
+        print(json.dumps({"command": args.command, "k": args.k,
+                          "params": params, "passed": passed,
+                          "details": details}))
+    else:
+        print("\n".join(lines))
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -157,9 +157,8 @@ def _on_mirror(g: GroupTable, lemma_id: LemmaId, oracle: Callable[..., LemmaRepo
     """`oracle` run on the mirrored table (every image tuple reversed, element
     numbers and labels unchanged), reported as `lemma_id` with its
     counterexample mapped back to original coordinates by `back`."""
-    elements = tuple(e[::-1] for e in g.elements)
-    r = oracle(replace(g, elements=elements,
-                       index={e: i for i, e in enumerate(elements)}), **kwargs)
+    r = oracle(replace(g, elements=tuple(e[::-1] for e in g.elements)),
+               **kwargs)
     return LemmaReport(lemma_id, g.k, r.passed,
                        r.counterexample and back(r.counterexample), r.stats)
 

@@ -43,16 +43,14 @@ class QuaternionConfig:
 class GroupTable:
     """The group as an indexed list of image tuples.
 
-    `elements[i]` is the image tuple of element number i, `labels` maps the
-    normal form (i, j) of t^i u^j to that number, and `index` inverts
-    `elements` for O(1) membership tests on candidate windows.
+    `elements[i]` is the image tuple of element number i, and `labels` maps
+    the normal form (i, j) of t^i u^j to that number.
     """
 
     k: int
     n: int
     elements: tuple[Perm, ...]
     labels: dict[Label, int]
-    index: dict[Perm, int]
     t: Perm
     u: Perm
 
@@ -66,6 +64,11 @@ class GroupTable:
             if i == idx:
                 return format_label(lab)
         return f"#{idx}"
+
+    @cached_property
+    def index(self) -> dict[Perm, int]:
+        """`elements` inverted, for O(1) membership tests on candidate windows."""
+        return {e: i for i, e in enumerate(self.elements)}
 
     @cached_property
     def pair_index(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
@@ -170,9 +173,9 @@ def generate_group(cfg: QuaternionConfig) -> GroupTable:
             elements.append(p)
         ti = compose(t, ti)
 
-    index = {p: i for i, p in enumerate(elements)}
-    if len(index) != n:
-        raise ClosureError(f"expected {n} distinct elements, got {len(index)}")
+    if len(set(elements)) != n:
+        raise ClosureError(
+            f"expected {n} distinct elements, got {len(set(elements))}")
 
     # Independent closure of the generating set.
     closure = {t, u}
@@ -194,8 +197,7 @@ def generate_group(cfg: QuaternionConfig) -> GroupTable:
         raise ClosureError(f"closure of t, u is not the labelled set at k={k}")
 
     _validate(cfg, t, u)
-    g = GroupTable(k=k, n=n, elements=tuple(elements), labels=labels,
-                   index=index, t=t, u=u)
+    g = GroupTable(k=k, n=n, elements=tuple(elements), labels=labels, t=t, u=u)
     if not check_stabilizer_free(g):
         raise ConsistencyError(f"non-identity element with a fixed point at k={k}")
     return g

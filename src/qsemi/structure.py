@@ -121,8 +121,11 @@ def cancellation_report(g: GroupTable, cfg: RewriteConfig, trials: int,
 
     Half the time b is drawn from the class of a, so the antecedent is
     frequently true instead of almost never.  Explicit (a, b, c) triples, if
-    given, replace the sampling.
+    given, replace the sampling; ValueError if 2 * max_len exceeds the cap.
     """
+    if 2 * max_len > cfg.max_word_length:
+        raise ValueError(f"max_len {max_len} gives products of {2 * max_len} "
+                         f"letters, over the word-length cap {cfg.max_word_length}")
     rng = rng if rng is not None else random.Random(0)
     if triples is not None:
         trials = len(triples)

@@ -42,7 +42,6 @@ def bare_table(k, perms, t=None, u=None):
     """Table stub for planted-violation tests: arbitrary perms, no labels."""
     elements = tuple(perms)
     return GroupTable(k=k, n=4 * k, elements=elements, labels={},
-                      index={p: i for i, p in enumerate(elements)},
                       t=t if t is not None else elements[0],
                       u=u if u is not None else elements[-1])
 

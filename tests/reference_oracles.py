@@ -19,10 +19,8 @@ from qsemi.words import class_of
 
 def reversed_table(g):
     """The same table with every image tuple read right to left."""
-    elements = tuple(e[::-1] for e in g.elements)
-    return GroupTable(k=g.k, n=g.n, elements=elements, labels=g.labels,
-                      index={e: i for i, e in enumerate(elements)},
-                      t=g.t, u=g.u)
+    return GroupTable(k=g.k, n=g.n, elements=tuple(e[::-1] for e in g.elements),
+                      labels=g.labels, t=g.t, u=g.u)
 
 
 def not_possible(g):

@@ -1,10 +1,13 @@
+import argparse
 import json
 
 import pytest
 
 from qsemi import cli
+from qsemi.algebra import AlgebraElement
 from qsemi.cli import main
 from qsemi.errors import QsemiError
+from qsemi.lemmas import LemmaId, LemmaReport
 from qsemi.words import RewriteConfig, default_config
 
 K2_T = [2, 3, 4, 1, 6, 7, 8, 5]
@@ -194,3 +197,85 @@ def test_rejects_flags_the_subcommand_does_not_read(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv[:1] + ["--k", "2"] + argv[1:])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["gen-group"], {}),
+    (["verify-lemmas", "--seed", "4", "--stepss-extra", "0",
+      "--step3-samples", "2", "--max-class-size", "5000"],
+     {"seed": 4, "stepss_extra": 0, "step3_samples": 2}),
+    (["word-eq", "--max-word-length", "20", "1,2", "2,1"],
+     {"w1": "1,2", "w2": "2,1"}),
+    (["tup-check", "--max-len", "1", "--max-size", "2", "--limit", "7"],
+     {"max_len": 1, "max_size": 2, "limit": 7}),
+    (["cancel-sample", "--trials", "5", "--max-len", "4", "--seed", "3"],
+     {"trials": 5, "max_len": 4, "seed": 3}),
+    (["zero-divisor", "--p", "3", "--trials", "5", "--max-support", "2",
+      "--max-len", "4", "--seed", "3"],
+     {"p": 3, "trials": 5, "max_support": 2, "max_len": 4, "seed": 3})],
+    ids=["gen-group", "verify-lemmas", "word-eq", "tup-check",
+         "cancel-sample", "zero-divisor"])
+def test_json_params_are_the_subcommands_own_flags(capsys, argv, params):
+    _, payload = run_json(capsys, argv[:1] + ["--k", "2"] + argv[1:])
+    assert payload["params"] == params
+
+
+@pytest.mark.parametrize("argv, entry, result, fail_line", [
+    (["verify-lemmas", "--step3-samples", "1"], "run_lemma_suite",
+     [LemmaReport(LemmaId.BIG, 2, False, {"sigma": "t"})],
+     f"{'Big':<16} k=2  FAIL"),
+    (["tup-check", "--max-len", "1", "--max-size", "2"], "run_tup_sweep",
+     ({"k": 2, "max_len": 1, "max_size": 2, "specs_checked": 1,
+       "capped": False, "min_unique_count": 1, "elapsed_ms": 0},
+      {"C": ["1"], "D": ["1", "2"], "unique_count": 1, "spec_index": 0}),
+     "tup-check: FAIL"),
+    (["cancel-sample"], "cancellation_report",
+     {"trials": 1, "max_len": 12, "antecedent_hits": 1, "passed": False,
+      "violations": [{"side": "right", "a": "1", "b": "2", "c": "3"}]},
+     "cancel-sample: FAIL"),
+    (["zero-divisor"], "zero_divisor_search",
+     (AlgebraElement(2, {(1,): 1}),) * 2, "zero-divisor: FAIL")],
+    ids=["verify-lemmas", "tup-check", "cancel-sample", "zero-divisor"])
+def test_a_failed_check_exits_one(monkeypatch, capsys, argv, entry, result,
+                                  fail_line):
+    monkeypatch.setattr(cli, entry, lambda *args, **kwargs: result)
+    argv = argv[:1] + ["--k", "2"] + argv[1:]
+    code, payload = run_json(capsys, argv)
+    assert code == 1
+    assert payload["passed"] is False
+    assert main(argv) == 1
+    assert fail_line in capsys.readouterr().out.splitlines()
+
+
+def test_repeated_calls_share_one_parser_and_no_flags(monkeypatch, capsys):
+    main(["cancel-sample", "--k", "2", "--trials", "3", "--max-len", "4",
+          "--seed", "5", "--format", "json"])
+    capsys.readouterr()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, payload = run_json(capsys, ["cancel-sample", "--k", "2",
+                                      "--trials", "3"])
+    assert code == 0
+    assert built == []
+    assert payload["params"] == {"trials": 3, "max_len": 12, "seed": 0}
+    assert main(["gen-group", "--k", "2"]) == 0
+    assert capsys.readouterr().out.startswith("group of order 8")
+    assert built == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cancel-sample", "--max-len", "13", "--trials", "4", "--seed", "0"],
+     "max_len 13 gives products of 26 letters, over the word-length cap 24"),
+    (["zero-divisor", "--max-len", "13", "--trials", "3", "--seed", "1"],
+     "max_len 13 gives products of 26 letters, over the word-length cap 24"),
+    (["zero-divisor", "--p", "1"], "modulus 1 is not prime")],
+    ids=["cancel-sample-max-len", "zero-divisor-max-len", "zero-divisor-p"])
+def test_samplers_reject_parameters_before_drawing(capsys, argv, message):
+    assert main(argv[:1] + ["--k", "2"] + argv[1:]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,4 +1,5 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and every top-level
+function or class of the package is used somewhere."""
 
 import ast
 from pathlib import Path
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted((ROOT / "src" / "qsemi").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "qsemi").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+USERS = MODULES + sorted((ROOT / "bench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +38,52 @@ def test_detects_an_unused_import():
                          ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names a module refers to: loads, attributes, imported names and string
+    constants (the bench patches functions by name), each top-level
+    definition's references to itself left out."""
+    found = set()
+    for top in ast.parse(source).body:
+        own = top.name if isinstance(top, DEFS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.split(".")[-1]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def dead_names(defining: dict[str, str], users: list[str]) -> list[str]:
+    """`module.name` for each top-level function or class of the `defining`
+    sources (module -> source) that no source in `users` refers to."""
+    used = set().union(*map(referenced_names, users))
+    return sorted(f"{module}.{top.name}" for module, source in defining.items()
+                  for top in ast.parse(source).body
+                  if isinstance(top, DEFS) and top.name not in used)
+
+
+def test_detects_a_dead_name():
+    lib = ("def used():\n    return 1\n"
+           "def dead(n):\n    return dead(n - 1)\n"
+           "class Gone:\n    pass\n")
+    caller = "from lib import used\nused()\n"
+    assert dead_names({"lib": lib}, [lib, caller]) == ["lib.Gone", "lib.dead"]
+    assert dead_names({"lib": lib}, [lib, caller, "x.dead\n", "'Gone'\n"]) == []
+
+
+def test_no_dead_top_level_names():
+    defining = {path.stem: path.read_text() for path in PACKAGE}
+    assert dead_names(defining, [path.read_text() for path in USERS]) == []
