@@ -10,15 +10,18 @@ search can run against a deliberately degenerate quotient as a control.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Callable, Iterable
 
 from .quaternion import GroupTable
-from .words import (Canon, RewriteConfig, Word, canonicalizer, format_word,
-                    seeded_word)
+from .words import (Canon, RewriteConfig, Word, canonicalizer,
+                    check_product_length, format_word, seeded_word)
 
 
+@functools.cache
 def _is_prime(p: int) -> bool:
+    """Trial division, run once per modulus: every element checks its own."""
     if p < 2:
         return False
     d = 2
@@ -45,9 +48,6 @@ class AlgebraElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def support_lengths(self) -> set[int]:
-        return {len(w) for w in self.terms}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgebraElement)
@@ -78,19 +78,6 @@ def element_from_pairs(pairs: Iterable[tuple[Word, int]], p: int,
         key = canon(tuple(w))
         terms[key] = (terms.get(key, 0) + c) % p
     return AlgebraElement(p, {w: c for w, c in terms.items() if c})
-
-
-def algebra_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    if x.p != y.p:
-        raise ValueError("mixed moduli")
-    terms = dict(x.terms)
-    for w, c in y.terms.items():
-        s = (terms.get(w, 0) + c) % x.p
-        if s:
-            terms[w] = s
-        else:
-            terms.pop(w, None)
-    return AlgebraElement(x.p, terms)
 
 
 def mul_with_canon(x: AlgebraElement, y: AlgebraElement,
@@ -153,9 +140,7 @@ def zero_divisor_search(g: GroupTable, cfg: RewriteConfig, p: int = 2,
     """Search the monoid algebra itself.  Support words are biased to
     contain defining windows so products actually merge terms; ValueError
     if 2 * max_len exceeds the word-length cap."""
-    if 2 * max_len > cfg.max_word_length:
-        raise ValueError(f"max_len {max_len} gives products of {2 * max_len} "
-                         f"letters, over the word-length cap {cfg.max_word_length}")
+    check_product_length(max_len, cfg)
 
     def sampler(r: random.Random) -> Word:
         return seeded_word(r, g, r.randint(1, max_len))

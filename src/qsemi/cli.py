@@ -155,7 +155,7 @@ def cmd_word_eq(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
     w2 = parse_word(args.w2, g.n)
     equal = words_equal(w1, w2, g, cfg)
     c1 = format_word(canonical_form(w1, g, cfg))
-    c2 = format_word(canonical_form(w2, g, cfg))
+    c2 = c1 if equal else format_word(canonical_form(w2, g, cfg))
     lines = [f"equal: {'yes' if equal else 'no'}",
              f"canonical w1: {c1}", f"canonical w2: {c2}"]
     return equal, {"equal": equal, "canonical_w1": c1, "canonical_w2": c2}, lines

@@ -370,19 +370,6 @@ def _reversed_word(text: str) -> str:
     return ",".join(reversed(text.split(",")))
 
 
-def exhaustive_reports(g: GroupTable) -> list[LemmaReport]:
-    """The oracles that scan their whole quantifier range."""
-    return [
-        verify_not_possible(g),
-        verify_max_one(g),
-        verify_big(g),
-        verify_overlapp(g),
-        verify_sym_not_possible(g),
-        verify_sym_max_one(g),
-        verify_sym_overlapp(g),
-    ]
-
-
 def run_lemma_suite(g: GroupTable, cfg: RewriteConfig,
                     stepss_extra: int | None = None,
                     step3_samples: int = 1000,

@@ -218,30 +218,6 @@ def _validate(cfg: QuaternionConfig, t: Perm, u: Perm) -> None:
             raise ConsistencyError(f"defining relation {name} fails at k={k}")
 
 
-def point_of_label(label: Label, k: int) -> int:
-    """The point standing for the element t^i u^j."""
-    i, j = label
-    return i + 1 if j == 0 else 2 * k + i + 1
-
-
-def label_of_point(p: int, k: int) -> Label:
-    if 1 <= p <= 2 * k:
-        return (p - 1, 0)
-    if 2 * k < p <= 4 * k:
-        return (p - 2 * k - 1, 1)
-    raise ValueError(f"point {p} out of range 1..{4 * k}")
-
-
-def label_mul(a: Label, b: Label, k: int) -> Label:
-    """Product of two elements in (i, j) normal form."""
-    i1, j1 = a
-    i2, j2 = b
-    i = i1 + (i2 if j1 == 0 else -i2)
-    if j1 == 1 and j2 == 1:
-        i += k
-    return (i % (2 * k), (j1 + j2) % 2)
-
-
 def check_other(g: GroupTable) -> bool:
     """u sends at least one point of the lower half into the upper half."""
     return any(g.u[p - 1] > 2 * g.k for p in range(1, 2 * g.k + 1))

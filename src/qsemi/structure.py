@@ -10,8 +10,9 @@ import time
 from typing import Callable, Iterator, Sequence
 
 from .quaternion import GroupTable
-from .words import (Canon, RewriteConfig, Word, canonicalizer, class_of,
-                    format_word, random_member, seeded_word, words_equal)
+from .words import (Canon, RewriteConfig, Word, canonicalizer,
+                    check_product_length, class_of, format_word, random_member,
+                    seeded_word, words_equal)
 
 
 def product_report(C: Sequence[Word], D: Sequence[Word], canon: Canon) -> int:
@@ -111,6 +112,21 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
     return summary, failure
 
 
+def _sampled_triples(g: GroupTable, cfg: RewriteConfig, trials: int,
+                     max_len: int, rng: random.Random
+                     ) -> Iterator[tuple[Word, Word, Word]]:
+    """`trials` random (a, b, c); half the time b is drawn from the class of
+    a, so the antecedent is frequently true instead of almost never."""
+    for _ in range(trials):
+        la = rng.randint(1, max_len)
+        a = seeded_word(rng, g, la)
+        if rng.random() < 0.5:
+            b = random_member(rng, class_of(a, g, cfg))
+        else:
+            b = seeded_word(rng, g, la)
+        yield a, b, seeded_word(rng, g, rng.randint(1, max_len))
+
+
 def cancellation_report(g: GroupTable, cfg: RewriteConfig, trials: int,
                         max_len: int, rng: random.Random | None = None,
                         progress: Callable[[int], None] | None = None,
@@ -119,29 +135,18 @@ def cancellation_report(g: GroupTable, cfg: RewriteConfig, trials: int,
     """Sampled test of both cancellation laws: ac = bc implies a = b, and
     ca = cb implies a = b.
 
-    Half the time b is drawn from the class of a, so the antecedent is
-    frequently true instead of almost never.  Explicit (a, b, c) triples, if
-    given, replace the sampling; ValueError if 2 * max_len exceeds the cap.
+    Explicit (a, b, c) triples, if given, replace the sampling; ValueError
+    if 2 * max_len exceeds the cap.
     """
-    if 2 * max_len > cfg.max_word_length:
-        raise ValueError(f"max_len {max_len} gives products of {2 * max_len} "
-                         f"letters, over the word-length cap {cfg.max_word_length}")
-    rng = rng if rng is not None else random.Random(0)
-    if triples is not None:
+    check_product_length(max_len, cfg)
+    if triples is None:
+        triples = _sampled_triples(g, cfg, trials, max_len,
+                                   rng if rng is not None else random.Random(0))
+    else:
         trials = len(triples)
     violations: list[dict] = []
     antecedent_hits = 0
-    for trial in range(trials):
-        if triples is not None:
-            a, b, c = triples[trial]
-        else:
-            la = rng.randint(1, max_len)
-            a = seeded_word(rng, g, la)
-            if rng.random() < 0.5:
-                b = random_member(rng, class_of(a, g, cfg))
-            else:
-                b = seeded_word(rng, g, la)
-            c = seeded_word(rng, g, rng.randint(1, max_len))
+    for trial, (a, b, c) in enumerate(triples):
         ab_equal: bool | None = None
         for side, x, y in (("right", a + c, b + c), ("left", c + a, c + b)):
             if not words_equal(x, y, g, cfg):

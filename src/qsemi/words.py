@@ -40,9 +40,16 @@ def default_config(n: int) -> RewriteConfig:
     return RewriteConfig(max_class_size=1_000_000, max_word_length=3 * n)
 
 
+def check_product_length(max_len: int, cfg: RewriteConfig) -> None:
+    """ValueError unless the product of two words of up to max_len letters
+    fits the word-length cap."""
+    if 2 * max_len > cfg.max_word_length:
+        raise ValueError(f"max_len {max_len} gives products of {2 * max_len} "
+                         f"letters, over the word-length cap {cfg.max_word_length}")
+
+
 @dataclass(frozen=True)
 class CongruenceClass:
-    representative: Word
     members: frozenset[Word]
 
 
@@ -133,9 +140,9 @@ def _closure(w: Word, g: GroupTable, cfg: RewriteConfig,
 def class_of(w: Word, g: GroupTable, cfg: RewriteConfig) -> CongruenceClass:
     """The full congruence class of w."""
     if len(w) < g.n:
-        return CongruenceClass(w, frozenset((w,)))
+        return CongruenceClass(frozenset((w,)))
     members, _ = _closure(w, g, cfg)
-    return CongruenceClass(min(members), frozenset(members))
+    return CongruenceClass(frozenset(members))
 
 
 def words_equal(w1: Word, w2: Word, g: GroupTable, cfg: RewriteConfig) -> bool:
@@ -171,16 +178,6 @@ def canonicalizer(g: GroupTable, cfg: RewriteConfig) -> Canon:
         return r
 
     return canon
-
-
-def check_overlap_bound(g: GroupTable) -> bool:
-    """A proper suffix of one defining window never matches a prefix of
-    another beyond a single letter: for 2 <= j < n the length-j suffix of
-    one image tuple is never the length-j prefix of another (at j = n the
-    two would be the same tuple)."""
-    n = g.n
-    return not any(g.windows_at(s[n - j:], 1)
-                   for s in g.elements for j in range(2, n))
 
 
 def random_word(rng: random.Random, n_letters: int, length: int) -> Word:

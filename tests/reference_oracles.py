@@ -1,20 +1,32 @@
-"""Brute-force scans of the four forward window lemmas, of the overlap
-bound and of Stepss: the slow reference that the pair-index oracles in
-`qsemi.lemmas` and `qsemi.words.check_overlap_bound` are tested against.
+"""Reference models that the package is tested against.
 
-Each lemma scan walks its quantifier range in the order of the statement and
-returns `(holds, instances, unsatisfiable)`.  It stops at the first
-violation, so the two counts are the size of the whole range only when the
-lemma holds.
+- Brute-force scans of the four forward window lemmas, of the overlap bound
+  and of Stepss: the slow reference for the pair-index and counting oracles
+  in `qsemi.lemmas`.  Each lemma scan walks its quantifier range in the
+  order of the statement and returns `(holds, instances, unsatisfiable)`.
+  It stops at the first violation, so the two counts are the size of the
+  whole range only when the lemma holds.
+- The normal-form arithmetic on labels t^i u^j, which the group table is
+  checked against point by point.
+- Addition and support lengths in the monoid algebra, for the ring laws.
 """
 
 from __future__ import annotations
 
 import random
 
-from qsemi.lemmas import default_stepss_seeds
-from qsemi.quaternion import GroupTable
+from qsemi.algebra import AlgebraElement
+from qsemi.lemmas import (default_stepss_seeds, verify_big, verify_max_one,
+                          verify_not_possible, verify_overlapp,
+                          verify_sym_max_one, verify_sym_not_possible,
+                          verify_sym_overlapp)
+from qsemi.quaternion import GroupTable, Label
 from qsemi.words import class_of
+
+# the oracles that scan their whole quantifier range, in suite order
+EXHAUSTIVE = (verify_not_possible, verify_max_one, verify_big,
+              verify_overlapp, verify_sym_not_possible, verify_sym_max_one,
+              verify_sym_overlapp)
 
 
 def reversed_table(g):
@@ -94,6 +106,9 @@ FORWARD = {"NotPossible": not_possible, "MaxOne": max_one, "Big": big,
 
 
 def overlap_bound(g):
+    """A suffix of one window matches a prefix of another in at most one
+    letter: for 2 <= j <= n the length-j suffix of one image tuple is never
+    the length-j prefix of another (at j = n the two may be one tuple)."""
     n = g.n
     return not any(s[n - j:] == t[:j] and not (j == n and s == t)
                    for s in g.elements for t in g.elements
@@ -125,3 +140,44 @@ def stepss(g, cfg, max_extra=None, rng=None):
                     return False, pairs, counts
                 counts[0 if c1 and c2 else 1 if c1 else 2] += 1
     return True, pairs, counts
+
+
+def point_of_label(label: Label, k: int) -> int:
+    """The point standing for the element t^i u^j."""
+    i, j = label
+    return i + 1 if j == 0 else 2 * k + i + 1
+
+
+def label_of_point(p: int, k: int) -> Label:
+    if 1 <= p <= 2 * k:
+        return (p - 1, 0)
+    if 2 * k < p <= 4 * k:
+        return (p - 2 * k - 1, 1)
+    raise ValueError(f"point {p} out of range 1..{4 * k}")
+
+
+def label_mul(a: Label, b: Label, k: int) -> Label:
+    """Product of two elements in (i, j) normal form."""
+    i1, j1 = a
+    i2, j2 = b
+    i = i1 + (i2 if j1 == 0 else -i2)
+    if j1 == 1 and j2 == 1:
+        i += k
+    return (i % (2 * k), (j1 + j2) % 2)
+
+
+def algebra_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    if x.p != y.p:
+        raise ValueError("mixed moduli")
+    terms = dict(x.terms)
+    for w, c in y.terms.items():
+        s = (terms.get(w, 0) + c) % x.p
+        if s:
+            terms[w] = s
+        else:
+            terms.pop(w, None)
+    return AlgebraElement(x.p, terms)
+
+
+def support_lengths(x: AlgebraElement) -> set[int]:
+    return {len(w) for w in x.terms}

@@ -1,11 +1,14 @@
 import random
+import sys
 
 import pytest
 
-from qsemi.algebra import (AlgebraElement, algebra_add, element_from_pairs,
+from qsemi import algebra
+from qsemi.algebra import (AlgebraElement, element_from_pairs,
                            mul_with_canon, random_element, zero_divisor_search,
                            zero_divisor_search_with_canon)
 from qsemi.words import canonicalizer, random_word, seeded_word
+from reference_oracles import algebra_add, support_lengths
 
 
 def collapse_canon(w):
@@ -41,7 +44,7 @@ def test_validation():
         AlgebraElement(3, {(1,): 0})
     x = AlgebraElement(3, {(1,): 2, (1, 2): 1})
     assert not x.is_zero()
-    assert x.support_lengths() == {1, 2}
+    assert support_lengths(x) == {1, 2}
     assert AlgebraElement(5, {}).is_zero()
 
 
@@ -68,7 +71,7 @@ def test_mul_concatenates_and_grades(g2, cfg2):
     y = element_from_pairs([((2,), 2), ((3, 4), 1)], 3, canon)
     xy = mul_with_canon(x, y, canon)
     assert xy.terms == {(1, 2): 2, (1, 3, 4): 1}
-    assert xy.support_lengths() == {2, 3}
+    assert support_lengths(xy) == {2, 3}
     with pytest.raises(ValueError):
         mul_with_canon(x, AlgebraElement(2, {(1,): 1}), lambda w: w)
 
@@ -82,7 +85,7 @@ def test_square_of_window_plus_neighbor_is_nonzero(g2, cfg2):
     assert len(x.terms) == 2
     sq = mul_with_canon(x, x, canon)
     assert not sq.is_zero()
-    assert sq.support_lengths() == {16}
+    assert support_lengths(sq) == {16}
 
 
 def test_ring_laws_sampled(g2, cfg2):
@@ -105,9 +108,9 @@ def test_ring_laws_sampled(g2, cfg2):
                                        mul_with_canon(x, z, canon))
             prod = mul_with_canon(x, y, canon)
             if not prod.is_zero():
-                sums = {a + b for a in x.support_lengths()
-                        for b in y.support_lengths()}
-                assert prod.support_lengths() <= sums
+                sums = {a + b for a in support_lengths(x)
+                        for b in support_lengths(y)}
+                assert support_lengths(prod) <= sums
 
 
 def test_random_element_bounds(g2, cfg2):
@@ -136,6 +139,28 @@ def test_planted_quotient_has_zero_divisors():
     a, b = hit
     assert not a.is_zero() and not b.is_zero()
     assert mul_with_canon(a, b, collapse_canon).is_zero()
+
+
+def test_each_modulus_is_trial_divided_once(g2, cfg2):
+    # every element checks its modulus; at p = 2^31 - 1 one trial division
+    # takes ~46,000 steps, which 900 checks in this search must not repeat
+    p = 2147483647
+    trial_division = algebra._is_prime.__wrapped__.__code__
+    algebra._is_prime.cache_clear()
+    runs = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is trial_division:
+            runs.append(frame.f_locals["p"])
+
+    sys.setprofile(count)
+    try:
+        hit = zero_divisor_search(g2, cfg2, p=p, trials=300,
+                                  rng=random.Random(0))
+    finally:
+        sys.setprofile(None)
+    assert hit is None
+    assert runs == [p]
 
 
 def test_search_reports_progress(g2, cfg2):

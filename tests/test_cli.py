@@ -59,6 +59,27 @@ def test_word_eq_not_equal(capsys):
                                   "canonical_w2": "2,1"}
 
 
+@pytest.mark.parametrize("w2, forms", [
+    (",".join(map(str, K2_U)), 1), ("1,2,3,4,5,6,8,7", 2)],
+    ids=["equal", "unequal"])
+def test_word_eq_canonicalizes_w2_only_when_the_words_differ(
+        monkeypatch, capsys, w2, forms):
+    calls = []
+
+    def counting(w, g, cfg, orig=cli.canonical_form):
+        calls.append(w)
+        return orig(w, g, cfg)
+
+    monkeypatch.setattr(cli, "canonical_form", counting)
+    code, payload = run_json(capsys, ["word-eq", "--k", "2",
+                                      "1,2,3,4,5,6,7,8", w2])
+    assert len(calls) == forms
+    assert code == (0 if forms == 1 else 1)
+    assert payload["details"]["canonical_w1"] == "1,2,3,4,5,6,7,8"
+    assert payload["details"]["canonical_w2"] == (
+        "1,2,3,4,5,6,7,8" if forms == 1 else w2)
+
+
 def test_word_eq_rejects_bad_letters(capsys):
     assert main(["word-eq", "--k", "2", "1,9", "1,2"]) == 2
     assert "error:" in capsys.readouterr().err

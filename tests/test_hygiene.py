@@ -1,5 +1,6 @@
 """Every name a module imports is used in that module, and every top-level
-function or class of the package is used somewhere."""
+function or class of the package, and every public method of its classes,
+is used by the package or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "qsemi").glob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
-USERS = MODULES + sorted((ROOT / "bench").glob("*.py"))
+USERS = PACKAGE + sorted((ROOT / "bench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,7 +41,8 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = FUNCS + (ast.ClassDef,)
 
 
 def referenced_names(source: str) -> set[str]:
@@ -66,24 +68,42 @@ def referenced_names(source: str) -> set[str]:
     return found
 
 
+def definitions(source: str):
+    """(dotted name, name) of each top-level function or class and of each
+    public (not dunder) method of a top-level class."""
+    for top in ast.parse(source).body:
+        if not isinstance(top, DEFS):
+            continue
+        yield top.name, top.name
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, FUNCS) and not node.name.startswith("__"):
+                    yield f"{top.name}.{node.name}", node.name
+
+
 def dead_names(defining: dict[str, str], users: list[str]) -> list[str]:
-    """`module.name` for each top-level function or class of the `defining`
-    sources (module -> source) that no source in `users` refers to."""
+    """`module.name` for each definition of the `defining` sources (module ->
+    source) that no source in `users` refers to."""
     used = set().union(*map(referenced_names, users))
-    return sorted(f"{module}.{top.name}" for module, source in defining.items()
-                  for top in ast.parse(source).body
-                  if isinstance(top, DEFS) and top.name not in used)
+    return sorted(f"{module}.{dotted}" for module, source in defining.items()
+                  for dotted, name in definitions(source) if name not in used)
 
 
 def test_detects_a_dead_name():
-    lib = ("def used():\n    return 1\n"
+    lib = ("def used():\n    return Kept().size()\n"
            "def dead(n):\n    return dead(n - 1)\n"
-           "class Gone:\n    pass\n")
+           "class Gone:\n    pass\n"
+           "class Kept:\n    def __len__(self):\n        return 0\n"
+           "    def size(self):\n        return 1\n"
+           "    def unread(self):\n        return 2\n")
     caller = "from lib import used\nused()\n"
-    assert dead_names({"lib": lib}, [lib, caller]) == ["lib.Gone", "lib.dead"]
-    assert dead_names({"lib": lib}, [lib, caller, "x.dead\n", "'Gone'\n"]) == []
+    assert dead_names({"lib": lib}, [lib, caller]) == [
+        "lib.Gone", "lib.Kept.unread", "lib.dead"]
+    assert dead_names({"lib": lib}, [lib, caller, "x.dead\n", "'Gone'\n",
+                                     "y.unread()\n"]) == []
 
 
 def test_no_dead_top_level_names():
+    # tests are not users: a definition only tests reach belongs in tests
     defining = {path.stem: path.read_text() for path in PACKAGE}
     assert dead_names(defining, [path.read_text() for path in USERS]) == []

@@ -117,6 +117,13 @@ def test_cancellation_report_passes_on_the_monoid(g2, cfg2):
     assert report["antecedent_hits"] > 50
 
 
+def test_cancellation_sampling_replays_from_the_seed(g2, cfg2):
+    # the figures `cancel-sample --k 2 --trials 300` prints
+    report = cancellation_report(g2, cfg2, trials=300, max_len=12,
+                                 rng=random.Random(0))
+    assert (report["trials"], report["antecedent_hits"]) == (300, 286)
+
+
 def test_cancellation_report_flags_planted_violation(two_element8, cfg2):
     a, b, c = (1, 2), (2, 1), (3, 4, 5, 6, 7, 8)
     report = cancellation_report(two_element8, cfg2, trials=0, max_len=10,
