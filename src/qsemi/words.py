@@ -4,9 +4,27 @@ A word is a tuple of 1-based letters.  The monoid is presented by equating,
 for every table element s, the word s(1) s(2) ... s(n) with the word
 1 2 ... n; equivalently any length-n factor spelling out one element's image
 tuple may be replaced by any other element's image tuple.  All relations
-preserve length, so each congruence class is finite and can be enumerated
-outright by breadth-first closure; the canonical form of a word is the
-lexicographically least member of its class.
+preserve length, so each congruence class is finite; the canonical form of
+a word is the lexicographically least member of its class.
+
+Canonical forms and equality come from a rewriting system whose rules each
+replace a factor by a lexicographically smaller one of the same class:
+
+- any window other than the identity becomes 1..n;
+- s[:n-1] (1..n-1)^(m-1) (1..n), for s not the identity, s(n) != 1 and
+  m >= 1, becomes (1..n) e[2..n] c^(m-1), where e(1) = s(n) and
+  c = f[2..n] with f(1) = n.
+
+`normal_form` applies them in one left-to-right scan, which after each
+rewrite backs up over the whole run of 1..n-1 blocks to its left.  Its
+result is the lex-least member of the class when the table passes a
+completeness certificate (`_certify`): the table contains the identity, its
+elements are permutations, each letter starts exactly one of them, and
+every critical pair of the rules with m <= 3 joins.  The certificate is
+computed on the first canonical form a table needs and kept per table
+content.  `canonical_form` and `words_equal` rewrite on certified tables
+and enumerate the class by breadth-first closure (`_closure`) on any other;
+`class_of`, which needs every member, always enumerates.
 """
 
 from __future__ import annotations
@@ -25,7 +43,8 @@ Canon = Callable[[Word], Word]  # word -> canonical form of its class
 
 @dataclass(frozen=True)
 class RewriteConfig:
-    """Hard caps on class enumeration."""
+    """Hard caps: members of an enumerated class, and letters of a word
+    that is enumerated, canonicalized or compared."""
 
     max_class_size: int
     max_word_length: int
@@ -99,6 +118,12 @@ def rewrite_step(w: Word, position: int, src: Perm, dst: Perm, g: GroupTable) ->
     return w[:p0] + dst + w[p0 + n:]
 
 
+def _check_length(w: Word, cfg: RewriteConfig) -> None:
+    if len(w) > cfg.max_word_length:
+        raise ValueError(
+            f"word of length {len(w)} exceeds the cap {cfg.max_word_length}")
+
+
 def _closure(w: Word, g: GroupTable, cfg: RewriteConfig,
              target: Word | None = None) -> tuple[set[Word], bool]:
     """BFS closure of {w} under window rewrites.
@@ -106,9 +131,7 @@ def _closure(w: Word, g: GroupTable, cfg: RewriteConfig,
     Stops early (second item True) as soon as `target` shows up.
     """
     n = g.n
-    if len(w) > cfg.max_word_length:
-        raise ValueError(
-            f"word of length {len(w)} exceeds the cap {cfg.max_word_length}")
+    _check_length(w, cfg)
     if target is not None and w == target:
         return {w}, True
     seen: set[Word] = {w}
@@ -145,6 +168,178 @@ def class_of(w: Word, g: GroupTable, cfg: RewriteConfig) -> CongruenceClass:
     return CongruenceClass(frozenset(members))
 
 
+class _Rules:
+    """The length-preserving rewriting system of one table, oriented toward
+    the lexicographically smaller side (see the module docstring).
+
+    `starts[x]` is the element s whose image tuple starts with the letter
+    x, None for the identity (which is no left side); `heads[x]` is the
+    first 2n-1 letters `(1..n) e[2..n]` of the right side of s's schema
+    rules, None when s has none; `cycle` is c = f[2..n] with f(1) = n.  (A
+    plain class: building a dataclass would add to the import time of
+    every command.)
+    """
+
+    __slots__ = ("n", "starts", "heads", "cycle")
+
+    def __init__(self, n: int, starts: tuple[Perm | None, ...],
+                 heads: tuple[Word | None, ...], cycle: Word) -> None:
+        self.n, self.starts, self.heads, self.cycle = n, starts, heads, cycle
+
+    def rewrite(self, w: Word) -> Word:
+        """Rewrite w until no left side occurs: scan left to right, rewrite
+        the redex starting at the scan position, and rescan from where the
+        leftmost redex the rewrite can have created would start."""
+        n, starts, heads, cycle = self.n, self.starts, self.heads, self.cycle
+        ident = tuple(range(1, n + 1))
+        block = ident[:-1]
+        size, p = len(w), 0
+        while p <= size - n:
+            # every left side starting at p begins with s[:n-1]
+            s, end = starts[w[p]], 0
+            if s is None or w[p + 1] != s[1]:
+                p += 1
+                continue
+            if w[p:p + n] == s:
+                new, end = ident, p + n
+            elif (head := heads[w[p]]) is not None and w[p:p + n - 1] == s[:-1]:
+                # a run of `1..n-1` blocks, the last followed by n
+                q, m = p + n - 1, 0
+                while w[q:q + n - 1] == block:
+                    q, m = q + n - 1, m + 1
+                    if q < size and w[q] == n:
+                        new, end = head + cycle * (m - 1), q + 1
+                        break
+            if not end:
+                p += 1
+                continue
+            w = w[:p] + new + w[end:]
+            # No redex starts left of p, so a new one reaches past p.  A
+            # window starts at most n-1 letters back.  Every right side
+            # starts with 1..n, so a schema left side reaching past p holds
+            # the whole run of blocks that ends at p, and n-1 letters of s
+            # before it.
+            while p >= n - 1 and w[p - n + 1:p] == block:
+                p -= n - 1
+            p = max(0, p - (n - 1))
+        return w
+
+
+# bound on the chain length m of the schema rules whose critical pairs the
+# certificate joins; see `_certify` for why it carries to every m
+_SCHEMA_BOUND = 3
+# certificate verdicts by table content: `cli.main` builds a fresh table on
+# every call, and a recycled object id could name a different table
+_CERTIFIED: dict[tuple[Perm, ...], _Rules | None] = {}
+
+
+def _rule_table(g: GroupTable) -> _Rules | None:
+    """The rules of g, or None unless g contains the identity, its elements
+    are permutations of 1..n and each letter starts exactly one of them."""
+    n = g.n
+    ident = tuple(range(1, n + 1))
+    if ident not in g.index or any(tuple(sorted(e)) != ident
+                                   for e in g.elements):
+        return None
+    by_first = {e[0]: e for e in g.elements}
+    if len(by_first) != n:
+        return None
+    starts = (None,) + tuple(None if x == 1 else by_first[x]
+                             for x in range(1, n + 1))
+    heads = tuple(None if s is None or s[-1] == 1
+                  else ident + by_first[s[-1]][1:] for s in starts)
+    return _Rules(n, starts, heads, by_first[n][1:])
+
+
+def _rule_list(rules: _Rules, max_m: int) -> list[tuple[Word, Word]]:
+    """(left, right) of the base rules and of the schema rules up to chain
+    length max_m."""
+    n = rules.n
+    ident, block = tuple(range(1, n + 1)), tuple(range(1, n))
+    listed = [(s, ident) for s in rules.starts if s is not None]
+    for s, head in zip(rules.starts, rules.heads):
+        if head is not None:
+            listed += [(s[:-1] + block * (m - 1) + ident,
+                        head + rules.cycle * (m - 1)) for m in range(1, max_m + 1)]
+    return listed
+
+
+def _critical_pairs(rules: _Rules, max_m: int):
+    """(word, reduct, reduct) for every overlap of two left sides among
+    `_rule_list(rules, max_m)` and every left side inside another."""
+    listed = _rule_list(rules, max_m)
+    by_first: dict[int, list[tuple[Word, Word]]] = {}
+    for rule in listed:
+        by_first.setdefault(rule[0][0], []).append(rule)
+    for outer in listed:
+        left, right = outer
+        for i, x in enumerate(left):
+            for inner in by_first.get(x, ()):
+                if i == 0 and inner is outer:
+                    continue
+                l2, r2 = inner
+                cut = len(left) - i
+                if len(l2) <= cut:
+                    if left[i:i + len(l2)] == l2:
+                        yield left, right, left[:i] + r2 + left[i + len(l2):]
+                elif i and left[i:] == l2[:cut]:
+                    yield left + l2[cut:], right + l2[cut:], left[:i] + r2
+
+
+def _certify(g: GroupTable) -> _Rules | None:
+    """The rules of g when they are a complete system for its monoid, else
+    None.
+
+    Every rule is a consequence of the relations and shrinks its word in
+    the lexicographic order, which is well founded on words of one length,
+    so rewriting terminates; it then decides the word problem, with the
+    lex-least member of each class as the class's only irreducible word,
+    exactly when every critical pair joins.  The pairs are checked for
+    chain lengths m <= 3, and that stands for every m because the pairs
+    are periodic in m.  A schema left side is S B^(m-1) (1..n), with
+    S = s[:n-1] and B = 1..n-1.  From any point of its run B^(m-1) (1..n)
+    on, the letters are a rotation of B repeated, then n: the same for
+    every m up to the number of blocks.  So where another left side can
+    start inside it, counted from either end, does not depend on m once
+    the run holds a block on each side of that point, and the pairs of
+    chain m+1 > 3 are those of chain m with one more B in the run.  Both
+    sides of such a pair rewrite by the same steps as at m, the extra B
+    carried along until a schema right side turns the run into c^m, so a
+    pair that joins at m joins at m+1.  Chains 1 and 2 are the ends where
+    the run holds no whole block or one; chain 3 is the first whose pairs
+    have the generic shape.  (On the quaternion tables no left side lies
+    inside another and every overlap joins the last n letters of one to
+    the first n-1 of the next, so chains a, b >= 1 share the same n-2
+    pairs whatever a and b.)
+    """
+    rules = _rule_table(g)
+    if rules is None:
+        return None
+    for _, a, b in _critical_pairs(rules, _SCHEMA_BOUND):
+        if rules.rewrite(a) != rules.rewrite(b):
+            return None
+    return rules
+
+
+def _certified_rules(g: GroupTable) -> _Rules | None:
+    """`_certify(g)`, computed once per table content."""
+    try:
+        return _CERTIFIED[g.elements]
+    except KeyError:
+        rules = _CERTIFIED[g.elements] = _certify(g)
+        return rules
+
+
+def normal_form(w: Word, g: GroupTable) -> Word:
+    """The irreducible form of w under the certified rules of g, which is
+    the lex-least member of its class.  ValueError when g fails the
+    certificate."""
+    rules = _certified_rules(g)
+    if rules is None:
+        raise ValueError("the table's rewriting system is not certified complete")
+    return rules.rewrite(w)
+
+
 def words_equal(w1: Word, w2: Word, g: GroupTable, cfg: RewriteConfig) -> bool:
     """Decide w1 = w2 in the monoid.  Relations preserve length, so words of
     different lengths are never equal."""
@@ -154,16 +349,22 @@ def words_equal(w1: Word, w2: Word, g: GroupTable, cfg: RewriteConfig) -> bool:
         return True
     if len(w1) < g.n:
         return False
-    _, found = _closure(w1, g, cfg, target=w2)
-    return found
+    if _certified_rules(g) is None:
+        _, found = _closure(w1, g, cfg, target=w2)
+        return found
+    _check_length(w1, cfg)
+    return normal_form(w1, g) == normal_form(w2, g)
 
 
 def canonical_form(w: Word, g: GroupTable, cfg: RewriteConfig) -> Word:
     """Lexicographically least member of the class of w."""
     if len(w) < g.n:
         return w
-    members, _ = _closure(w, g, cfg)
-    return min(members)
+    if _certified_rules(g) is None:
+        members, _ = _closure(w, g, cfg)
+        return min(members)
+    _check_length(w, cfg)
+    return normal_form(w, g)
 
 
 def canonicalizer(g: GroupTable, cfg: RewriteConfig) -> Canon:

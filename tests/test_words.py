@@ -1,14 +1,20 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from qsemi import words
+from qsemi import cli, words
 from qsemi.errors import BadFactor, ClassTooLarge
+from qsemi.quaternion import QuaternionConfig, generate_group
 from qsemi.words import (RewriteConfig, canonical_form, canonicalizer,
                          check_word, class_of, default_config,
-                         find_relation_factors, format_word, parse_word,
-                         random_member, random_word, rewrite_step, seeded_word,
-                         words_equal)
+                         find_relation_factors, format_word, normal_form,
+                         parse_word, random_member, random_word, rewrite_step,
+                         seeded_word, words_equal)
+from conftest import bare_table
 from reference_oracles import overlap_bound
 
 # 15 letters with windows at positions 1 (identity) and 8 (t^3 u)
@@ -75,11 +81,13 @@ def test_find_relation_factors(g2):
     assert find_relation_factors((1,) * 10, g2) == []
 
 
-def test_closure_scans_only_through_find_relation_factors(g2, cfg2, monkeypatch):
+def test_closure_scans_only_through_find_relation_factors(g2, cfg2, poisoned8,
+                                                         monkeypatch):
     # the class closure has no window scan of its own
     monkeypatch.setattr(words, "find_relation_factors", lambda w, g: [])
     assert class_of(REGRESSION_WORD, g2, cfg2).members == {REGRESSION_WORD}
-    assert not words_equal(g2.t, g2.u, g2, cfg2)
+    # words_equal enumerates only on tables without a rewriting certificate
+    assert not words_equal(poisoned8.t, poisoned8.u, poisoned8, cfg2)
 
 
 def test_rewrite_step(g2):
@@ -232,3 +240,174 @@ def test_word_samplers(g2):
         w = seeded_word(rng, g2, 10, p_window=1.0)
         assert len(w) == 10
         assert any(w[i:i + 8] in g2.index for i in range(3))
+
+
+def bfs_least(w, g):
+    """The lex-least member of w's class by enumeration, with no caps."""
+    cfg = RewriteConfig(max_class_size=10**7, max_word_length=max(len(w), 1))
+    return min(class_of(w, g, cfg).members)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_normal_form_after_a_rewrite_far_right_of_the_redex_start(k):
+    # s[:n-1] (1..n-1)^j e: rewriting e to the identity completes a schema
+    # left side that starts j blocks further left, so the rescan has to
+    # back up over the whole run of blocks, not by a fixed distance
+    g = generate_group(QuaternionConfig(k))
+    n = g.n
+    block = tuple(range(1, n))
+    for s in g.elements:
+        for e in g.elements:
+            for j in (1, 2, 3):
+                w = s[:n - 1] + block * j + e
+                assert normal_form(w, g) == bfs_least(w, g), w
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_normal_form_matches_bfs_on_seeded_and_chained_words(k):
+    g = generate_group(QuaternionConfig(k))
+    n = g.n
+    cfg = default_config(n)
+    rng = random.Random(10 + k)
+    cases = [seeded_word(rng, g, rng.randint(n, 3 * n)) for _ in range(800)]
+    cases += [chained_word(rng, g, 2, 2) for _ in range(50)]
+    if k <= 3:
+        cases += [chained_word(rng, g, 3, 0) for _ in range(20)]
+    least = {}
+    for w in cases:
+        least[w] = bfs_least(w, g)
+        assert normal_form(w, g) == least[w], w
+        assert canonical_form(w, g, cfg) == least[w]
+    # pairs: each window rewritten (equal), or two letters swapped
+    for w in cases[800:820]:
+        v = w
+        for pos, _ in find_relation_factors(w, g):
+            src = v[pos - 1:pos - 1 + n]
+            if src in g.index:  # an overlapping rewrite may have broken it
+                v = rewrite_step(v, pos, src, g.elements[rng.randrange(n)], g)
+        assert words_equal(w, v, g, cfg)
+        i, j = sorted(rng.sample(range(len(w)), 2))
+        x = w[:i] + (w[j],) + w[i + 1:j] + (w[i],) + w[j + 1:]
+        assert words_equal(w, x, g, cfg) == (bfs_least(x, g) == least[w])
+
+
+def test_certificate_runs_once_per_table_content(monkeypatch, capsys):
+    # a fresh interpreter: importing the CLI and building tables certifies
+    # nothing
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import qsemi.cli, qsemi.words as words\n"
+         "from qsemi.quaternion import QuaternionConfig, generate_group\n"
+         "for k in (2, 3): generate_group(QuaternionConfig(k))\n"
+         "print(len(words._CERTIFIED))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert fresh.stdout.split() == ["0"]
+    runs = []
+
+    def counting(g, orig=words._certify):
+        runs.append(g.k)
+        return orig(g)
+
+    monkeypatch.setattr(words, "_certify", counting)
+    monkeypatch.setattr(words, "_CERTIFIED", {})
+    generate_group(QuaternionConfig(2))
+    assert cli.main(["verify-lemmas", "--k", "2", "--step3-samples", "2"]) == 0
+    assert runs == []
+    capsys.readouterr()
+    rng = random.Random(7)
+    for k in (2, 3, 2, 3, 2, 3):
+        g = generate_group(QuaternionConfig(k))
+        w1 = chained_word(rng, g, 2, 2)
+        w2 = w1[::-1]
+        code = cli.main(["word-eq", "--k", str(k), format_word(w1),
+                         format_word(w2), "--format", "json"])
+        details = json.loads(capsys.readouterr().out)["details"]
+        assert code == (0 if details["equal"] else 1)
+        assert details["canonical_w1"] == format_word(bfs_least(w1, g))
+        assert details["canonical_w2"] == format_word(bfs_least(w2, g))
+    # cli.main builds a fresh table on every call
+    assert sorted(runs) == [2, 3]
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_certificate_passes_on_the_quaternion_tables(k):
+    g = generate_group(QuaternionConfig(k))
+    rules = words._rule_table(g)
+    pairs = list(words._critical_pairs(rules, words._SCHEMA_BOUND))
+    assert len(pairs) == 93 + 64 * (k - 2)
+    assert all(rules.rewrite(a) == rules.rewrite(b) for _, a, b in pairs)
+    certified = words._certify(g)
+    assert (certified.starts, certified.heads, certified.cycle) == (
+        rules.starts, rules.heads, rules.cycle)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_critical_pairs_are_periodic_in_the_chain_length(k):
+    # each chain length adds the same n-2 overlaps with every rule, and the
+    # pairs of chains beyond the certificate's bound join too
+    g = generate_group(QuaternionConfig(k))
+    n = g.n
+    rules = words._rule_table(g)
+    counts = [sum(1 for _ in words._critical_pairs(rules, m))
+              for m in range(1, 7)]
+    steps = [b - a for a, b in zip(counts, counts[1:])]
+    assert [b - a for a, b in zip(steps, steps[1:])] == [2 * (n - 2)] * 4
+    assert all(rules.rewrite(a) == rules.rewrite(b)
+               for _, a, b in words._critical_pairs(rules, 6))
+
+
+def test_certificate_fails_the_planted_tables(cyclic8, dihedral8, poisoned8,
+                                              two_element8, g2, cfg2):
+    # cyclic and dihedral: the rules exist, but a critical pair does not join
+    for g in (cyclic8, dihedral8):
+        rules = words._rule_table(g)
+        assert rules is not None
+        assert any(rules.rewrite(a) != rules.rewrite(b) for _, a, b
+                   in words._critical_pairs(rules, words._SCHEMA_BOUND))
+    # poisoned and two-element: some letter starts no element
+    for g in (poisoned8, two_element8):
+        assert words._rule_table(g) is None
+    # each letter starts one element, but one of them repeats a letter
+    els = list(g2.elements)
+    els[g2.index[g2.t]] = (2, 2) + g2.t[2:]
+    assert words._rule_table(bare_table(2, els)) is None
+    w = tuple(range(8, 0, -1)) + (1, 2, 3)
+    for g in (cyclic8, dihedral8, poisoned8, two_element8):
+        assert words._certify(g) is None
+        with pytest.raises(ValueError, match="not certified"):
+            normal_form(w, g)
+        # canonical forms there still come from the class enumeration
+        assert canonical_form(w, g, cfg2) == min(class_of(w, g, cfg2).members)
+
+
+def has_redex(w, g):
+    """A left side of the rules in w, found by brute force: a window other
+    than the identity, or s[:n-1] (1..n-1)^(m-1) (1..n) with s(n) != 1."""
+    n = g.n
+    ident = tuple(range(1, n + 1))
+    if any(win != ident for _, win in find_relation_factors(w, g)):
+        return True
+    heads = {s[:-1] for s in g.elements if s != ident and s[-1] != 1}
+    for p in range(len(w)):
+        if w[p:p + n - 1] in heads:
+            q = p + n - 1
+            while w[q:q + n - 1] == ident[:-1]:
+                q += n - 1
+                if w[q:q + 1] == (n,):
+                    return True
+    return False
+
+
+def test_canonical_form_of_a_long_word_at_k16():
+    g = generate_group(QuaternionConfig(16))
+    rng = random.Random(16)
+    w = chained_word(rng, g, 40, g.n)
+    assert len(w) >= 2000
+    cfg = RewriteConfig(max_class_size=10, max_word_length=len(w))
+    c = canonical_form(w, g, cfg)
+    assert len(c) == len(w) and sorted(c) == sorted(w)
+    assert c < w and has_redex(w, g) and not has_redex(c, g)
+    assert canonical_form(c, g, cfg) == c
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        canonical_form(w, g, RewriteConfig(10, len(w) - 1))
