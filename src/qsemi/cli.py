@@ -54,11 +54,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--k", type=_int_at_least(2), required=True,
                         help="group size parameter, order 4k (k >= 2)")
     common.add_argument("--format", choices=("text", "json"), default="text")
-    caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument("--max-class-size", type=_positive,
-                      help="cap on class members; default: words.default_config")
-    caps.add_argument("--max-word-length", type=_nonnegative,
-                      help="cap on word length; unset or 0: words.default_config")
+    word_cap = argparse.ArgumentParser(add_help=False)
+    word_cap.add_argument(
+        "--max-word-length", type=_nonnegative,
+        help="cap on word length; unset or 0: words.default_config")
+    # only the subcommands that enumerate classes take the class-size cap
+    class_cap = argparse.ArgumentParser(add_help=False)
+    class_cap.add_argument(
+        "--max-class-size", type=_positive,
+        help="cap on class members; default: words.default_config")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0,
                       help="seed for the randomized sampling")
@@ -67,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="list the group elements")
     p.set_defaults(run=cmd_gen_group)
 
-    p = subs.add_parser("verify-lemmas", parents=[common, caps, seed],
+    p = subs.add_parser("verify-lemmas",
+                        parents=[common, word_cap, class_cap, seed],
                         help="run every lemma oracle")
     p.add_argument("--stepss-extra", type=_int_at_least(-1), default=-1,
                    help="extra length above n for seed words; -1 means n")
@@ -75,13 +80,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="random tails per (element, position) cell")
     p.set_defaults(run=cmd_verify_lemmas)
 
-    p = subs.add_parser("word-eq", parents=[common, caps],
+    p = subs.add_parser("word-eq", parents=[common, word_cap],
                         help="decide equality of two words")
     p.add_argument("w1", help="comma-separated word, e.g. 1,2,3")
     p.add_argument("w2")
     p.set_defaults(run=cmd_word_eq)
 
-    p = subs.add_parser("tup-check", parents=[common, caps],
+    p = subs.add_parser("tup-check", parents=[common, word_cap],
                         help="sweep subset pairs for unique products")
     p.add_argument("--max-len", type=_positive, default=2,
                    help="ground set: canonical words up to this length")
@@ -90,13 +95,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cap on subset pairs checked; 0 means no cap")
     p.set_defaults(run=cmd_tup_check)
 
-    p = subs.add_parser("cancel-sample", parents=[common, caps, seed],
+    p = subs.add_parser("cancel-sample",
+                        parents=[common, word_cap, class_cap, seed],
                         help="sample the cancellation laws")
     p.add_argument("--trials", type=_positive, default=10_000)
     p.add_argument("--max-len", type=_positive, default=12)
     p.set_defaults(run=cmd_cancel_sample)
 
-    p = subs.add_parser("zero-divisor", parents=[common, caps, seed],
+    p = subs.add_parser("zero-divisor", parents=[common, word_cap, seed],
                         help="search for vanishing products")
     p.add_argument("--p", type=_positive, default=2, help="prime modulus")
     p.add_argument("--trials", type=_positive, default=10_000)
@@ -108,9 +114,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _caps(args, n: int) -> RewriteConfig:
-    """default_config(n), overridden by the caps set on the command line."""
+    """default_config(n), overridden by the caps set on the command line
+    (the class-size cap only where the subcommand registers it)."""
     cfg = default_config(n)
-    return RewriteConfig(args.max_class_size or cfg.max_class_size,
+    return RewriteConfig(getattr(args, "max_class_size", None)
+                         or cfg.max_class_size,
                          args.max_word_length or cfg.max_word_length)
 
 

@@ -129,18 +129,27 @@ def _closure(w: Word, g: GroupTable, cfg: RewriteConfig,
     """BFS closure of {w} under window rewrites.
 
     Stops early (second item True) as soon as `target` shows up.
+
+    Each window orbit is expanded once: a frontier word carries the
+    1-based position of the rewrite that made it (0 for w), and expanding
+    it skips that position, since its parent's loop there already put every
+    word with the same head and tail in `seen`.  The skip adds and drops no
+    word, so the members, their insertion order, the `target` exit and the
+    member count at which the cap trips are those of the plain BFS.
     """
     n = g.n
     _check_length(w, cfg)
     if target is not None and w == target:
         return {w}, True
     seen: set[Word] = {w}
-    frontier = [w]
+    frontier = [(w, 0)]
     elements = g.elements
     while frontier:
         nxt = []
-        for word in frontier:
+        for word, made_at in frontier:
             for pos, win in find_relation_factors(word, g):
+                if pos == made_at:
+                    continue
                 head, tail = word[:pos - 1], word[pos - 1 + n:]
                 for repl in elements:
                     if repl == win:
@@ -155,7 +164,7 @@ def _closure(w: Word, g: GroupTable, cfg: RewriteConfig,
                             f"{cfg.max_class_size} members")
                     if target is not None and new == target:
                         return seen, True
-                    nxt.append(new)
+                    nxt.append((new, pos))
         frontier = nxt
     return seen, False
 

@@ -213,7 +213,11 @@ def test_rejects_unknown_command():
 @pytest.mark.parametrize("argv", [
     ["gen-group", "--seed", "1"], ["gen-group", "--max-class-size", "5"],
     ["gen-group", "--max-word-length", "5"],
-    ["word-eq", "--seed", "1", "1", "1"], ["tup-check", "--seed", "1"]])
+    ["word-eq", "--seed", "1", "1", "1"], ["tup-check", "--seed", "1"],
+    # only verify-lemmas and cancel-sample enumerate classes
+    ["word-eq", "--max-class-size", "5", "1", "1"],
+    ["tup-check", "--max-class-size", "5"],
+    ["zero-divisor", "--max-class-size", "5"]])
 def test_rejects_flags_the_subcommand_does_not_read(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv[:1] + ["--k", "2"] + argv[1:])

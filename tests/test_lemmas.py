@@ -95,6 +95,21 @@ def test_step3_reports_draws():
         assert r.stats["instances"] <= r.stats["draws"]
 
 
+def test_sampled_coverage_at_k8():
+    # the classes the k=8 suite enumerates, pinned: a faster class closure
+    # must visit the same members
+    g = generate_group(QuaternionConfig(8))
+    reports = run_lemma_suite(g, default_config(g.n), step3_samples=1,
+                              rng=random.Random(0))
+    stats = {r.lemma_id.value: r.stats for r in reports}
+    assert stats["Stepss"] == {"classes": 134, "pairs": 136772,
+                               "condition_counts": [132928, 1922, 1922]}
+    assert stats["Step3"] == {"draws": 992, "instances": 992,
+                              "members_checked": 17050}
+    assert stats["SymStep3"] == {"draws": 992, "instances": 992,
+                                 "members_checked": 16554}
+
+
 def test_symmetric_analogs_order_and_pass(g3, cfg3):
     reports = run_lemma_suite(g3, cfg3, step3_samples=50,
                               rng=random.Random(3))[6:]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -153,6 +154,83 @@ def test_class_matches_naive_closure(g2, g3, cfg2, cfg3):
             assert members == frozenset(naive_class(w, g))
             sizes.append(len(members))
     assert max(sizes) > 100
+
+
+PLANTED = ["cyclic8", "dihedral8", "poisoned8", "two_element8"]
+
+
+@pytest.mark.parametrize("table", PLANTED)
+def test_class_matches_naive_closure_on_the_planted_tables(request, table,
+                                                           cfg2):
+    # uncertified tables, some with overlapping windows; a cap one below
+    # the class size trips
+    g = request.getfixturevalue(table)
+    rng = random.Random(5)
+    cases = [seeded_word(rng, g, rng.randint(8, 12)) for _ in range(12)]
+    cases += [chained_word(rng, g, 2, 2) for _ in range(4)]
+    for w in cases:
+        members = class_of(w, g, cfg2).members
+        assert members == frozenset(naive_class(w, g))
+        if len(members) > 1:
+            with pytest.raises(ClassTooLarge):
+                class_of(w, g, RewriteConfig(len(members) - 1, 24))
+
+
+@pytest.mark.parametrize("table", PLANTED)
+def test_words_equal_matches_naive_closure_on_the_planted_tables(request,
+                                                                 table, cfg2):
+    # uncertified, so words_equal runs the closure and stops at w2
+    g = request.getfixturevalue(table)
+    rng = random.Random(6)
+    verdicts = set()
+    for _ in range(40):
+        w1 = seeded_word(rng, g, rng.randint(8, 12), p_window=1.0)
+        v = list(w1)
+        i = rng.randrange(len(v) - 1)
+        v[i], v[i + 1] = v[i + 1], v[i]
+        for w2 in (tuple(v), random_member(rng, class_of(w1, g, cfg2))):
+            equal = words_equal(w1, w2, g, cfg2)
+            assert equal == (w2 in naive_class(w1, g))
+            verdicts.add(equal)
+    assert verdicts == {True, False}
+
+
+class CountingTuple(tuple):
+    """A tuple that counts the loops run over it."""
+
+    loops = 0
+
+    def __iter__(self):
+        CountingTuple.loops += 1
+        return super().__iter__()
+
+
+# (k, m, size, orbit expansions): the class of m identity windows in a row,
+# each a window orbit of its own, so the class has n^m members
+DISJOINT_WINDOWS = [(8, 1, 32, 1), (3, 2, 144, 145), (2, 3, 512, 1025)]
+
+
+@pytest.mark.parametrize("k, m, size, loops", DISJOINT_WINDOWS)
+def test_closure_expands_each_window_orbit_once(k, m, size, loops):
+    # a word made by a rewrite at p has all of p's orbit in the class
+    # already, so the closure loops over the table once per orbit
+    g = generate_group(QuaternionConfig(k))
+    counted = dataclasses.replace(g, elements=CountingTuple(g.elements))
+    counted.index  # build the index before counting
+    CountingTuple.loops = 0
+    w = tuple(range(1, g.n + 1)) * m
+    assert len(class_of(w, counted, default_config(g.n)).members) == size
+    assert CountingTuple.loops == loops
+
+
+@pytest.mark.parametrize("k, m, size",
+                         [case[:3] for case in DISJOINT_WINDOWS])
+def test_class_size_cap_trips_one_member_past_the_cap(k, m, size):
+    g = generate_group(QuaternionConfig(k))
+    w = tuple(range(1, g.n + 1)) * m
+    assert len(class_of(w, g, RewriteConfig(size, len(w))).members) == size
+    with pytest.raises(ClassTooLarge, match=f"exceeded {size - 1} members"):
+        class_of(w, g, RewriteConfig(size - 1, len(w)))
 
 
 def test_regression_class(g2, cfg2):
