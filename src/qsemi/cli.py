@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stepss-extra", type=_int_at_least(-1), default=-1,
                    help="extra length above n for seed words; -1 means n")
     p.add_argument("--step3-samples", type=_positive, default=1000,
-                   help="random tails per (element, position) cell")
+                   help="tails per (element, position) cell; all 2n+1 when they fit")
     p.set_defaults(run=cmd_verify_lemmas)
 
     p = subs.add_parser("word-eq", parents=[common, word_cap],
@@ -146,8 +146,11 @@ def cmd_verify_lemmas(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
     ok = all(r.passed for r in reports) and all(checks.values())
     lines = []
     for r in reports:
-        lines.append(f"{r.lemma_id.value:<16} k={r.k}  "
-                     f"{'PASS' if r.passed else 'FAIL'}")
+        verdict = "PASS" if r.passed else "FAIL"
+        covered, family = r.stats.get("covered", 0), r.stats.get("family", 0)
+        if r.passed and covered < family:
+            verdict += f" over {covered} of {family} tails (--step3-samples)"
+        lines.append(f"{r.lemma_id.value:<16} k={r.k}  {verdict}")
         if not r.passed:
             lines.append(f"  counterexample: {r.counterexample}")
     for name, value in checks.items():

@@ -11,7 +11,7 @@ range decided.
 The second group (Stepss, Step3) is empirical: it enumerates members of
 actual congruence classes and confirms the forced prefix shapes of
 equivalent words within a radius, so it is evidence, not proof.  Stepss
-decides every pair of the classes it builds; Step3 samples its seeds.
+decides every pair of the classes it builds; Step3 an exact tail family.
 
 The mirror-image oracles (SymNotPossible, SymMaxOne, SymOverlapp, SymStep3)
 state the same lemmas read right to left.  Each is its forward oracle run on
@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
-from .perms import Perm
+from .perms import Perm, compose, inverse
 from .quaternion import GroupTable
 from .words import RewriteConfig, Word, class_of, format_word
 
@@ -278,54 +278,51 @@ def _stepss_failure(g: GroupTable, members: list[Word], classes: int,
                 stats={"classes": classes, "pairs": pairs})
 
 
-def _step3_tail(g: GroupTable, cands: list[int], rng: random.Random) -> Word:
-    """Half the time, a tail that completes a window one letter into the
-    kept prefix (so rewrites actually fire), then at most one more letter;
-    otherwise up to n uniform letters.  `cands` are the windows that start
-    with the prefix's last letter."""
-    n = g.n
-    if rng.random() < 0.5 and cands:
-        lam = g.elements[cands[rng.randrange(len(cands))]]
-        return lam[1:] + tuple(rng.randint(1, n) for _ in range(rng.randint(0, 1)))
-    return tuple(rng.randint(1, n) for _ in range(rng.randint(0, n)))
+def _step3_tails(g: GroupTable, t: Perm) -> list[Word]:
+    """lambda(2..n) x for each window lambda with lambda(1) = t(n) and each x
+    of at most one letter, then every window: the only tails v up to length
+    n that let t(i+1..n) v hold a window, as MaxOne bars longer overlaps."""
+    xs = [()] + [(a,) for a in range(1, g.n + 1)]
+    return list(dict.fromkeys([g.elements[li][1:] + x for li in
+                               g.windows_at(t[-1:], 1) for x in xs] + list(g.elements)))
 
 
-def verify_step3(g: GroupTable, cfg: RewriteConfig,
-                 samples: int = 1000,
+def _relabelling_is_closed(g: GroupTable) -> bool:
+    """Whether the elements are permutations and relabelling letters by
+    s o t0^-1 (s any element, t0 the first) maps windows to windows; it then
+    carries Step3's cell (t0, i), its tails, classes and checks onto (s, i)."""
+    if any(sorted(e) != list(range(1, g.n + 1)) for e in g.elements):
+        return False
+    pis = [compose(s, inverse(g.elements[0])) for s in g.elements]
+    return all(compose(pi, e) in g.index for pi in pis for e in g.elements)
+
+
+def verify_step3(g: GroupTable, cfg: RewriteConfig, samples: int = 1000,
                  rng: random.Random | None = None) -> LemmaReport:
-    """Every member of the class of t(i+1..n) w2 either keeps that exact
-    prefix or replaces its last letter by a fresh window prefix of length
-    n-1.  `samples` random tails are drawn per (element, i) cell, `draws` in
-    all; a repeated draw is skipped, so `instances` counts distinct words."""
-    n = g.n
+    """Every member of the class of t(i+1..n) v keeps that exact prefix or
+    replaces its last letter by a fresh window prefix of length n-1.  Each
+    (element, i) cell takes `samples` of its `_step3_tails`, all if they fit;
+    on a closed table t0's cells alone run, and count for their orbits."""
     rng = rng if rng is not None else random.Random(0)
-    draws = 0
-    instances = 0
-    members_checked = 0
-    for ti, t in enumerate(g.elements):
-        cands = g.windows_at(t[n - 1:], 1)
-        for i in range(1, n):
-            seen: set[Word] = set()
-            for _ in range(samples):
-                w = t[i:] + _step3_tail(g, cands, rng)
-                draws += 1
-                if w in seen:
-                    continue
-                seen.add(w)
-                instances += 1
-                cls = class_of(w, g, cfg)
-                for w1 in cls.members:
-                    members_checked += 1
+    orbit = len(g) if _relabelling_is_closed(g) else 1
+    cells = [(ti, t, _step3_tails(g, t))
+             for ti, t in enumerate(g.elements[:1] if orbit > 1 else g.elements)]
+    stats = {"family": orbit * (g.n - 1) * sum(len(c[2]) for c in cells),
+             "covered": 0, "members_checked": 0}
+    for ti, t, tails in cells:
+        for i in range(1, g.n):
+            for v in tails if len(tails) <= samples else rng.sample(tails, samples):
+                w = t[i:] + v
+                stats["covered"] += orbit
+                for w1 in class_of(w, g, cfg).members:
+                    stats["members_checked"] += 1
                     reason = _step3_member_check(g, t, i, w1)
                     if reason is not None:
                         return LemmaReport(LemmaId.STEP3, g.k, False, counterexample={
                             "w1": format_word(w1), "reason": reason,
                             "tau": g.label_name(ti), "i": i, "seed": format_word(w)},
-                            stats={"draws": draws, "instances": instances,
-                                   "members_checked": members_checked})
-    return LemmaReport(LemmaId.STEP3, g.k, True,
-                       stats={"draws": draws, "instances": instances,
-                              "members_checked": members_checked})
+                            stats=stats)
+    return LemmaReport(LemmaId.STEP3, g.k, True, stats=stats)
 
 
 def _step3_member_check(g: GroupTable, t: Perm, i: int,

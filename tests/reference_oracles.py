@@ -1,8 +1,10 @@
 """Reference models that the package is tested against.
 
-- Brute-force scans of the four forward window lemmas, of the overlap bound
-  and of Stepss: the slow reference for the pair-index and counting oracles
-  in `qsemi.lemmas`.  Each lemma scan walks its quantifier range in the
+- Brute-force scans of the four forward window lemmas, of the overlap bound,
+  of Stepss and of Step3 over every cell: the slow reference for the
+  pair-index, counting and orbit-cut oracles in `qsemi.lemmas`.
+- `naive_class`, congruence classes by brute slice comparison, the
+  reference for `words.class_of`.  Each lemma scan walks its quantifier range in the
   order of the statement and returns `(holds, instances, unsatisfiable)`.
   It stops at the first violation, so the two counts are the size of the
   whole range only when the lemma holds.
@@ -140,6 +142,47 @@ def stepss(g, cfg, max_extra=None, rng=None):
                     return False, pairs, counts
                 counts[0 if c1 and c2 else 1 if c1 else 2] += 1
     return True, pairs, counts
+
+
+def naive_class(w, g, rounds=50):
+    """Fixed-point closure by brute slice comparison, no index lookups."""
+    members = {w}
+    n = g.n
+    for _ in range(rounds):
+        new = set()
+        for word in members:
+            for p0 in range(len(word) - n + 1):
+                if word[p0:p0 + n] in g.elements:
+                    for repl in g.elements:
+                        new.add(word[:p0] + repl + word[p0 + n:])
+        if new <= members:
+            return members
+        members |= new
+    raise AssertionError("no fixed point reached")
+
+
+def step3_every_cell(g):
+    """Step3 over every element t, every i and every tail v of the family
+    (lambda(2..n) x for lambda(1) = t(n) and |x| <= 1, and every window),
+    with no orbit cut: `(holds, members)`, members counting every class
+    member checked.  Stops at the first member of t(i+1..n) v that neither
+    keeps t(i+1..n) nor reads t(i+1..n-1) and then a window prefix."""
+    n = g.n
+    prefixes = {e[:n - 1] for e in g.elements}
+    members = 0
+    for t in g.elements:
+        tails = {lam[1:] + x for lam in g.elements if lam[0] == t[-1]
+                 for x in [()] + [(a,) for a in range(1, n + 1)]}
+        for i in range(1, n):
+            for v in tails | set(g.elements):
+                for w in naive_class(t[i:] + v, g):
+                    members += 1
+                    keeps = w[:n - i] == t[i:]
+                    fresh = (w[:n - 1 - i] == t[i:n - 1]
+                             and w[n - 1 - i:2 * n - 2 - i] in prefixes)
+                    if not (keeps or fresh):
+                        return False, members
+    return True, members
 
 
 def point_of_label(label: Label, k: int) -> int:

@@ -114,6 +114,16 @@ def test_verify_lemmas_text(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_lemmas_text_says_when_step3_samples_cut_the_family(capsys):
+    # like tup-check's --limit: a PASS over part of the tail family says so
+    assert main(["verify-lemmas", "--k", "3", "--step3-samples", "5"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if "Step3" in l]
+    assert [l.split(None, 1)[1] for l in lines] == [
+        "k=3  PASS over 660 of 3300 tails (--step3-samples)"] * 2
+    assert main(["verify-lemmas", "--k", "2"]) == 0
+    assert "tails" not in capsys.readouterr().out
+
+
 def test_tup_check(capsys):
     code, payload = run_json(capsys, ["tup-check", "--k", "2", "--max-len",
                                       "1", "--max-size", "2", "--limit", "0"])

@@ -1,16 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import bench_module
-from qsemi.lemmas import (LemmaId, LemmaReport, default_stepss_seeds,
-                          run_lemma_suite, verify_big, verify_max_one,
-                          verify_not_possible, verify_overlapp, verify_step3,
-                          verify_stepss, verify_sym_max_one,
+from qsemi.lemmas import (LemmaId, LemmaReport, _step3_tails,
+                          default_stepss_seeds, run_lemma_suite, verify_big,
+                          verify_max_one, verify_not_possible, verify_overlapp,
+                          verify_step3, verify_stepss, verify_sym_max_one,
                           verify_sym_not_possible, verify_sym_overlapp,
                           verify_sym_step3)
 from qsemi.quaternion import QuaternionConfig, generate_group
-from qsemi.words import default_config
+from qsemi.words import class_of, default_config
 from reference_oracles import EXHAUSTIVE, stepss
 
 SUITE_ORDER = ["NotPossible", "MaxOne", "Big", "Overlapp", "Stepss", "Step3",
@@ -75,24 +76,49 @@ def test_stepss_seed_words_cover_chained_windows(g2):
 
 
 def test_step3_enumerates_nontrivial_classes(g2, cfg2):
+    # every tail of the family fits 200 samples, so all 56 cells x 17 tails
+    # are decided; the one cell orbit enumerates 7 x 17 classes of 8 words
     r = verify_step3(g2, cfg2, samples=200, rng=random.Random(1))
     assert r.passed
-    assert r.stats["members_checked"] > r.stats["instances"]
+    assert r.stats == {"family": 952, "covered": 952, "members_checked": 952}
+    # Step3 on the mirrored table covers what the hand-written mirror would
     r = verify_sym_step3(g2, cfg2, samples=200, rng=random.Random(2))
     assert r.passed
-    assert r.stats["members_checked"] > r.stats["instances"]
-    # Step3 on the mirrored table draws what the hand-written mirror drew
-    assert r.stats == {"draws": 8 * 7 * 200, "instances": 5121,
-                       "members_checked": 8642}
+    assert r.stats == {"family": 952, "covered": 952, "members_checked": 952}
 
 
-def test_step3_reports_draws():
-    # repeated tails are skipped; the stats must say how many were drawn
-    g = generate_group(QuaternionConfig(8))
-    for verify in (verify_step3, verify_sym_step3):
-        r = verify(g, default_config(g.n), samples=1, rng=random.Random(0))
-        assert r.stats["draws"] == len(g) * (g.n - 1)
-        assert r.stats["instances"] <= r.stats["draws"]
+@pytest.mark.parametrize("k, max_tail, outside, inside",
+                         [(2, 4, 262136, 952), (3, 2, 20724, 3300)])
+def test_step3_tail_family_is_exact(k, max_tail, outside, inside):
+    # over every cell, each short tail outside the family leaves the seed
+    # alone in its class, and each tail inside it gives a larger class
+    g = generate_group(QuaternionConfig(k))
+    cfg, n = default_config(g.n), g.n
+    short = [v for m in range(max_tail + 1)
+             for v in itertools.product(range(1, n + 1), repeat=m)]
+    counts = [0, 0]
+    for t in g.elements:
+        family = _step3_tails(g, t)
+        assert len(family) == 2 * n + 1
+        for i in range(1, n):
+            for v in [v for v in short if v not in family] + family:
+                size = len(class_of(t[i:] + v, g, cfg).members)
+                assert (size > 1) == (v in family), (t, i, v)
+                counts[size > 1] += 1
+    assert counts == [outside, inside]
+
+
+def test_step3_covers_its_budget(g3, cfg3):
+    # each cell decides min(samples, 2n+1) tails of its family
+    g8 = generate_group(QuaternionConfig(8))
+    for g, cfg, samples in ((g8, default_config(g8.n), 1), (g3, cfg3, 5),
+                            (g3, cfg3, 1000)):
+        for verify in (verify_step3, verify_sym_step3):
+            r = verify(g, cfg, samples=samples, rng=random.Random(0))
+            assert r.passed
+            cells = len(g) * (g.n - 1)
+            assert r.stats["family"] == cells * (2 * g.n + 1)
+            assert r.stats["covered"] == cells * min(samples, 2 * g.n + 1)
 
 
 def test_sampled_coverage_at_k8():
@@ -104,10 +130,10 @@ def test_sampled_coverage_at_k8():
     stats = {r.lemma_id.value: r.stats for r in reports}
     assert stats["Stepss"] == {"classes": 134, "pairs": 136772,
                                "condition_counts": [132928, 1922, 1922]}
-    assert stats["Step3"] == {"draws": 992, "instances": 992,
-                              "members_checked": 17050}
-    assert stats["SymStep3"] == {"draws": 992, "instances": 992,
-                                 "members_checked": 16554}
+    assert stats["Step3"] == {"family": 64480, "covered": 992,
+                              "members_checked": 992}
+    assert stats["SymStep3"] == {"family": 64480, "covered": 992,
+                                 "members_checked": 992}
 
 
 def test_symmetric_analogs_order_and_pass(g3, cfg3):
@@ -150,12 +176,14 @@ def test_cyclic_table_breaks_stepss(cyclic8, cfg2):
     assert r.counterexample["reason"] == "first n-1 letters are not a window prefix"
 
 
-def test_cyclic_table_breaks_step3(cyclic8, cfg2):
-    r = verify_step3(cyclic8, cfg2, samples=5, rng=random.Random(1))
-    assert not r.passed
-    assert "reason" in r.counterexample
-    r = verify_sym_step3(cyclic8, cfg2, samples=5, rng=random.Random(1))
-    assert not r.passed
+def test_cyclic_table_breaks_step3(cyclic8, dihedral8, cfg2):
+    for g in (cyclic8, dihedral8):
+        for samples in (5, 1000):
+            r = verify_step3(g, cfg2, samples=samples, rng=random.Random(1))
+            assert not r.passed
+            assert "reason" in r.counterexample
+            r = verify_sym_step3(g, cfg2, samples=samples, rng=random.Random(1))
+            assert not r.passed
 
 
 def test_dihedral_table_breaks_window_lemmas(dihedral8):

@@ -9,7 +9,8 @@ from conftest import bare_table, bench_module
 from qsemi.lemmas import verify_step3, verify_stepss, verify_sym_step3
 from qsemi.quaternion import QuaternionConfig, generate_group
 from qsemi.words import class_of, default_config, parse_word
-from reference_oracles import EXHAUSTIVE, FORWARD, reversed_table, stepss
+from reference_oracles import (EXHAUSTIVE, FORWARD, reversed_table,
+                               step3_every_cell, stepss)
 
 SYM = {"SymNotPossible": "NotPossible", "SymMaxOne": "MaxOne",
        "SymOverlapp": "Overlapp"}
@@ -199,6 +200,26 @@ def test_stepss_matches_reference(planted, cfg2):
                        "both words break their window at letter n"}
     assert [verify_stepss(g, cfg2).passed for g in planted] == [
         False, False, True, True]
+
+
+def test_step3_orbit_cut_matches_every_cell(planted):
+    # the reference walks every cell; the orbit cut runs one element's cells,
+    # each standing for len(g), so on a passing table members_checked times
+    # the orbit is the reference's member count (poisoned8 is not closed
+    # under relabelling, so every cell runs); None marks a failing table
+    cases = [(REAL[2], 8, 7616), (REAL[3], 12, 39600), (REAL[4], 16, 126720),
+             *zip(planted, (8, 8, 1, 2), (None, None, 7616, 56))]
+    for g, orbit, members in cases:
+        cfg = default_config(g.n)
+        for verify, table in ((verify_step3, g),
+                              (verify_sym_step3, reversed_table(g))):
+            holds, count = step3_every_cell(table)
+            r = verify(g, cfg)
+            assert (r.passed, holds) == (members is not None,) * 2, g.elements
+            if holds:
+                assert count == members
+                assert r.stats["members_checked"] * orbit == count
+                assert r.stats["covered"] == r.stats["family"]
 
 
 def test_sampled_counterexamples_hold_in_original_coordinates(cyclic8, cfg2):

@@ -16,7 +16,7 @@ from qsemi.words import (RewriteConfig, canonical_form, canonicalizer,
                          parse_word, random_member, random_word, rewrite_step,
                          seeded_word, words_equal)
 from conftest import bare_table
-from reference_oracles import overlap_bound
+from reference_oracles import naive_class, overlap_bound
 
 # 15 letters with windows at positions 1 (identity) and 8 (t^3 u)
 REGRESSION_WORD = (1, 2, 3, 4, 5, 6, 7, 8, 7, 6, 5, 2, 1, 4, 3)
@@ -26,23 +26,6 @@ REGRESSION_CANON = (1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 4, 5, 6, 7, 8)
 # the window system oriented toward the identity is not confluent
 STUCK_WORD = (5, 8, 7, 6, 3, 2, 1, 1, 2, 3, 4, 5, 6, 7, 8)
 STUCK_CANON = (1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 8, 5, 6, 7)
-
-
-def naive_class(w, g, rounds=50):
-    """Fixed-point closure by brute slice comparison, no index lookups."""
-    members = {w}
-    n = g.n
-    for _ in range(rounds):
-        new = set()
-        for word in members:
-            for p0 in range(len(word) - n + 1):
-                if word[p0:p0 + n] in g.elements:
-                    for repl in g.elements:
-                        new.add(word[:p0] + repl + word[p0 + n:])
-        if new <= members:
-            return members
-        members |= new
-    raise AssertionError("no fixed point reached")
 
 
 def test_parse_and_format():
