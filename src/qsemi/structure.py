@@ -7,24 +7,29 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .quaternion import GroupTable
-from .words import (Canon, RewriteConfig, Word, canonicalizer,
+from .words import (RewriteConfig, Word, canonicalizer,
                     check_product_length, class_of, format_word, random_member,
                     seeded_word, words_equal)
 
 
-def product_report(C: Sequence[Word], D: Sequence[Word], canon: Canon) -> int:
+def product_report(C: Sequence[int], D: Sequence[int],
+                   product: Sequence[Sequence[int]]) -> int:
     """The number of products c d, c in C and d in D, that no other pair
-    of C x D presents."""
-    counts: dict[Word, int] = {}
+    of C x D presents; C and D index the reps, product[c][d] interns c d."""
+    seen: set[int] = set()
+    repeated: set[int] = set()
     for c in C:
         for d in D:
-            w = canon(c + d)
-            assert len(w) == len(c) + len(d)  # relations preserve length
-            counts[w] = counts.get(w, 0) + 1
-    return sum(1 for fibre in counts.values() if fibre == 1)
+            p = product[c][d]
+            if p in seen:
+                repeated.add(p)
+            else:
+                seen.add(p)
+    return len(seen) - len(repeated)
 
 
 def canonical_ground_set(g: GroupTable, cfg: RewriteConfig,
@@ -44,17 +49,20 @@ def canonical_ground_set(g: GroupTable, cfg: RewriteConfig,
 def subsets_colex(m: int, max_size: int) -> Iterator[tuple[int, ...]]:
     """Nonempty subsets of range(m) with at most max_size members, by size
     and then in colexicographic order, so a failure index is reproducible."""
+    smaller: list[tuple[int, ...]] = [()]
     for size in range(1, max_size + 1):
-        yield from sorted(itertools.combinations(range(m), size),
-                          key=lambda s: s[::-1])
+        # the colex order of the subsets of range(top) is a prefix of that of
+        # range(m), so each subset is a smaller one with a new largest member
+        smaller = [rest + (top,) for top in range(m)
+                   for rest in itertools.islice(smaller, comb(top, size - 1))]
+        yield from smaller
 
 
 def subset_specs_over(reps: Sequence[Word], max_size: int
-                      ) -> Iterator[tuple[tuple[Word, ...], tuple[Word, ...]]]:
-    """Subset pairs (C, D) over `reps` with |C| + |D| > 2, C-major in the
-    order of `subsets_colex`."""
-    sides = [tuple(reps[i] for i in idx)
-             for idx in subsets_colex(len(reps), max_size)]
+                      ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Subset pairs (C, D) of indices into `reps` with |C| + |D| > 2,
+    C-major in the order of `subsets_colex`."""
+    sides = list(subsets_colex(len(reps), max_size))
     for C in sides:
         for D in sides:
             if len(C) + len(D) > 2:
@@ -71,13 +79,19 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
     True when the cap stopped the sweep with specs left."""
     t0 = time.perf_counter()
     canon = canonicalizer(g, cfg)
-    seen: set[Word] = set()
-    for r in reps:
+    for i, r in enumerate(reps):
         if canon(r) != r:
             raise ValueError(f"rep {format_word(r)} is not its canonical form")
-        if r in seen:
+        if reps.index(r) != i:
             raise ValueError(f"rep {format_word(r)} repeats an earlier rep")
-        seen.add(r)
+    ids: dict[Word, int] = {}
+
+    def intern(c: Word, d: Word) -> int:
+        w = canon(c + d)
+        assert len(w) == len(c) + len(d)  # relations preserve length
+        return ids.setdefault(w, len(ids))
+
+    product = [[intern(c, d) for d in reps] for c in reps]
     checked = 0
     capped = False
     min_unique: int | None = None
@@ -87,13 +101,13 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
             capped = True
             break
         checked += 1
-        unique = product_report(C, D, canon)
+        unique = product_report(C, D, product)
         if min_unique is None or unique < min_unique:
             min_unique = unique
         if unique < 2:
             failure = {
-                "C": [format_word(w) for w in C],
-                "D": [format_word(w) for w in D],
+                "C": [format_word(reps[i]) for i in C],
+                "D": [format_word(reps[i]) for i in D],
                 "unique_count": unique,
                 "spec_index": checked - 1,
             }

@@ -377,17 +377,8 @@ def canonical_form(w: Word, g: GroupTable, cfg: RewriteConfig) -> Word:
 
 
 def canonicalizer(g: GroupTable, cfg: RewriteConfig) -> Canon:
-    """Memoizing wrapper around canonical_form."""
-    memo: dict[Word, Word] = {}
-
-    def canon(w: Word) -> Word:
-        r = memo.get(w)
-        if r is None:
-            r = canonical_form(w, g, cfg)
-            memo[w] = r
-        return r
-
-    return canon
+    """canonical_form bound to (g, cfg), looked up at each call."""
+    return lambda w: canonical_form(w, g, cfg)
 
 
 def random_word(rng: random.Random, n_letters: int, length: int) -> Word:

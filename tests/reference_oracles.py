@@ -4,7 +4,9 @@
   of Stepss and of Step3 over every cell: the slow reference for the
   pair-index, counting and orbit-cut oracles in `qsemi.lemmas`.
 - `naive_class`, congruence classes by brute slice comparison, the
-  reference for `words.class_of`.  Each lemma scan walks its quantifier range in the
+  reference for `words.class_of`, and `tup_sweep`, the two unique products
+  sweep by pairwise class membership, the reference for
+  `structure.run_tup_sweep`.  Each lemma scan walks its quantifier range in the
   order of the statement and returns `(holds, instances, unsatisfiable)`.
   It stops at the first violation, so the two counts are the size of the
   whole range only when the lemma holds.
@@ -15,6 +17,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from qsemi.algebra import AlgebraElement
@@ -23,7 +26,7 @@ from qsemi.lemmas import (default_stepss_seeds, verify_big, verify_max_one,
                           verify_sym_max_one, verify_sym_not_possible,
                           verify_sym_overlapp)
 from qsemi.quaternion import GroupTable, Label
-from qsemi.words import class_of
+from qsemi.words import class_of, format_word
 
 # the oracles that scan their whole quantifier range, in suite order
 EXHAUSTIVE = (verify_not_possible, verify_max_one, verify_big,
@@ -159,6 +162,47 @@ def naive_class(w, g, rounds=50):
             return members
         members |= new
     raise AssertionError("no fixed point reached")
+
+
+def tup_sweep(g, cfg, reps, max_size, limit=None):
+    """Every subset pair (C, D) of `reps` with |C| + |D| > 2, C-major, each
+    side by size and then sorted by its reversed index tuple (colex).  A
+    product c d counts as unique when its class holds no other product of
+    C x D.  Stops at `limit` specs or at the first with fewer than two:
+    `(specs_checked, min_unique, failure)`, failure as `run_tup_sweep`
+    reports it.  Products must fit cfg's word-length cap, as they must to
+    be canonicalized."""
+    sides = [s for size in range(1, max_size + 1)
+             for s in sorted(itertools.combinations(range(len(reps)), size),
+                             key=lambda s: s[::-1])]
+    classes = {}
+    checked, min_unique = 0, None
+    for C in sides:
+        for D in sides:
+            if len(C) + len(D) <= 2:
+                continue
+            if limit is not None and checked >= limit:
+                return checked, min_unique, None
+            checked += 1
+            products = [reps[c] + reps[d] for c in C for d in D]
+            assert all(len(w) <= cfg.max_word_length for w in products)
+            unique = 0
+            for i, w in enumerate(products):
+                if w not in classes:
+                    classes[w] = naive_class(w, g)
+                if not any(v in classes[w] for j, v in enumerate(products)
+                           if j != i):
+                    unique += 1
+            if min_unique is None or unique < min_unique:
+                min_unique = unique
+            if unique < 2:
+                return checked, min_unique, {
+                    "C": [format_word(reps[c]) for c in C],
+                    "D": [format_word(reps[d]) for d in D],
+                    "unique_count": unique,
+                    "spec_index": checked - 1,
+                }
+    return checked, min_unique, None
 
 
 def step3_every_cell(g):

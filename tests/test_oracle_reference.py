@@ -8,9 +8,10 @@ import pytest
 from conftest import bare_table, bench_module
 from qsemi.lemmas import verify_step3, verify_stepss, verify_sym_step3
 from qsemi.quaternion import QuaternionConfig, generate_group
+from qsemi.structure import canonical_ground_set, run_tup_sweep
 from qsemi.words import class_of, default_config, parse_word
 from reference_oracles import (EXHAUSTIVE, FORWARD, reversed_table,
-                               step3_every_cell, stepss)
+                               step3_every_cell, stepss, tup_sweep)
 
 SYM = {"SymNotPossible": "NotPossible", "SymMaxOne": "MaxOne",
        "SymOverlapp": "Overlapp"}
@@ -220,6 +221,31 @@ def test_step3_orbit_cut_matches_every_cell(planted):
                 assert count == members
                 assert r.stats["members_checked"] * orbit == count
                 assert r.stats["covered"] == r.stats["family"]
+
+
+@pytest.mark.parametrize("case", ["short", "short-limit", "halves",
+                                  "two_element8", "two_element8-interleaved"])
+def test_tup_sweep_matches_reference(case, cfg2, two_element8):
+    g = REAL[2]
+    halves = sorted({e[:4] for e in g.elements} | {e[4:] for e in g.elements})
+    table, reps, max_size, limit = {
+        # 1,944 specs, every product shorter than a window
+        "short": (g, canonical_ground_set(g, cfg2, 1), 2, None),
+        "short-limit": (g, canonical_ground_set(g, cfg2, 1), 2, 500),
+        # 18,240 specs whose products are full windows, which merge
+        "halves": (g, halves, 2, None),
+        "two_element8": (two_element8, [(1, 2), (2, 1), (3, 4, 5, 6, 7, 8)],
+                         3, None),
+        # the failing C is (1, 3), 5th of the pairs in colex and 6th in lex
+        "two_element8-interleaved": (
+            two_element8, [(3,), (1, 2), (4,), (2, 1), (3, 4, 5, 6, 7, 8)],
+            3, None),
+    }[case]
+    summary, failure = run_tup_sweep(table, cfg2, reps, max_size, limit=limit)
+    assert (summary["specs_checked"], summary["min_unique_count"], failure) \
+        == tup_sweep(table, cfg2, reps, max_size, limit=limit)
+    if case == "two_element8":
+        assert failure["spec_index"] == 14
 
 
 def test_sampled_counterexamples_hold_in_original_coordinates(cyclic8, cfg2):

@@ -1,26 +1,43 @@
+import itertools
 import random
 
 import pytest
 
+from qsemi import structure, words
 from qsemi.structure import (canonical_ground_set, cancellation_report,
                              product_report, run_tup_sweep, subset_specs_over,
                              subsets_colex)
-from qsemi.words import canonicalizer, class_of, seeded_word, words_equal
+from qsemi.words import (canonical_form, canonicalizer, class_of, seeded_word,
+                         words_equal)
 
 # both halves of the identity window against both halves shifted by one
 C_HALVES = ((1, 2, 3, 4), (2, 3, 4, 1))
 D_HALVES = ((5, 6, 7, 8), (6, 7, 8, 5))
 
 
+def _interned(reps, canon):
+    """The table `run_tup_sweep` builds: product[i][j] is the id of the
+    canonical form of reps[i] + reps[j], ids in order of first appearance."""
+    ids = {}
+    return [[ids.setdefault(canon(c + d), len(ids)) for d in reps]
+            for c in reps]
+
+
 def test_product_report_hand_example(g2, cfg2):
     canon = canonicalizer(g2, cfg2)
     # shorter than n: canonical
-    assert product_report(C_HALVES, D_HALVES, canon) == 2
+    reps = C_HALVES + D_HALVES
+    C, D = (0, 1), (2, 3)
+    product = _interned(reps, canon)
+    assert product_report(C, D, product) == 2
     # (1,2,3,4)+(5,6,7,8) spells the identity window and (2,3,4,1)+(6,7,8,5)
     # spells t, so those two products merge; the cross products stay apart
-    products = [canon(c + d) for c in C_HALVES for d in D_HALVES]
-    assert products[0] == products[3] == tuple(range(1, 9))
-    assert len(set(products)) == 3
+    assert canon(reps[0] + reps[2]) == tuple(range(1, 9))
+    assert product[0][2] == product[1][3]
+    assert len({product[c][d] for c in C for d in D}) == 3
+    # an id met three times is no more unique than one met twice
+    assert product_report((0, 1), (0, 1), [[0, 0], [0, 1]]) == 1
+    assert product_report((0, 1, 2), (0,), [[5], [6], [7]]) == 3
 
 
 def test_product_report_agrees_with_pairwise_equality(g2, cfg2):
@@ -34,7 +51,10 @@ def test_product_report_agrees_with_pairwise_equality(g2, cfg2):
         unique = sum(
             1 for w in raw
             if sum(words_equal(w, v, g2, cfg2) for v in raw) == 1)
-        assert product_report(C, D, canon) == unique
+        reps = sorted(set(C) | set(D))
+        product = _interned(reps, canon)
+        assert product_report(tuple(map(reps.index, C)),
+                              tuple(map(reps.index, D)), product) == unique
 
 
 def test_subsets_colex():
@@ -47,6 +67,13 @@ def test_subsets_colex():
     triples = list(subsets_colex(6, 3))[6 + 15:]
     assert triples[:5] == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4)]
     assert len(triples) == 20 and triples[-1] == (3, 4, 5)
+    # the definition: each size in turn, sorted by the reversed tuple
+    for m in (1, 2, 5, 16, 30):
+        for max_size in (1, 2, 3):
+            want = [s for size in range(1, max_size + 1)
+                    for s in sorted(itertools.combinations(range(m), size),
+                                    key=lambda s: s[::-1])]
+            assert list(subsets_colex(m, max_size)) == want
 
 
 def test_subset_specs_over_counts():
@@ -54,8 +81,10 @@ def test_subset_specs_over_counts():
     specs = list(subset_specs_over(reps, 2))
     # 10 subsets a side, minus the 16 pairs of two singletons
     assert len(specs) == 10 * 10 - 4 * 4
-    assert specs[0] == (((1,),), ((1,), (2,)))
+    # sides are index tuples into reps
+    assert specs[0] == ((0,), (0, 1))
     assert all(len(C) + len(D) > 2 for C, D in specs)
+    assert {i for C, D in specs for i in C + D} == {0, 1, 2, 3}
 
 
 def test_canonical_ground_set(g2, cfg2):
@@ -98,6 +127,33 @@ def test_run_tup_sweep_detects_planted_failure(two_element8, cfg2):
     assert summary["specs_checked"] == failure["spec_index"] + 1
     assert summary["min_unique_count"] == 0
     assert summary["capped"] is False  # stopped by the failure, not a cap
+
+
+def test_run_tup_sweep_canonicalizes_each_product_once(g2, cfg2,
+                                                      monkeypatch):
+    calls = []
+
+    def counting(w, g, cfg):
+        calls.append(w)
+        return canonical_form(w, g, cfg)
+
+    monkeypatch.setattr(words, "canonical_form", counting)
+    halves = sorted({e[:4] for e in g2.elements} | {e[4:] for e in g2.elements})
+    summary, failure = run_tup_sweep(g2, cfg2, halves, 2, limit=1000)
+    assert failure is None and summary["specs_checked"] == 1000
+    # each rep checked once, then the 16 x 16 product table
+    assert len(calls) == 16 + 16 * 16 == 272
+
+
+def test_run_tup_sweep_counts_the_specs_it_is_given(g2, cfg2, monkeypatch):
+    # the benchmark's self-test drops a spec through this module attribute
+    reps = canonical_ground_set(g2, cfg2, 1)
+    summary, _ = run_tup_sweep(g2, cfg2, reps, 2)
+    every = structure.subset_specs_over
+    monkeypatch.setattr(structure, "subset_specs_over",
+                        lambda reps, max_size: list(every(reps, max_size))[:-1])
+    fewer, _ = run_tup_sweep(g2, cfg2, reps, 2)
+    assert fewer["specs_checked"] == summary["specs_checked"] - 1 == 1943
 
 
 def test_run_tup_sweep_rejects_reps_that_are_not_canonical_and_distinct(

@@ -261,19 +261,22 @@ def test_canonical_form(g2, cfg2):
         assert c <= w
 
 
-def test_canonicalizer_caches(g2, cfg2, monkeypatch):
+def test_canonicalizer_reaches_canonical_form_at_every_call(g2, cfg2,
+                                                             monkeypatch):
+    # no memo, and the module attribute is looked up at each call, so a
+    # wrapper installed after the canonicalizer was made still sees it
     computed = []
 
     def counting(w, g, cfg):
         computed.append(w)
         return canonical_form(w, g, cfg)
 
-    monkeypatch.setattr(words, "canonical_form", counting)
     canon = canonicalizer(g2, cfg2)
+    monkeypatch.setattr(words, "canonical_form", counting)
     assert canon(REGRESSION_WORD) == REGRESSION_CANON
     assert canon(REGRESSION_WORD) == REGRESSION_CANON
     assert canon(STUCK_WORD) == STUCK_CANON
-    assert computed == [REGRESSION_WORD, STUCK_WORD]
+    assert computed == [REGRESSION_WORD, REGRESSION_WORD, STUCK_WORD]
 
 
 def test_congruence_respects_concat(g2, cfg2):
