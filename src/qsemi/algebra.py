@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 from .quaternion import GroupTable
 from .words import (Canon, RewriteConfig, Word, canonicalizer,
-                    check_product_length, format_word, seeded_word)
+                    check_product_length, draw, format_word, seeded_word)
 
 
 @functools.cache
@@ -102,8 +102,8 @@ def random_element(rng: random.Random, p: int, canon: Canon,
                    max_support: int) -> AlgebraElement:
     """Random nonzero element; resamples if everything cancels."""
     while True:
-        size = rng.randint(1, max_support)
-        pairs = [(word_sampler(rng), rng.randint(1, p - 1))
+        size = draw(rng, 1, max_support)
+        pairs = [(word_sampler(rng), draw(rng, 1, p - 1))
                  for _ in range(size)]
         x = element_from_pairs(pairs, p, canon)
         if not x.is_zero():
@@ -143,7 +143,7 @@ def zero_divisor_search(g: GroupTable, cfg: RewriteConfig, p: int = 2,
     check_product_length(max_len, cfg)
 
     def sampler(r: random.Random) -> Word:
-        return seeded_word(r, g, r.randint(1, max_len))
+        return seeded_word(r, g, draw(r, 1, max_len))
 
     return zero_divisor_search_with_canon(
         canonicalizer(g, cfg), sampler, p, trials, max_support, rng, progress)

@@ -33,7 +33,8 @@ from typing import Callable
 
 from .perms import Perm, compose, inverse
 from .quaternion import GroupTable
-from .words import RewriteConfig, Word, class_of, format_word
+from .words import (RewriteConfig, Word, class_of, draw, format_word,
+                    random_word)
 
 
 class LemmaId(str, Enum):
@@ -202,15 +203,13 @@ def default_stepss_seeds(g: GroupTable, max_extra: int,
     seeds = []
     for extra in range(max_extra + 1):
         for _ in range(4):
-            e = g.elements[rng.randrange(len(g.elements))]
-            tail = tuple(rng.randint(1, n) for _ in range(extra))
-            seeds.append(e + tail)
+            e = g.elements[draw(rng, 0, len(g.elements) - 1)]
+            seeds.append(e + random_word(rng, n, extra))
         if extra >= n - 1:
-            e = g.elements[rng.randrange(len(g.elements))]
+            e = g.elements[draw(rng, 0, len(g.elements) - 1)]
             nxt = pin1.get(e[n - 1])
             if nxt is not None:
-                pad = tuple(rng.randint(1, n)
-                            for _ in range(extra - (n - 1)))
+                pad = random_word(rng, n, extra - (n - 1))
                 seeds.append(e + nxt[1:] + pad)
     return seeds
 

@@ -12,8 +12,8 @@ from typing import Callable, Iterator, Sequence
 
 from .quaternion import GroupTable
 from .words import (RewriteConfig, Word, canonicalizer,
-                    check_product_length, class_of, format_word, random_member,
-                    seeded_word, words_equal)
+                    check_product_length, class_of, draw, format_word,
+                    random_member, seeded_word, words_equal)
 
 
 def product_report(C: Sequence[int], D: Sequence[int],
@@ -132,13 +132,13 @@ def _sampled_triples(g: GroupTable, cfg: RewriteConfig, trials: int,
     """`trials` random (a, b, c); half the time b is drawn from the class of
     a, so the antecedent is frequently true instead of almost never."""
     for _ in range(trials):
-        la = rng.randint(1, max_len)
+        la = draw(rng, 1, max_len)
         a = seeded_word(rng, g, la)
         if rng.random() < 0.5:
             b = random_member(rng, class_of(a, g, cfg))
         else:
             b = seeded_word(rng, g, la)
-        yield a, b, seeded_word(rng, g, rng.randint(1, max_len))
+        yield a, b, seeded_word(rng, g, draw(rng, 1, max_len))
 
 
 def cancellation_report(g: GroupTable, cfg: RewriteConfig, trials: int,

@@ -15,16 +15,22 @@ replace a factor by a lexicographically smaller one of the same class:
   m >= 1, becomes (1..n) e[2..n] c^(m-1), where e(1) = s(n) and
   c = f[2..n] with f(1) = n.
 
-`normal_form` applies them in one left-to-right scan, which after each
+`_Rules.rewrite` applies them in one left-to-right scan, which after each
 rewrite backs up over the whole run of 1..n-1 blocks to its left.  Its
 result is the lex-least member of the class when the table passes a
 completeness certificate (`_certify`): the table contains the identity, its
 elements are permutations, each letter starts exactly one of them, and
 every critical pair of the rules with m <= 3 joins.  The certificate is
 computed on the first canonical form a table needs and kept per table
-content.  `canonical_form` and `words_equal` rewrite on certified tables
-and enumerate the class by breadth-first closure (`_closure`) on any other;
-`class_of`, which needs every member, always enumerates.
+content.  `canonical_form` and `words_equal` look the rules up once per
+call and rewrite with them on certified tables, and enumerate the class by
+breadth-first closure (`_closure`) on any other; `class_of`, which needs
+every member, always enumerates.  The tests keep the bare rewrite as
+`normal_form`, their reference.
+
+The samplers draw each integer with `draw`, which makes exactly the
+`getrandbits` calls `random.Random.randint` makes, so a seed gives the
+same words as it did through `randint` and `randrange`.
 """
 
 from __future__ import annotations
@@ -339,16 +345,6 @@ def _certified_rules(g: GroupTable) -> _Rules | None:
         return rules
 
 
-def normal_form(w: Word, g: GroupTable) -> Word:
-    """The irreducible form of w under the certified rules of g, which is
-    the lex-least member of its class.  ValueError when g fails the
-    certificate."""
-    rules = _certified_rules(g)
-    if rules is None:
-        raise ValueError("the table's rewriting system is not certified complete")
-    return rules.rewrite(w)
-
-
 def words_equal(w1: Word, w2: Word, g: GroupTable, cfg: RewriteConfig) -> bool:
     """Decide w1 = w2 in the monoid.  Relations preserve length, so words of
     different lengths are never equal."""
@@ -358,22 +354,24 @@ def words_equal(w1: Word, w2: Word, g: GroupTable, cfg: RewriteConfig) -> bool:
         return True
     if len(w1) < g.n:
         return False
-    if _certified_rules(g) is None:
+    rules = _certified_rules(g)
+    if rules is None:
         _, found = _closure(w1, g, cfg, target=w2)
         return found
     _check_length(w1, cfg)
-    return normal_form(w1, g) == normal_form(w2, g)
+    return rules.rewrite(w1) == rules.rewrite(w2)
 
 
 def canonical_form(w: Word, g: GroupTable, cfg: RewriteConfig) -> Word:
     """Lexicographically least member of the class of w."""
     if len(w) < g.n:
         return w
-    if _certified_rules(g) is None:
+    rules = _certified_rules(g)
+    if rules is None:
         members, _ = _closure(w, g, cfg)
         return min(members)
     _check_length(w, cfg)
-    return normal_form(w, g)
+    return rules.rewrite(w)
 
 
 def canonicalizer(g: GroupTable, cfg: RewriteConfig) -> Canon:
@@ -381,8 +379,32 @@ def canonicalizer(g: GroupTable, cfg: RewriteConfig) -> Canon:
     return lambda w: canonical_form(w, g, cfg)
 
 
+def draw(rng: random.Random, lo: int, hi: int) -> int:
+    """`rng.randint(lo, hi)` without its three Python frames: the same
+    `getrandbits` calls, retried while the bits overshoot, so the value and
+    the state left in rng are those of randint."""
+    n = hi - lo + 1
+    if n < 1:  # getrandbits(0) is always 0, which would retry forever
+        raise ValueError(f"empty range {lo}..{hi}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 def random_word(rng: random.Random, n_letters: int, length: int) -> Word:
-    return tuple(rng.randint(1, n_letters) for _ in range(length))
+    """`length` letters, each `draw(rng, 1, n_letters)` inlined."""
+    if n_letters < 1:
+        raise ValueError("no letters to draw from")
+    bits, k = rng.getrandbits, n_letters.bit_length()
+    word = []
+    for _ in range(length):
+        r = bits(k)
+        while r >= n_letters:
+            r = bits(k)
+        word.append(r + 1)
+    return tuple(word)
 
 
 def seeded_word(rng: random.Random, g: GroupTable, length: int,
@@ -391,8 +413,8 @@ def seeded_word(rng: random.Random, g: GroupTable, length: int,
     contains some element's image tuple as a factor."""
     n = g.n
     if length >= n and rng.random() < p_window:
-        e = g.elements[rng.randrange(len(g.elements))]
-        off = rng.randint(0, length - n)
+        e = g.elements[draw(rng, 0, len(g.elements) - 1)]
+        off = draw(rng, 0, length - n)
         head = random_word(rng, n, off)
         tail = random_word(rng, n, length - n - off)
         return head + e + tail
@@ -401,4 +423,4 @@ def seeded_word(rng: random.Random, g: GroupTable, length: int,
 
 def random_member(rng: random.Random, cls: CongruenceClass) -> Word:
     members = sorted(cls.members)
-    return members[rng.randrange(len(members))]
+    return members[draw(rng, 0, len(members) - 1)]

@@ -13,6 +13,10 @@
 - The normal-form arithmetic on labels t^i u^j, which the group table is
   checked against point by point.
 - Addition and support lengths in the monoid algebra, for the ring laws.
+- `normal_form`, one rewrite under a table's certified rules, which
+  `words.canonical_form` and `words.words_equal` inline; and the word
+  samplers as they were drawn through `randint` and `randrange`, the
+  stream that `words.draw` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from qsemi import words
 from qsemi.algebra import AlgebraElement
 from qsemi.lemmas import (default_stepss_seeds, verify_big, verify_max_one,
                           verify_not_possible, verify_overlapp,
@@ -268,3 +273,33 @@ def algebra_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 def support_lengths(x: AlgebraElement) -> set[int]:
     return {len(w) for w in x.terms}
+
+
+def normal_form(w, g):
+    """The irreducible form of w under the certified rules of g, which is
+    the lex-least member of its class.  ValueError when g fails the
+    certificate."""
+    rules = words._certified_rules(g)
+    if rules is None:
+        raise ValueError("the table's rewriting system is not certified complete")
+    return rules.rewrite(w)
+
+
+def randint_word(rng, n_letters, length):
+    return tuple(rng.randint(1, n_letters) for _ in range(length))
+
+
+def randint_seeded_word(rng, g, length, p_window=0.5):
+    n = g.n
+    if length >= n and rng.random() < p_window:
+        e = g.elements[rng.randrange(len(g.elements))]
+        off = rng.randint(0, length - n)
+        head = randint_word(rng, n, off)
+        tail = randint_word(rng, n, length - n - off)
+        return head + e + tail
+    return randint_word(rng, n, length)
+
+
+def randint_member(rng, cls):
+    members = sorted(cls.members)
+    return members[rng.randrange(len(members))]

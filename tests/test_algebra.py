@@ -124,6 +124,18 @@ def test_random_element_bounds(g2, cfg2):
         assert all(1 <= c <= 4 for c in x.terms.values())
 
 
+def test_random_element_replays_recorded_seed(g2, cfg2):
+    # terms recorded before the draws moved to getrandbits
+    rng = random.Random(3)
+    canon = canonicalizer(g2, cfg2)
+    drawn = [random_element(rng, p, canon,
+                            lambda r: seeded_word(r, g2, r.randint(1, 8)),
+                            3).to_text() for p in (2, 5, 7)]
+    assert drawn == ["1*6,8,2", "2*3,7,1,2 + 2*4,4,8,8,7",
+                     "6*2,1,3,8,4,5 + 1*5 + 2*8,7,7,7,8"]
+    assert rng.random() == 0.4361618666274293
+
+
 def test_no_zero_divisor_found_on_the_monoid(g2, cfg2):
     assert zero_divisor_search(g2, cfg2, trials=200,
                                rng=random.Random(0)) is None
@@ -132,13 +144,18 @@ def test_no_zero_divisor_found_on_the_monoid(g2, cfg2):
 def test_planted_quotient_has_zero_divisors():
     x = element_from_pairs([((1,), 1), ((1, 1), 1)], 2, collapse_canon)
     assert mul_with_canon(x, x, collapse_canon).is_zero()
+    rng = random.Random(0)
     hit = zero_divisor_search_with_canon(
         collapse_canon, lambda r: random_word(r, 2, r.randint(1, 2)), p=2,
-        trials=3000, max_support=3, rng=random.Random(0))
+        trials=3000, max_support=3, rng=rng)
     assert hit is not None
     a, b = hit
     assert not a.is_zero() and not b.is_zero()
     assert mul_with_canon(a, b, collapse_canon).is_zero()
+    # the hit and the stream after it, recorded before the draws moved to
+    # getrandbits
+    assert [a.to_text(), b.to_text()] == ["1*1 + 1*1,1", "1*1 + 1*1,1"]
+    assert rng.random() == 0.06225875887122312
 
 
 def test_each_modulus_is_trial_divided_once(g2, cfg2):

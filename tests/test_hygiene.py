@@ -1,6 +1,7 @@
-"""Every name a module imports is used in that module, and every top-level
+"""Every name a module imports is used in that module; every top-level
 function or class of the package, and every public method of its classes,
-is used by the package or the benchmark."""
+is used by the package or the benchmark; and the package draws no random
+integer through `randint` or `randrange`."""
 
 import ast
 from pathlib import Path
@@ -107,3 +108,30 @@ def test_no_dead_top_level_names():
     # tests are not users: a definition only tests reach belongs in tests
     defining = {path.stem: path.read_text() for path in PACKAGE}
     assert dead_names(defining, [path.read_text() for path in USERS]) == []
+
+
+SLOW_DRAWS = {"randint", "randrange"}
+
+
+def slow_draws(source: str) -> list[str]:
+    """Each `.randint(` or `.randrange(` call of a module.  They go through
+    three Python frames per integer; `words.draw` and `words.random_word`
+    make the same `getrandbits` calls in one."""
+    return sorted(f"{node.func.attr} (line {node.lineno})"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in SLOW_DRAWS)
+
+
+def test_detects_a_slow_draw():
+    assert slow_draws("rng.randint(1, 8)\nx = rng.random()\n"
+                      "f(random.Random(0).randrange(3))\n") == [
+        "randint (line 1)", "randrange (line 3)"]
+    assert slow_draws("draw(rng, 1, 8)\n'rng.randint(1, 8)'\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_package_draws_through_getrandbits(path):
+    assert slow_draws(path.read_text()) == []

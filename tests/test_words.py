@@ -11,12 +11,14 @@ from qsemi import cli, words
 from qsemi.errors import BadFactor, ClassTooLarge
 from qsemi.quaternion import QuaternionConfig, generate_group
 from qsemi.words import (RewriteConfig, canonical_form, canonicalizer,
-                         check_word, class_of, default_config,
-                         find_relation_factors, format_word, normal_form,
-                         parse_word, random_member, random_word, rewrite_step,
+                         check_word, class_of, default_config, draw,
+                         find_relation_factors, format_word, parse_word,
+                         random_member, random_word, rewrite_step,
                          seeded_word, words_equal)
 from conftest import bare_table
-from reference_oracles import naive_class, overlap_bound
+from reference_oracles import (naive_class, normal_form, overlap_bound,
+                               randint_member, randint_seeded_word,
+                               randint_word)
 
 # 15 letters with windows at positions 1 (identity) and 8 (t^3 u)
 REGRESSION_WORD = (1, 2, 3, 4, 5, 6, 7, 8, 7, 6, 5, 2, 1, 4, 3)
@@ -304,6 +306,48 @@ def test_word_samplers(g2):
         w = seeded_word(rng, g2, 10, p_window=1.0)
         assert len(w) == 10
         assert any(w[i:i + 8] in g2.index for i in range(3))
+
+
+# letter counts and moduli minus one (1 is p - 1 for p = 2, the last
+# p - 1 for p = 2^31 - 1): powers of two, where randint throws away half
+# its draws, their neighbours, and a range of 31 bits
+DRAW_RANGES = [1, 2, 7, 8, 12, 16, 31, 64, 2147483646]
+
+
+@pytest.mark.parametrize("n", DRAW_RANGES)
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+def test_draws_replay_the_randint_stream(seed, n):
+    ours, ref = random.Random(seed), random.Random(seed)
+    assert ([draw(ours, 1, n) for _ in range(100)]
+            == [ref.randint(1, n) for _ in range(100)])
+    assert ([draw(ours, 0, n - 1) for _ in range(100)]
+            == [ref.randrange(n) for _ in range(100)])
+    assert draw(ours, -3, n) == ref.randint(-3, n)
+    for length in (0, 1, 6, 40):
+        assert random_word(ours, n, length) == randint_word(ref, n, length)
+    assert ours.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+def test_word_samplers_replay_the_randint_stream(g2, g3, cfg2, seed):
+    ours, ref = random.Random(seed), random.Random(seed)
+    for g in (g2, g3):
+        for length in range(3 * g.n):
+            for p_window in (0.5, 1.0):
+                assert (seeded_word(ours, g, length, p_window)
+                        == randint_seeded_word(ref, g, length, p_window))
+    for w in ((1, 2), REGRESSION_WORD, g2.t + g2.u):
+        cls = class_of(w, g2, cfg2)
+        assert random_member(ours, cls) == randint_member(ref, cls)
+    assert ours.getstate() == ref.getstate()
+
+
+def test_draw_rejects_an_empty_range():
+    rng = random.Random(0)
+    with pytest.raises(ValueError):
+        draw(rng, 3, 2)
+    with pytest.raises(ValueError):
+        random_word(rng, 0, 3)
 
 
 def bfs_least(w, g):
