@@ -23,10 +23,9 @@ elements are permutations, each letter starts exactly one of them, and
 every critical pair of the rules with m <= 3 joins.  The certificate is
 computed on the first canonical form a table needs and kept per table
 content.  `canonical_form` and `words_equal` look the rules up once per
-call and rewrite with them on certified tables, and enumerate the class by
-breadth-first closure (`_closure`) on any other; `class_of`, which needs
-every member, always enumerates.  The tests keep the bare rewrite as
-`normal_form`, their reference.
+call and rewrite with them on certified tables; on any other they read
+the class from `class_of`, the one class enumerator, which is also the
+tests' reference, with the bare rewrite they keep as `normal_form`.
 
 The samplers draw each integer with `draw`, which makes exactly the
 `getrandbits` calls `random.Random.randint` makes, so a seed gives the
@@ -130,23 +129,21 @@ def _check_length(w: Word, cfg: RewriteConfig) -> None:
             f"word of length {len(w)} exceeds the cap {cfg.max_word_length}")
 
 
-def _closure(w: Word, g: GroupTable, cfg: RewriteConfig,
-             target: Word | None = None) -> tuple[set[Word], bool]:
-    """BFS closure of {w} under window rewrites.
-
-    Stops early (second item True) as soon as `target` shows up.
+def class_of(w: Word, g: GroupTable, cfg: RewriteConfig) -> CongruenceClass:
+    """The full congruence class of w: breadth-first closure under window
+    rewrites.
 
     Each window orbit is expanded once: a frontier word carries the
     1-based position of the rewrite that made it (0 for w), and expanding
     it skips that position, since its parent's loop there already put every
     word with the same head and tail in `seen`.  The skip adds and drops no
-    word, so the members, their insertion order, the `target` exit and the
-    member count at which the cap trips are those of the plain BFS.
+    word, so the members, their insertion order and the member count at
+    which the cap trips are those of the plain BFS.
     """
     n = g.n
+    if len(w) < n:
+        return CongruenceClass(frozenset((w,)))
     _check_length(w, cfg)
-    if target is not None and w == target:
-        return {w}, True
     seen: set[Word] = {w}
     frontier = [(w, 0)]
     elements = g.elements
@@ -168,19 +165,9 @@ def _closure(w: Word, g: GroupTable, cfg: RewriteConfig,
                         raise ClassTooLarge(
                             f"class of {format_word(w)} exceeded "
                             f"{cfg.max_class_size} members")
-                    if target is not None and new == target:
-                        return seen, True
                     nxt.append((new, pos))
         frontier = nxt
-    return seen, False
-
-
-def class_of(w: Word, g: GroupTable, cfg: RewriteConfig) -> CongruenceClass:
-    """The full congruence class of w."""
-    if len(w) < g.n:
-        return CongruenceClass(frozenset((w,)))
-    members, _ = _closure(w, g, cfg)
-    return CongruenceClass(frozenset(members))
+    return CongruenceClass(frozenset(seen))
 
 
 class _Rules:
@@ -356,8 +343,7 @@ def words_equal(w1: Word, w2: Word, g: GroupTable, cfg: RewriteConfig) -> bool:
         return False
     rules = _certified_rules(g)
     if rules is None:
-        _, found = _closure(w1, g, cfg, target=w2)
-        return found
+        return w2 in class_of(w1, g, cfg).members
     _check_length(w1, cfg)
     return rules.rewrite(w1) == rules.rewrite(w2)
 
@@ -368,8 +354,7 @@ def canonical_form(w: Word, g: GroupTable, cfg: RewriteConfig) -> Word:
         return w
     rules = _certified_rules(g)
     if rules is None:
-        members, _ = _closure(w, g, cfg)
-        return min(members)
+        return min(class_of(w, g, cfg).members)
     _check_length(w, cfg)
     return rules.rewrite(w)
 

@@ -1,9 +1,11 @@
 """Every name a module imports is used in that module; every top-level
 function or class of the package, and every public method of its classes,
-is used by the package or the benchmark; and the package draws no random
-integer through `randint` or `randrange`."""
+is used by the package or the benchmark; the package draws no random
+integer through `randint` or `randrange`; and every code name the README
+cites still exists."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -135,3 +137,33 @@ def test_detects_a_slow_draw():
                          ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_package_draws_through_getrandbits(path):
     assert slow_draws(path.read_text()) == []
+
+
+# `name`, `module.name` or `name(args)`, all lowercase
+CITED = re.compile(r"`(?:[a-z_][a-z0-9_]*\.)*([a-z_][a-z0-9_]*)(?:\([^`]*\))?`")
+
+
+def stale_citations(text: str, sources: list[str],
+                    stems: list[str]) -> list[str]:
+    """Each backticked lowercase identifier of `text` holding an underscore
+    (the last part of a dotted name) that no source defines or refers to
+    and no module is named after."""
+    known = set(stems).union(*map(referenced_names, sources), *(
+        {name for _, name in definitions(source)} for source in sources))
+    return sorted({name for name in CITED.findall(text)
+                   if "_" in name} - known)
+
+
+def test_detects_a_stale_citation():
+    text = ("`kept_name`, `mod.gone_name(x, y)`, `_private`, `F_p`, `plain`, "
+            "`a_stem`, `def_name`, `tests/a_stem.py`")
+    sources = ["kept_name()\n", "def def_name():\n    pass\n"]
+    assert stale_citations(text, sources, ["a_stem"]) == [
+        "_private", "gone_name"]
+
+
+def test_readme_cites_only_live_names():
+    code = MODULES + sorted((ROOT / "bench").glob("*.py"))
+    assert stale_citations((ROOT / "README.md").read_text(),
+                           [path.read_text() for path in code],
+                           [path.stem for path in code]) == []

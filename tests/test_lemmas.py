@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from conftest import bench_module
-from qsemi.lemmas import (LemmaId, LemmaReport, _step3_tails,
-                          default_stepss_seeds, run_lemma_suite, verify_big,
-                          verify_max_one, verify_not_possible, verify_overlapp,
-                          verify_step3, verify_stepss, verify_sym_max_one,
-                          verify_sym_not_possible, verify_sym_overlapp,
-                          verify_sym_step3)
+from conftest import bare_table, bench_module
+from qsemi.lemmas import (LemmaId, LemmaReport, _SYM_STEP3_REASONS,
+                          _relabelling_is_closed, _step3_member_check,
+                          _step3_tails, default_stepss_seeds, run_lemma_suite,
+                          verify_big, verify_max_one, verify_not_possible,
+                          verify_overlapp, verify_step3, verify_stepss,
+                          verify_sym_max_one, verify_sym_not_possible,
+                          verify_sym_overlapp, verify_sym_step3)
 from qsemi.quaternion import QuaternionConfig, generate_group
 from qsemi.words import class_of, default_config
 from reference_oracles import EXHAUSTIVE, stepss
@@ -184,6 +185,24 @@ def test_cyclic_table_breaks_step3(cyclic8, dihedral8, cfg2):
             assert "reason" in r.counterexample
             r = verify_sym_step3(g, cfg2, samples=samples, rng=random.Random(1))
             assert not r.passed
+
+
+def test_step3_member_check_gives_each_reason(g2):
+    # t = identity, i = 2: a member starts 3..8, or 3..7 then a window prefix
+    t, head = tuple(range(1, 9)), (3, 4, 5, 6, 7)
+    cases = {head + (8, 1, 1): None, head + g2.t[:7]: None,
+             (1,) * 12: "prefix leaves t(i+1..n-1) before letter n",
+             head + (1, 1, 1): "too short for the alternative prefix shape",
+             head + (1,) * 7: "no window prefix after t(i+1..n-1)"}
+    for w1, reason in cases.items():
+        assert _step3_member_check(g2, t, 2, w1) == reason
+    assert set(_SYM_STEP3_REASONS) == set(cases.values()) - {None}
+
+
+def test_relabelling_needs_permutations(g2):
+    assert _relabelling_is_closed(g2)
+    repeated = bare_table(2, [tuple(range(1, 9)), (1, 1, 2, 3, 4, 5, 6, 7)])
+    assert not _relabelling_is_closed(repeated)
 
 
 def test_dihedral_table_breaks_window_lemmas(dihedral8):

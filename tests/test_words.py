@@ -164,20 +164,28 @@ def test_class_matches_naive_closure_on_the_planted_tables(request, table,
 @pytest.mark.parametrize("table", PLANTED)
 def test_words_equal_matches_naive_closure_on_the_planted_tables(request,
                                                                  table, cfg2):
-    # uncertified, so words_equal runs the closure and stops at w2
+    # uncertified, so words_equal and canonical_form read the whole class
+    # of w1 from class_of, and the class-size cap binds all of it
     g = request.getfixturevalue(table)
     rng = random.Random(6)
-    verdicts = set()
+    verdicts, capped = set(), 0
     for _ in range(40):
         w1 = seeded_word(rng, g, rng.randint(8, 12), p_window=1.0)
+        naive = naive_class(w1, g)
+        assert canonical_form(w1, g, cfg2) == min(naive)
         v = list(w1)
         i = rng.randrange(len(v) - 1)
         v[i], v[i + 1] = v[i + 1], v[i]
         for w2 in (tuple(v), random_member(rng, class_of(w1, g, cfg2))):
             equal = words_equal(w1, w2, g, cfg2)
-            assert equal == (w2 in naive_class(w1, g))
+            assert equal == (w2 in naive)
             verdicts.add(equal)
+            if equal and w2 != w1:
+                with pytest.raises(ClassTooLarge):
+                    words_equal(w1, w2, g, RewriteConfig(len(naive) - 1, 24))
+                capped += 1
     assert verdicts == {True, False}
+    assert capped
 
 
 class CountingTuple(tuple):
@@ -487,6 +495,31 @@ def test_certificate_fails_the_planted_tables(cyclic8, dihedral8, poisoned8,
             normal_form(w, g)
         # canonical forms there still come from the class enumeration
         assert canonical_form(w, g, cfg2) == min(class_of(w, g, cfg2).members)
+
+
+def test_critical_pairs_include_a_left_side_inside_another():
+    # the window 5..8 1..4 lies inside s[:7] (1..7)^(m-1) 1..8, the schema
+    # left sides of s; each other letter starts the rest of n..1
+    ident, block = tuple(range(1, 9)), tuple(range(1, 8))
+    s = (2, 3, 1, 5, 6, 7, 8, 4)
+    g = bare_table(2, [ident, s, (5, 6, 7, 8, 1, 2, 3, 4)] + [
+        (x,) + tuple(y for y in range(8, 0, -1) if y != x)
+        for x in (3, 4, 6, 7, 8)])
+    rules = words._rule_table(g)
+    bound = words._SCHEMA_BOUND
+    lefts = {left for left, _ in words._rule_list(rules, bound)}
+    inside = [w for w, _, _ in words._critical_pairs(rules, bound)
+              if w in lefts]
+    assert inside == [s[:7] + block * m + ident for m in range(bound)]
+    assert words._certify(g) is None
+    # chain 1 only: at the bound the pairs reach 54 letters and classes of
+    # 4,607 members, too many for the naive closure
+    cfg = RewriteConfig(max_class_size=1_000, max_word_length=40)
+    for w, a, b in words._critical_pairs(rules, 1):
+        naive = naive_class(w, g)
+        assert a in naive and b in naive
+        # uncertified, so the canonical form is read off the class
+        assert canonical_form(w, g, cfg) == min(naive)
 
 
 def has_redex(w, g):
