@@ -31,8 +31,8 @@ from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
-from .perms import Perm, compose, inverse
-from .quaternion import GroupTable
+from .perms import Perm
+from .quaternion import GroupTable, relabellings
 from .words import (RewriteConfig, Word, class_of, draw, format_word,
                     random_word)
 
@@ -286,24 +286,18 @@ def _step3_tails(g: GroupTable, t: Perm) -> list[Word]:
                                g.windows_at(t[-1:], 1) for x in xs] + list(g.elements)))
 
 
-def _relabelling_is_closed(g: GroupTable) -> bool:
-    """Whether the elements are permutations and relabelling letters by
-    s o t0^-1 (s any element, t0 the first) maps windows to windows; it then
-    carries Step3's cell (t0, i), its tails, classes and checks onto (s, i)."""
-    if any(sorted(e) != list(range(1, g.n + 1)) for e in g.elements):
-        return False
-    pis = [compose(s, inverse(g.elements[0])) for s in g.elements]
-    return all(compose(pi, e) in g.index for pi in pis for e in g.elements)
-
-
 def verify_step3(g: GroupTable, cfg: RewriteConfig, samples: int = 1000,
                  rng: random.Random | None = None) -> LemmaReport:
     """Every member of the class of t(i+1..n) v keeps that exact prefix or
     replaces its last letter by a fresh window prefix of length n-1.  Each
-    (element, i) cell takes `samples` of its `_step3_tails`, all if they fit;
-    on a closed table t0's cells alone run, and count for their orbits."""
+    (element, i) cell takes `samples` of its `_step3_tails`, all if they fit.
+    The relabelling by s o t0^-1 (t0 the first element) carries the cell
+    (t0, i), its tails, classes and checks onto (s, i); so where
+    `relabellings` applies, t0's cells alone run, and count for their
+    orbits."""
     rng = rng if rng is not None else random.Random(0)
-    orbit = len(g) if _relabelling_is_closed(g) else 1
+    pis = relabellings(g)
+    orbit = len(pis) if pis is not None else 1
     cells = [(ti, t, _step3_tails(g, t))
              for ti, t in enumerate(g.elements[:1] if orbit > 1 else g.elements)]
     stats = {"family": orbit * (g.n - 1) * sum(len(c[2]) for c in cells),

@@ -99,6 +99,33 @@ class GroupTable:
                 if q == p and elements[i][p - 1:end] == factor]
 
 
+_RELABELLINGS: dict[tuple[Perm, ...], tuple[Perm, ...] | None] = {}
+
+
+def relabellings(g: GroupTable) -> tuple[Perm, ...] | None:
+    """The maps s o t0^-1 (s running over the elements, t0 the first), when
+    the elements are permutations and relabelling letters by each of them
+    maps windows to windows; None otherwise.  Computed once per table
+    content.
+
+    Each then carries the window of t0 onto that of s and is an automorphism
+    of the monoid, and together they form a group of order len(g): s o t0^-1
+    composed with s' o t0^-1 sends t0 to a window, so it is one of the maps.
+    """
+    try:
+        return _RELABELLINGS[g.elements]
+    except KeyError:
+        pass
+    pis: tuple[Perm, ...] | None = None
+    if all(sorted(e) == list(range(1, g.n + 1)) for e in g.elements):
+        t0_inv = inverse(g.elements[0])
+        pis = tuple(compose(s, t0_inv) for s in g.elements)
+        if not all(compose(pi, e) in g.index for pi in pis for e in g.elements):
+            pis = None
+    _RELABELLINGS[g.elements] = pis
+    return pis
+
+
 def format_label(label: Label) -> str:
     i, j = label
     ti = "" if i == 0 else ("t" if i == 1 else f"t^{i}")

@@ -10,10 +10,12 @@ import time
 from math import comb
 from typing import Callable, Iterator, Sequence
 
-from .quaternion import GroupTable
+from .quaternion import GroupTable, relabellings
 from .words import (RewriteConfig, Word, canonicalizer,
                     check_product_length, class_of, draw, format_word,
                     random_member, seeded_word, words_equal)
+
+Side = tuple[int, ...]  # a subset of the ground set, as sorted rep indices
 
 
 def product_report(C: Sequence[int], D: Sequence[int],
@@ -46,10 +48,10 @@ def canonical_ground_set(g: GroupTable, cfg: RewriteConfig,
     return sorted(reps)
 
 
-def subsets_colex(m: int, max_size: int) -> Iterator[tuple[int, ...]]:
+def subsets_colex(m: int, max_size: int) -> Iterator[Side]:
     """Nonempty subsets of range(m) with at most max_size members, by size
     and then in colexicographic order, so a failure index is reproducible."""
-    smaller: list[tuple[int, ...]] = [()]
+    smaller: list[Side] = [()]
     for size in range(1, max_size + 1):
         # the colex order of the subsets of range(top) is a prefix of that of
         # range(m), so each subset is a smaller one with a new largest member
@@ -59,14 +61,47 @@ def subsets_colex(m: int, max_size: int) -> Iterator[tuple[int, ...]]:
 
 
 def subset_specs_over(reps: Sequence[Word], max_size: int
-                      ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Subset pairs (C, D) of indices into `reps` with |C| + |D| > 2,
-    C-major in the order of `subsets_colex`."""
+                      ) -> Iterator[tuple[Side, list[Side]]]:
+    """Subset pairs with |C| + |D| > 2 over indices into `reps`, grouped
+    as (C, Ds): each side C, in the order of `subsets_colex`, with the
+    list of its partner sides D in that order (all sides, or for a
+    singleton C the wider ones).  The lists are shared between groups."""
     sides = list(subsets_colex(len(reps), max_size))
+    wider = sides[len(reps):]  # sides come by size, the singletons first
     for C in sides:
-        for D in sides:
-            if len(C) + len(D) > 2:
-                yield C, D
+        Ds = sides if len(C) > 1 else wider
+        if Ds:
+            yield C, Ds
+
+
+def _rep_permutations(g: GroupTable, reps: Sequence[Word],
+                      index: dict[Word, int],
+                      canon: Callable[[Word], Word]
+                      ) -> list[tuple[int, ...]]:
+    """The permutations of rep indices that the table's relabellings induce,
+    each once: pi sends reps[i] to the rep of pi . reps[i], found among the
+    reps or else through its canonical form.  The identity alone when the
+    table has no relabellings or some image is not a rep."""
+    alone = [tuple(range(len(reps)))]
+    perms: dict[tuple[int, ...], None] = {}
+    for pi in relabellings(g) or ():
+        images = []
+        for r in reps:
+            w = tuple(pi[a - 1] for a in r)
+            i = index.get(w)
+            if i is None:
+                i = index.get(canon(w))
+                if i is None:
+                    return alone
+            images.append(i)
+        perms[tuple(images)] = None
+    return list(perms) or alone
+
+
+def _image(sigma: Sequence[int], S: Side) -> Side:
+    """The side S moved by sigma, reversed: its members in descending order,
+    which compare as `subsets_colex` orders sides of one size."""
+    return tuple(sorted((sigma[i] for i in S), reverse=True))
 
 
 def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
@@ -76,14 +111,26 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
     """Check every subset pair over `reps`, which must be canonical and
     pairwise distinct (ValueError otherwise); stop at the cap or at the first
     failure.  Returns (summary, failure-or-None); the summary's `capped` is
-    True when the cap stopped the sweep with specs left."""
+    True when the cap stopped the sweep with specs left.
+
+    Each relabelling of the letters is an automorphism of the monoid
+    (`quaternion.relabellings`); when it permutes the reps it maps every pair
+    to one with the same unique count.  Only the first pair of each orbit in
+    the stream is decided: its C comes first in the orbit of C, and its D
+    first in the orbit of D under the stabilizer of C.  Every other pair
+    counts as checked when the stream passes it, since its first pair came
+    earlier with the same verdict; so the first failing pair, the minimum
+    and the cap are those of deciding every pair.  `relabellings` is the
+    number of permutations used, `specs_decided` the pairs decided."""
     t0 = time.perf_counter()
     canon = canonicalizer(g, cfg)
+    index: dict[Word, int] = {}
     for i, r in enumerate(reps):
         if canon(r) != r:
             raise ValueError(f"rep {format_word(r)} is not its canonical form")
-        if reps.index(r) != i:
+        if r in index:
             raise ValueError(f"rep {format_word(r)} repeats an earlier rep")
+        index[r] = i
     ids: dict[Word, int] = {}
 
     def intern(c: Word, d: Word) -> int:
@@ -92,28 +139,52 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
         return ids.setdefault(w, len(ids))
 
     product = [[intern(c, d) for d in reps] for c in reps]
-    checked = 0
+    group = _rep_permutations(g, reps, index, canon)
+    checked = decided = 0
+    tick = 50000
     capped = False
     min_unique: int | None = None
     failure: dict | None = None
-    for C, D in subset_specs_over(reps, max_size):
-        if limit is not None and checked >= limit:
+    for C, Ds in subset_specs_over(reps, max_size):
+        take = len(Ds)
+        if limit is not None:
+            take = max(0, min(take, limit - checked))
+        first = C[::-1]
+        stabilizer = []
+        for sigma in group:
+            moved = _image(sigma, C)
+            if moved < first:
+                break  # an earlier C in the orbit decides this group
+            if moved == first:
+                stabilizer.append(sigma)
+        else:
+            moves = stabilizer if len(stabilizer) > 1 else ()
+            for j in range(take):
+                D = Ds[j]
+                if moves and any(_image(sigma, D) < D[::-1] for sigma in moves):
+                    continue
+                decided += 1
+                unique = product_report(C, D, product)
+                if min_unique is None or unique < min_unique:
+                    min_unique = unique
+                if unique < 2:
+                    failure = {
+                        "C": [format_word(reps[i]) for i in C],
+                        "D": [format_word(reps[i]) for i in D],
+                        "unique_count": unique,
+                        "spec_index": checked + j,
+                    }
+                    break
+        checked = failure["spec_index"] + 1 if failure else checked + take
+        # a tick per multiple of 50,000 passing pairs, as if counted singly
+        while progress is not None and tick <= checked - (failure is not None):
+            progress(tick)
+            tick += 50000
+        if failure is not None:
+            break
+        if take < len(Ds):
             capped = True
             break
-        checked += 1
-        unique = product_report(C, D, product)
-        if min_unique is None or unique < min_unique:
-            min_unique = unique
-        if unique < 2:
-            failure = {
-                "C": [format_word(reps[i]) for i in C],
-                "D": [format_word(reps[i]) for i in D],
-                "unique_count": unique,
-                "spec_index": checked - 1,
-            }
-            break
-        if progress is not None and checked % 50000 == 0:
-            progress(checked)
     summary = {
         "k": g.k,
         "max_len": max((len(r) for r in reps), default=0),
@@ -121,6 +192,8 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
         "specs_checked": checked,
         "capped": capped,
         "min_unique_count": min_unique,
+        "relabellings": len(group),
+        "specs_decided": decided,
         "elapsed_ms": int((time.perf_counter() - t0) * 1000),
     }
     return summary, failure

@@ -153,19 +153,21 @@ def stepss(g, cfg, max_extra=None, rng=None):
 
 
 def naive_class(w, g, rounds=50):
-    """Fixed-point closure by brute slice comparison, no index lookups."""
-    members = {w}
+    """Fixed-point closure by brute slice comparison, no index lookups: each
+    round rewrites every window of the words the last round found."""
+    members = frontier = {w}
     n = g.n
     for _ in range(rounds):
         new = set()
-        for word in members:
+        for word in frontier:
             for p0 in range(len(word) - n + 1):
                 if word[p0:p0 + n] in g.elements:
                     for repl in g.elements:
                         new.add(word[:p0] + repl + word[p0 + n:])
-        if new <= members:
+        frontier = new - members
+        if not frontier:
             return members
-        members |= new
+        members = members | frontier
     raise AssertionError("no fixed point reached")
 
 

@@ -1,12 +1,17 @@
-"""Every benchmark workload runs at its tiny scale and gets right answers.
+"""Every benchmark workload runs at its tiny scale and gets right answers,
+and every wrong answer the harness's self-test plants is caught.
 
 The harness calls the package through names it does not own
 (`qsemi.cli.main`, `qsemi.structure.run_tup_sweep`, `words.rewrite_step`,
-`words.default_config`, ...), so a change to one of them that breaks the
+`words.default_config`, ...), and its self-test patches others
+(`structure.subset_specs_over`, `cli.canonical_form`, `cli.words_equal`,
+`lemmas.verify_big`, ...), so a change to one of them that breaks the
 benchmark fails here first.
 """
 
 import importlib
+import io
+import unittest
 from pathlib import Path
 from time import perf_counter
 
@@ -26,3 +31,14 @@ def test_tiny_round_is_correct(name, monkeypatch):
     result = child.run_round(plan, perf_counter(), "run")
     assert len(result["ops"]) == len(plan["jobs"])
     assert all(workloads.check_round(plan, result, None)), result["ops"]
+
+
+def test_planted_wrong_answers_raise_fail_ratio(monkeypatch):
+    # bench/selftest.py's in-process cases, without its slower
+    # subprocess and metric-emission cases
+    monkeypatch.syspath_prepend(str(BENCH))
+    cases = bench_module("selftest").PlantedWrongAnswer
+    suite = unittest.defaultTestLoader.loadTestsFromTestCase(cases)
+    result = unittest.TextTestRunner(stream=io.StringIO()).run(suite)
+    assert result.testsRun == suite.countTestCases() >= 7
+    assert result.wasSuccessful(), result.failures + result.errors

@@ -130,6 +130,9 @@ def test_tup_check(capsys):
     assert code == 0
     details = payload["details"]
     assert details["specs_checked"] == 45 * 45 - 81
+    # the 8 relabellings fix () and permute the letters
+    assert details["relabellings"] == 8
+    assert details["specs_decided"] == 246  # (1944 + 24) / 8 by Burnside
     assert details["min_unique_count"] >= 2
     assert details["max_len"] == 1
     assert details["capped"] is False

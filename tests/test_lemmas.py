@@ -5,13 +5,14 @@ import pytest
 
 from conftest import bare_table, bench_module
 from qsemi.lemmas import (LemmaId, LemmaReport, _SYM_STEP3_REASONS,
-                          _relabelling_is_closed, _step3_member_check,
-                          _step3_tails, default_stepss_seeds, run_lemma_suite,
+                          _step3_member_check, _step3_tails,
+                          default_stepss_seeds, run_lemma_suite,
                           verify_big, verify_max_one, verify_not_possible,
                           verify_overlapp, verify_step3, verify_stepss,
                           verify_sym_max_one, verify_sym_not_possible,
                           verify_sym_overlapp, verify_sym_step3)
-from qsemi.quaternion import QuaternionConfig, generate_group
+from qsemi.perms import compose
+from qsemi.quaternion import QuaternionConfig, generate_group, relabellings
 from qsemi.words import class_of, default_config
 from reference_oracles import EXHAUSTIVE, stepss
 
@@ -199,10 +200,19 @@ def test_step3_member_check_gives_each_reason(g2):
     assert set(_SYM_STEP3_REASONS) == set(cases.values()) - {None}
 
 
-def test_relabelling_needs_permutations(g2):
-    assert _relabelling_is_closed(g2)
+def test_relabelling_needs_permutations(g2, cyclic8, dihedral8, poisoned8,
+                                        two_element8):
+    # on the real table t0 is the identity, so the relabellings are the
+    # elements themselves
+    assert relabellings(g2) == g2.elements
+    assert relabellings(g2) is relabellings(g2)  # cached per table content
     repeated = bare_table(2, [tuple(range(1, 9)), (1, 1, 2, 3, 4, 5, 6, 7)])
-    assert not _relabelling_is_closed(repeated)
+    assert relabellings(repeated) is None
+    assert relabellings(poisoned8) is None
+    for g in (cyclic8, dihedral8, two_element8):
+        pis = relabellings(g)
+        assert len(pis) == len(g)
+        assert {compose(pi, g.elements[0]) for pi in pis} == set(g.elements)
 
 
 def test_dihedral_table_breaks_window_lemmas(dihedral8):

@@ -244,6 +244,9 @@ def test_tup_sweep_matches_reference(case, cfg2, two_element8):
     summary, failure = run_tup_sweep(table, cfg2, reps, max_size, limit=limit)
     assert (summary["specs_checked"], summary["min_unique_count"], failure) \
         == tup_sweep(table, cfg2, reps, max_size, limit=limit)
+    # the relabellings permute every ground set here: the real table's 8,
+    # and on two_element8 the identity and the transposition of 1 and 2
+    assert summary["relabellings"] == (2 if table is two_element8 else 8)
     if case == "two_element8":
         assert failure["spec_index"] == 14
 

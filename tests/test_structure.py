@@ -9,6 +9,7 @@ from qsemi.structure import (canonical_ground_set, cancellation_report,
                              subsets_colex)
 from qsemi.words import (canonical_form, canonicalizer, class_of, seeded_word,
                          words_equal)
+from reference_oracles import tup_sweep
 
 # both halves of the identity window against both halves shifted by one
 C_HALVES = ((1, 2, 3, 4), (2, 3, 4, 1))
@@ -78,7 +79,10 @@ def test_subsets_colex():
 
 def test_subset_specs_over_counts():
     reps = [(1,), (2,), (3,), (4,)]
-    specs = list(subset_specs_over(reps, 2))
+    groups = list(subset_specs_over(reps, 2))
+    specs = [(C, D) for C, Ds in groups for D in Ds]
+    # a singleton's partners are the wider sides, one list for all four
+    assert all(Ds is groups[0][1] for _, Ds in groups[:4])
     # 10 subsets a side, minus the 16 pairs of two singletons
     assert len(specs) == 10 * 10 - 4 * 4
     # sides are index tuples into reps
@@ -146,14 +150,145 @@ def test_run_tup_sweep_canonicalizes_each_product_once(g2, cfg2,
 
 
 def test_run_tup_sweep_counts_the_specs_it_is_given(g2, cfg2, monkeypatch):
-    # the benchmark's self-test drops a spec through this module attribute
+    # the benchmark's self-test drops the last group of specs, a pair C
+    # with its 45 partners, through this module attribute
     reps = canonical_ground_set(g2, cfg2, 1)
     summary, _ = run_tup_sweep(g2, cfg2, reps, 2)
     every = structure.subset_specs_over
     monkeypatch.setattr(structure, "subset_specs_over",
                         lambda reps, max_size: list(every(reps, max_size))[:-1])
     fewer, _ = run_tup_sweep(g2, cfg2, reps, 2)
-    assert fewer["specs_checked"] == summary["specs_checked"] - 1 == 1943
+    assert fewer["specs_checked"] == summary["specs_checked"] - 45 == 1899
+
+
+def _halves(g):
+    return sorted({e[:4] for e in g.elements} | {e[4:] for e in g.elements})
+
+
+def _cut_and_uncut(monkeypatch, g, cfg, reps, max_size, limit=None):
+    """The sweep as it runs, and with no relabellings, which decides every
+    pair; both must report the same specs, minimum and failure."""
+    runs = []
+    for cut in (True, False):
+        ticks = []
+        with monkeypatch.context() as m:
+            if not cut:
+                m.setattr(structure, "relabellings", lambda g: None)
+            summary, failure = run_tup_sweep(g, cfg, reps, max_size,
+                                             limit=limit, progress=ticks.append)
+        runs.append((summary, failure, ticks))
+    (cut, cut_failure, cut_ticks), (uncut, failure, ticks) = runs
+    assert cut_failure == failure and cut_ticks == ticks
+    added = ("relabellings", "specs_decided", "elapsed_ms")
+    assert ({k: v for k, v in cut.items() if k not in added}
+            == {k: v for k, v in uncut.items() if k not in added})
+    assert uncut["relabellings"] == 1
+    assert uncut["specs_decided"] == uncut["specs_checked"]
+    return cut, failure, ticks
+
+
+@pytest.mark.parametrize("max_size", [2, 3])
+def test_orbit_cut_matches_the_plain_sweep_on_the_halves(g2, cfg2, max_size,
+                                                        monkeypatch):
+    summary, failure, ticks = _cut_and_uncut(monkeypatch, g2, cfg2,
+                                             _halves(g2), max_size)
+    assert failure is None and summary["min_unique_count"] == 2
+    assert summary["relabellings"] == 8
+    assert (summary["specs_checked"], summary["specs_decided"]) == {
+        2: (18240, 2288), 3: (484160, 60528)}[max_size]
+    # one tick per multiple of 50,000 crossed, though the count grows by
+    # whole groups of pairs
+    assert ticks == list(range(50000, summary["specs_checked"] + 1, 50000))
+
+
+def test_orbit_cut_decides_one_pair_per_orbit(g2, cfg2, monkeypatch):
+    calls = []
+    report = structure.product_report
+    monkeypatch.setattr(structure, "product_report",
+                        lambda *a: calls.append(a[:2]) or report(*a))
+    summary, failure = run_tup_sweep(g2, cfg2, _halves(g2), 3)
+    assert failure is None and summary["specs_checked"] == 484160
+    assert len(calls) == len(set(calls)) == summary["specs_decided"] == 60528
+
+
+def test_orbit_cut_finds_images_through_their_canonical_forms(g2, cfg2,
+                                                              monkeypatch):
+    # criterion 6's length-n reps: the window class, whose relabelled
+    # images are other windows and canonicalize back to 1..8, and the
+    # rotated windows, which relabelling permutes
+    canon = canonicalizer(g2, cfg2)
+    ident = tuple(range(1, 9))
+    reps = sorted({canon(w) for w in
+                   [ident] + [e[1:] + e[:1] for e in g2.elements]})
+    assert ident in reps and g2.u not in reps
+    summary, failure, _ = _cut_and_uncut(monkeypatch, g2, cfg2, reps, 2)
+    assert failure is None and summary["min_unique_count"] >= 2
+    assert summary["relabellings"] == 8
+    assert summary["specs_decided"] < summary["specs_checked"]
+
+
+def test_orbit_cut_falls_back_to_the_identity(g2, poisoned8, cfg2):
+    # the letters 1..3 are not closed under relabelling, and poisoned8 has
+    # no relabellings: every pair is decided
+    for g, reps in ((g2, [(1,), (2,), (3,)]), (poisoned8, _halves(poisoned8))):
+        summary, _ = run_tup_sweep(g, cfg2, reps, 2)
+        assert summary["relabellings"] == 1
+        assert summary["specs_decided"] == summary["specs_checked"]
+
+
+def _leads(g, reps, C):
+    """Whether no relabelling by an element (t0 is the identity on a real
+    table) moves the side C to one earlier in colex order."""
+    images = [sorted(reps.index(tuple(pi[a - 1] for a in reps[i])) for i in C)
+              for pi in g.elements]
+    return min(images, key=lambda S: S[::-1]) == list(C)
+
+
+@pytest.mark.parametrize("limit, leads", [
+    (1000, True),          # C = (), which every relabelling fixes
+    (2628 + 1000, True),   # C = (1,), the first letter
+    # reps sort as (), (1,), (1, 1), ..., (1, 8), (2,): the 11th group's C
+    # is the word 2, the image of the word 1 under a relabelling
+    (10 * 2628 + 1000, False)])
+def test_orbit_cut_matches_the_plain_sweep_inside_a_group(g2, cfg2, limit,
+                                                        leads, monkeypatch):
+    reps = canonical_ground_set(g2, cfg2, 2)
+    start = 0
+    for C, Ds in subset_specs_over(reps, 2):
+        if start + len(Ds) > limit:
+            break
+        start += len(Ds)
+    assert start < limit and _leads(g2, reps, C) is leads
+    summary, failure, _ = _cut_and_uncut(monkeypatch, g2, cfg2, reps, 2,
+                                         limit=limit)
+    assert failure is None and summary["capped"] is True
+    assert summary["specs_checked"] == limit
+    assert summary["relabellings"] == 8
+
+
+@pytest.mark.parametrize("table, reps, failing_C", [
+    ("cyclic8", None, None), ("dihedral8", None, None),
+    # the relabelling by the transposition of 1 and 2 swaps 1,2 and 2,1, so
+    # it fixes the failing pair
+    ("two_element8", [(3,), (1, 2), (4,), (2, 1), (3, 4, 5, 6, 7, 8)],
+     ["1,2", "2,1"]),
+    # here it swaps the two failing pairs, (0, 3) and (1, 4) in colex order
+    ("two_element8", [(2, 1, 2), (1, 1, 2), (3, 4, 5, 6, 7, 8), (2, 2, 1),
+                      (1, 2, 1)], ["2,1,2", "2,2,1"])])
+def test_orbit_cut_matches_the_plain_sweep_on_planted_tables(
+        table, reps, failing_C, cfg2, monkeypatch, request):
+    g = request.getfixturevalue(table)
+    summary, failure, _ = _cut_and_uncut(monkeypatch, g, cfg2,
+                                         reps or _halves(g), 3)
+    assert summary["relabellings"] == (2 if reps else 8)
+    if reps:
+        assert failure["C"] == failing_C and failure["unique_count"] == 0
+        assert (summary["specs_checked"], summary["min_unique_count"], failure) \
+            == tup_sweep(g, cfg2, reps, 3)
+    else:
+        # each table's first halves are its second halves: 8 reps
+        assert failure is None and summary["specs_checked"] == 92 * 92 - 64
+        assert summary["specs_decided"] < summary["specs_checked"]
 
 
 def test_run_tup_sweep_rejects_reps_that_are_not_canonical_and_distinct(

@@ -512,14 +512,19 @@ def test_critical_pairs_include_a_left_side_inside_another():
               if w in lefts]
     assert inside == [s[:7] + block * m + ident for m in range(bound)]
     assert words._certify(g) is None
-    # chain 1 only: at the bound the pairs reach 54 letters and classes of
-    # 4,607 members, too many for the naive closure
-    cfg = RewriteConfig(max_class_size=1_000, max_word_length=40)
-    for w, a, b in words._critical_pairs(rules, 1):
+    # every pair at the bound: up to 54 letters and classes of 4,607 members
+    cfg = RewriteConfig(max_class_size=5_000, max_word_length=54)
+    pairs = list(words._critical_pairs(rules, bound))
+    assert len(pairs) == 41
+    lengths, sizes = [], []
+    for w, a, b in pairs:
         naive = naive_class(w, g)
         assert a in naive and b in naive
         # uncertified, so the canonical form is read off the class
         assert canonical_form(w, g, cfg) == min(naive)
+        lengths.append(len(w))
+        sizes.append(len(naive))
+    assert (max(lengths), max(sizes)) == (54, 4607)
 
 
 def has_redex(w, g):
