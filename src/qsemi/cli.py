@@ -147,6 +147,8 @@ def cmd_verify_lemmas(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
     lines = []
     for r in reports:
         verdict = "PASS" if r.passed else "FAIL"
+        if r.by_duality:
+            verdict += " (by duality)"
         covered, family = r.stats.get("covered", 0), r.stats.get("family", 0)
         if r.passed and covered < family:
             verdict += f" over {covered} of {family} tails (--step3-samples)"
@@ -156,7 +158,9 @@ def cmd_verify_lemmas(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
     for name, value in checks.items():
         lines.append(f"{name:<16} k={args.k}  {'PASS' if value else 'FAIL'}")
     details = {"lemmas": [r.to_json() for r in reports],
-               "group_checks": checks}
+               "group_checks": checks,
+               "by_duality": [r.lemma_id.value for r in reports
+                              if r.by_duality]}
     return ok, details, lines
 
 

@@ -14,10 +14,16 @@ equivalent words within a radius, so it is evidence, not proof.  Stepss
 decides every pair of the classes it builds; Step3 an exact tail family.
 
 The mirror-image oracles (SymNotPossible, SymMaxOne, SymOverlapp, SymStep3)
-state the same lemmas read right to left.  Each is its forward oracle run on
-the mirrored table (image tuples reversed, labels unchanged), with the
-counterexample mapped back: words reversed, positions p to n+1-p, pair
-starts p to n-p, and for Overlapp sigma and tau swapped.
+state the same lemmas read right to left, and all go through `_on_mirror`.
+Where the table is `self_dual` (delta, reversal followed by x -> n+1-x,
+maps windows to windows, as on every quaternion table) the mirrored table
+is the table with its letters relabelled, so a mirror lemma holds exactly
+when its forward lemma does: a passing forward report is carried over,
+stats included, and marked `by_duality`.  Otherwise, or when the forward
+lemma fails, the forward oracle runs on the mirrored table (image tuples
+reversed, labels unchanged), with the counterexample mapped back: words
+reversed, positions p to n+1-p, pair starts p to n-p, and for Overlapp
+sigma and tau swapped.
 
 Every oracle returns a LemmaReport; a planted violation (a table that is not
 a regular quaternion group) must surface as passed=False with a populated
@@ -32,7 +38,7 @@ from enum import Enum
 from typing import Callable
 
 from .perms import Perm
-from .quaternion import GroupTable, relabellings
+from .quaternion import GroupTable, relabellings, self_dual
 from .words import (RewriteConfig, Word, class_of, draw, format_word,
                     random_word)
 
@@ -57,13 +63,17 @@ class LemmaReport:
     passed: bool
     counterexample: dict | None = None
     stats: dict = field(default_factory=dict)
+    # carried over from the forward report by duality (see `_on_mirror`)
+    by_duality: bool = False
 
     def __post_init__(self) -> None:
         if self.passed and self.counterexample is not None:
             raise ValueError("a passing report cannot carry a counterexample")
 
     def to_json(self) -> dict:
-        return {**asdict(self), "lemma_id": self.lemma_id.value}
+        data = asdict(self)
+        del data["by_duality"]
+        return {**data, "lemma_id": self.lemma_id.value}
 
 
 def _failed(g: GroupTable, lemma_id: LemmaId, si: int, ti: int,
@@ -154,42 +164,64 @@ def verify_overlapp(g: GroupTable) -> LemmaReport:
 
 
 def _on_mirror(g: GroupTable, lemma_id: LemmaId, oracle: Callable[..., LemmaReport],
-               back: Callable[[dict], dict], **kwargs) -> LemmaReport:
-    """`oracle` run on the mirrored table (every image tuple reversed, element
-    numbers and labels unchanged), reported as `lemma_id` with its
-    counterexample mapped back to original coordinates by `back`."""
+               back: Callable[[dict], dict], forward: LemmaReport | None = None,
+               **kwargs) -> LemmaReport:
+    """`oracle` read right to left, reported as `lemma_id`.
+
+    When `forward`, the report of `oracle` on g, passed and g is
+    `self_dual`, the mirrored table is g relabelled by rho(x) = n+1-x with
+    its elements reordered.  Every oracle's verdict and stats are unchanged
+    by that, and delta carries each instance or sampled tail of `forward`
+    onto one of the mirror lemma, so `forward` passes as `lemma_id` with
+    its stats and no oracle runs.  Otherwise `oracle` runs on the mirrored
+    table (every image tuple reversed, element numbers and labels
+    unchanged), and its counterexample is mapped back to original
+    coordinates by `back`."""
+    if forward is not None and forward.passed and self_dual(g):
+        if "Sym" + forward.lemma_id.value != lemma_id.value:
+            raise ValueError(f"{forward.lemma_id.value} is not the forward "
+                             f"lemma of {lemma_id.value}")
+        return LemmaReport(lemma_id, g.k, True, stats=dict(forward.stats),
+                           by_duality=True)
     r = oracle(replace(g, elements=tuple(e[::-1] for e in g.elements)),
                **kwargs)
     return LemmaReport(lemma_id, g.k, r.passed,
                        r.counterexample and back(r.counterexample), r.stats)
 
 
-def verify_sym_not_possible(g: GroupTable) -> LemmaReport:
+def verify_sym_not_possible(g: GroupTable,
+                            forward: LemmaReport | None = None) -> LemmaReport:
     """Mirror of NotPossible: upper-half pairs of one window against
-    lower-half pairs of another."""
+    lower-half pairs of another.  `forward`: NotPossible's report on g,
+    if already run (see `_on_mirror`)."""
     n = g.n
     return _on_mirror(g, LemmaId.SYM_NOT_POSSIBLE, verify_not_possible, lambda c: {
-        **c, "p": n - c["p"], "q": n - c["q"], "pair": c["pair"][::-1]})
+        **c, "p": n - c["p"], "q": n - c["q"], "pair": c["pair"][::-1]},
+        forward)
 
 
-def verify_sym_max_one(g: GroupTable) -> LemmaReport:
+def verify_sym_max_one(g: GroupTable,
+                       forward: LemmaReport | None = None) -> LemmaReport:
     """Mirror of MaxOne: a prefix of one window against an interior factor
-    t(j..i) anchored past position n/2 + 2."""
+    t(j..i) anchored past position n/2 + 2.  `forward`: MaxOne's report on
+    g, if already run."""
     n = g.n
     return _on_mirror(g, LemmaId.SYM_MAX_ONE, verify_max_one, lambda c: {
         **c, "i": n + 1 - c["i"], "j": n + 1 - c["j"],
-        "factor": c["factor"][::-1]})
+        "factor": c["factor"][::-1]}, forward)
 
 
-def verify_sym_overlapp(g: GroupTable) -> LemmaReport:
+def verify_sym_overlapp(g: GroupTable,
+                        forward: LemmaReport | None = None) -> LemmaReport:
     """Mirror of Overlapp: the mixed word s(j..l) t(l+1..m) starts at
     position 1 or 2 and the matching factor of a single window ends at
-    position `end`, n-1 or n."""
+    position `end`, n-1 or n.  `forward`: Overlapp's report on g, if
+    already run."""
     n = g.n
     return _on_mirror(g, LemmaId.SYM_OVERLAPP, verify_overlapp, lambda c: {
         "sigma": c["tau"], "tau": c["sigma"], "lambda": c["lambda"],
         "j": n + 1 - c["m"], "l": n - c["l"], "m": n + 1 - c["j"],
-        "end": n + 1 - c["i"], "word": c["word"][::-1]})
+        "end": n + 1 - c["i"], "word": c["word"][::-1]}, forward)
 
 
 def default_stepss_seeds(g: GroupTable, max_extra: int,
@@ -345,15 +377,18 @@ _SYM_STEP3_REASONS = {
 
 def verify_sym_step3(g: GroupTable, cfg: RewriteConfig,
                      samples: int = 1000,
-                     rng: random.Random | None = None) -> LemmaReport:
+                     rng: random.Random | None = None,
+                     forward: LemmaReport | None = None) -> LemmaReport:
     """Mirror of Step3 for suffixes: every member of the class of
     w2 t(1..i) either keeps that exact suffix or replaces the first letter
-    of the t-part by a fresh length n-1 window suffix."""
+    of the t-part by a fresh length n-1 window suffix.  `forward`: Step3's
+    report on g, if already run; carried over, a sampled one stands for
+    the delta-image of its sample, and nothing is drawn from rng."""
     n = g.n
     return _on_mirror(g, LemmaId.SYM_STEP3, verify_step3, lambda c: {
         "w1": _reversed_word(c["w1"]), "reason": _SYM_STEP3_REASONS[c["reason"]],
         "tau": c["tau"], "i": n - c["i"], "seed": _reversed_word(c["seed"])},
-        cfg=cfg, samples=samples, rng=rng)
+        forward, cfg=cfg, samples=samples, rng=rng)
 
 
 def _reversed_word(text: str) -> str:
@@ -364,17 +399,22 @@ def run_lemma_suite(g: GroupTable, cfg: RewriteConfig,
                     stepss_extra: int | None = None,
                     step3_samples: int = 1000,
                     rng: random.Random | None = None) -> list[LemmaReport]:
-    """All ten oracles, deterministic order."""
+    """All ten oracles, deterministic order; each mirror oracle gets its
+    forward report."""
     rng = rng if rng is not None else random.Random(0)
-    return [
+    forward = [
         verify_not_possible(g),
         verify_max_one(g),
         verify_big(g),
         verify_overlapp(g),
         verify_stepss(g, cfg, max_extra=stepss_extra, rng=rng),
         verify_step3(g, cfg, samples=step3_samples, rng=rng),
-        verify_sym_not_possible(g),
-        verify_sym_max_one(g),
-        verify_sym_step3(g, cfg, samples=step3_samples, rng=rng),
-        verify_sym_overlapp(g),
+    ]
+    not_possible, max_one, _, overlapp, _, step3 = forward
+    return forward + [
+        verify_sym_not_possible(g, not_possible),
+        verify_sym_max_one(g, max_one),
+        verify_sym_step3(g, cfg, samples=step3_samples, rng=rng,
+                         forward=step3),
+        verify_sym_overlapp(g, overlapp),
     ]

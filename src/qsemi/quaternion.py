@@ -80,6 +80,17 @@ class GroupTable:
                 index.setdefault(e[p - 1:p + 1], []).append((idx, p))
         return index
 
+    @cached_property
+    def follow(self) -> tuple[frozenset[int], ...]:
+        """`follow[x]`: the letters y such that some image tuple starts
+        x y, read off `pair_index`.  A scan for windows slices a factor
+        only where its first two letters are such a pair."""
+        follow: list[set[int]] = [set() for _ in range(self.n + 1)]
+        for (x, y), hits in self.pair_index.items():
+            if any(p == 1 for _, p in hits):
+                follow[x].add(y)
+        return tuple(map(frozenset, follow))
+
     def occurrences(self, factor: tuple[int, ...]) -> list[tuple[int, int]]:
         """(element index, 1-based start) of every occurrence of a factor of
         length >= 2 in an image tuple, in element order.  Image tuples are
@@ -124,6 +135,28 @@ def relabellings(g: GroupTable) -> tuple[Perm, ...] | None:
             pis = None
     _RELABELLINGS[g.elements] = pis
     return pis
+
+
+_SELF_DUAL: dict[tuple[Perm, ...], bool] = {}
+
+
+def self_dual(g: GroupTable) -> bool:
+    """Whether delta maps windows to windows, where delta(w) reverses w
+    and then maps each letter x to n+1-x.  Computed once per table content.
+
+    delta then reverses products, so it is an anti-automorphism of the
+    monoid, and the mirrored table (every image tuple reversed) is the
+    table relabelled by rho(x) = n+1-x: a statement about windows read
+    right to left holds exactly when it holds read left to right.
+    """
+    try:
+        return _SELF_DUAL[g.elements]
+    except KeyError:
+        pass
+    top = g.n + 1
+    dual = _SELF_DUAL[g.elements] = all(
+        tuple(top - x for x in reversed(e)) in g.index for e in g.elements)
+    return dual
 
 
 def format_label(label: Label) -> str:

@@ -102,10 +102,12 @@ def format_word(w: Word) -> str:
 
 def find_relation_factors(w: Word, g: GroupTable) -> list[tuple[int, Perm]]:
     """All (position, element) pairs where a length-n window of w spells out
-    a table element's image tuple.  Positions are 1-based."""
-    n, index = g.n, g.index
+    a table element's image tuple.  Positions are 1-based.  Only the
+    positions whose two letters start some window (`GroupTable.follow`)
+    are sliced and looked up."""
+    n, index, follow = g.n, g.index, g.follow
     return [(p0 + 1, win) for p0 in range(len(w) - n + 1)
-            if (win := w[p0:p0 + n]) in index]
+            if w[p0 + 1] in follow[w[p0]] and (win := w[p0:p0 + n]) in index]
 
 
 def rewrite_step(w: Word, position: int, src: Perm, dst: Perm, g: GroupTable) -> Word:

@@ -3,6 +3,8 @@
 - Brute-force scans of the four forward window lemmas, of the overlap bound,
   of Stepss and of Step3 over every cell: the slow reference for the
   pair-index, counting and orbit-cut oracles in `qsemi.lemmas`.
+- `relation_factors`, the windows of a word by slicing at every position,
+  the reference for `words.find_relation_factors`.
 - `naive_class`, congruence classes by brute slice comparison, the
   reference for `words.class_of`, and `tup_sweep`, the two unique products
   sweep by pairwise class membership, the reference for
@@ -150,6 +152,14 @@ def stepss(g, cfg, max_extra=None, rng=None):
                     return False, pairs, counts
                 counts[0 if c1 and c2 else 1 if c1 else 2] += 1
     return True, pairs, counts
+
+
+def relation_factors(w, g):
+    """(1-based position, window) for every length-n slice of w that is an
+    image tuple, no pair filter."""
+    n = g.n
+    return [(p0 + 1, w[p0:p0 + n]) for p0 in range(len(w) - n + 1)
+            if w[p0:p0 + n] in g.elements]
 
 
 def naive_class(w, g, rounds=50):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qsemi import cli
+from qsemi import cli, lemmas
 from qsemi.algebra import AlgebraElement
 from qsemi.cli import main
 from qsemi.errors import QsemiError
@@ -104,6 +104,32 @@ def test_verify_lemmas(capsys):
     assert all(r["passed"] for r in lemmas)
     assert payload["details"]["group_checks"] == {
         "other": True, "disjoint_halves": True, "stabilizer_free": True}
+    assert payload["details"]["by_duality"] == [
+        "SymNotPossible", "SymMaxOne", "SymStep3", "SymOverlapp"]
+
+
+def test_verify_lemmas_names_the_reports_derived_by_duality(monkeypatch,
+                                                           capsys):
+    assert main(["verify-lemmas", "--k", "2", "--step3-samples", "50"]) == 0
+    verdicts = dict(l.split(None, 1) for l in
+                    capsys.readouterr().out.splitlines())
+    for name in ("NotPossible", "MaxOne", "Overlapp", "Step3"):
+        assert verdicts[name] == "k=2  PASS"
+        assert verdicts["Sym" + name] == "k=2  PASS (by duality)"
+    # without duality every mirror oracle runs, and the key lists none
+    monkeypatch.setattr(lemmas, "self_dual", lambda g: False)
+    code, payload = run_json(capsys, ["verify-lemmas", "--k", "2",
+                                      "--step3-samples", "50"])
+    assert code == 0 and payload["details"]["by_duality"] == []
+
+
+def test_verify_lemmas_default_k8(capsys):
+    # every tail of the Step3 family, 64,480 over the orbit, on both sides
+    code, payload = run_json(capsys, ["verify-lemmas", "--k", "8"])
+    assert code == 0 and payload["passed"] is True
+    stats = {r["lemma_id"]: r["stats"] for r in payload["details"]["lemmas"]}
+    for name in ("Step3", "SymStep3"):
+        assert stats[name]["covered"] == stats[name]["family"] == 64480
 
 
 def test_verify_lemmas_text(capsys):
@@ -115,11 +141,13 @@ def test_verify_lemmas_text(capsys):
 
 
 def test_verify_lemmas_text_says_when_step3_samples_cut_the_family(capsys):
-    # like tup-check's --limit: a PASS over part of the tail family says so
+    # like tup-check's --limit: a PASS over part of the tail family says so;
+    # SymStep3 carries Step3's sample over by duality
     assert main(["verify-lemmas", "--k", "3", "--step3-samples", "5"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if "Step3" in l]
     assert [l.split(None, 1)[1] for l in lines] == [
-        "k=3  PASS over 660 of 3300 tails (--step3-samples)"] * 2
+        "k=3  PASS over 660 of 3300 tails (--step3-samples)",
+        "k=3  PASS (by duality) over 660 of 3300 tails (--step3-samples)"]
     assert main(["verify-lemmas", "--k", "2"]) == 0
     assert "tails" not in capsys.readouterr().out
 

@@ -12,7 +12,8 @@ from qsemi.lemmas import (LemmaId, LemmaReport, _SYM_STEP3_REASONS,
                           verify_sym_max_one, verify_sym_not_possible,
                           verify_sym_overlapp, verify_sym_step3)
 from qsemi.perms import compose
-from qsemi.quaternion import QuaternionConfig, generate_group, relabellings
+from qsemi.quaternion import (QuaternionConfig, generate_group, relabellings,
+                              self_dual)
 from qsemi.words import class_of, default_config
 from reference_oracles import EXHAUSTIVE, stepss
 
@@ -213,6 +214,26 @@ def test_relabelling_needs_permutations(g2, cyclic8, dihedral8, poisoned8,
         pis = relabellings(g)
         assert len(pis) == len(g)
         assert {compose(pi, g.elements[0]) for pi in pis} == set(g.elements)
+
+
+def test_self_dual_truth_table(cyclic8, dihedral8, poisoned8, two_element8):
+    # delta (reverse, then x -> n+1-x) maps windows to windows exactly when
+    # the mirrored table is the table relabelled by x -> n+1-x
+    tables = [generate_group(QuaternionConfig(k)) for k in (2, 3, 4, 5, 8, 16)]
+    planted = [cyclic8, dihedral8, poisoned8, two_element8]
+    assert [self_dual(g) for g in tables + planted] == [True] * 8 + [False] * 2
+    for g in tables + planted:
+        mirrored = {e[::-1] for e in g.elements}
+        relabelled = {tuple(g.n + 1 - x for x in e) for e in g.elements}
+        assert (mirrored == relabelled) == self_dual(g)
+
+
+def test_mirror_oracle_rejects_another_lemmas_report(g2):
+    with pytest.raises(ValueError, match="Big is not the forward lemma"):
+        verify_sym_max_one(g2, verify_big(g2))
+    r = verify_sym_max_one(g2, verify_max_one(g2))
+    assert r.by_duality and r.passed
+    assert r.to_json() == verify_sym_max_one(g2).to_json()
 
 
 def test_dihedral_table_breaks_window_lemmas(dihedral8):

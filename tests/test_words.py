@@ -209,7 +209,7 @@ def test_closure_expands_each_window_orbit_once(k, m, size, loops):
     # already, so the closure loops over the table once per orbit
     g = generate_group(QuaternionConfig(k))
     counted = dataclasses.replace(g, elements=CountingTuple(g.elements))
-    counted.index  # build the index before counting
+    counted.index, counted.follow  # build the indexes before counting
     CountingTuple.loops = 0
     w = tuple(range(1, g.n + 1)) * m
     assert len(class_of(w, counted, default_config(g.n)).members) == size
