@@ -3,15 +3,16 @@
 The first group of oracles is exhaustive: each decides its whole quantifier
 range and confirms that short factors of defining windows cannot collide
 except in the trivial ways (NotPossible, MaxOne, Big, Overlapp).  They are
-queries on the table's pair index (`GroupTable.occurrences`, `windows_at`):
-image tuples are permutations, so the first two letters of a factor locate
-every window that contains it.  `stats["instances"]` is the size of the
-range decided.
+queries on the table's pair index (`GroupTable.occurrences`, and
+`windows_at` past single letters): image tuples are permutations, so the
+first two letters of a factor locate every window that contains it.
+`stats["instances"]` is the size of the range decided.
 
 The second group (Stepss, Step3) is empirical: it enumerates members of
 actual congruence classes and confirms the forced prefix shapes of
 equivalent words within a radius, so it is evidence, not proof.  Stepss
 decides every pair of the classes it builds; Step3 an exact tail family.
+Both look window prefixes of n-1 letters up in `GroupTable.prefixes`.
 
 The mirror-image oracles (SymNotPossible, SymMaxOne, SymOverlapp, SymStep3)
 state the same lemmas read right to left, and all go through `_on_mirror`.
@@ -33,7 +34,7 @@ counterexample.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -173,9 +174,8 @@ def _on_mirror(g: GroupTable, lemma_id: LemmaId, oracle: Callable[..., LemmaRepo
     its elements reordered.  Every oracle's verdict and stats are unchanged
     by that, and delta carries each instance or sampled tail of `forward`
     onto one of the mirror lemma, so `forward` passes as `lemma_id` with
-    its stats and no oracle runs.  Otherwise `oracle` runs on the mirrored
-    table (every image tuple reversed, element numbers and labels
-    unchanged), and its counterexample is mapped back to original
+    its stats and no oracle runs.  Otherwise `oracle` runs on
+    `g.mirrored`, and its counterexample is mapped back to original
     coordinates by `back`."""
     if forward is not None and forward.passed and self_dual(g):
         if "Sym" + forward.lemma_id.value != lemma_id.value:
@@ -183,8 +183,7 @@ def _on_mirror(g: GroupTable, lemma_id: LemmaId, oracle: Callable[..., LemmaRepo
                              f"lemma of {lemma_id.value}")
         return LemmaReport(lemma_id, g.k, True, stats=dict(forward.stats),
                            by_duality=True)
-    r = oracle(replace(g, elements=tuple(e[::-1] for e in g.elements)),
-               **kwargs)
+    r = oracle(g.mirrored, **kwargs)
     return LemmaReport(lemma_id, g.k, r.passed,
                        r.counterexample and back(r.counterexample), r.stats)
 
@@ -276,7 +275,7 @@ def verify_stepss(g: GroupTable, cfg: RewriteConfig,
             tally[w[0]] = tally.get(w[0], 0) + 1
         if len(keep.keys() | brk.keys()) < 2:
             continue  # one first letter: no pair
-        if len(brk) > 1 or not all(g.windows_at(w[:n - 1], 1) for w in members):
+        if len(brk) > 1 or not all(w[:n - 1] in g.prefixes for w in members):
             return _stepss_failure(g, sorted(members), classes, pairs)
         nk, nb = sum(keep.values()), sum(brk.values())
         both = nk * nk - sum(v * v for v in keep.values())
@@ -298,7 +297,7 @@ def _stepss_failure(g: GroupTable, members: list[Word], classes: int,
             if w1[0] == w2[0]:
                 continue
             pairs += 1
-            if not g.windows_at(w1[:n - 1], 1) or not g.windows_at(w2[:n - 1], 1):
+            if w1[:n - 1] not in g.prefixes or w2[:n - 1] not in g.prefixes:
                 reason = "first n-1 letters are not a window prefix"
             elif w1[:n] not in g.index and w2[:n] not in g.index:
                 reason = "both words break their window at letter n"
@@ -361,7 +360,7 @@ def _step3_member_check(g: GroupTable, t: Perm, i: int,
         return "prefix leaves t(i+1..n-1) before letter n"
     if len(w1) < head_len + n - 1:
         return "too short for the alternative prefix shape"
-    if not g.windows_at(w1[head_len:head_len + n - 1], 1):
+    if w1[head_len:head_len + n - 1] not in g.prefixes:
         return "no window prefix after t(i+1..n-1)"
     return None
 

@@ -14,8 +14,8 @@ form; any disagreement raises ConsistencyError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cache, cached_property
 
 from .errors import ClosureError, ConsistencyError
 from .perms import (Perm, compose, cycle_string, from_cycles, identity,
@@ -45,6 +45,11 @@ class GroupTable:
 
     `elements[i]` is the image tuple of element number i, and `labels` maps
     the normal form (i, j) of t^i u^j to that number.
+
+    Tables hash by identity (`eq=False`): the cached properties and the
+    `functools.cache`d `relabellings`, `self_dual` and
+    `words._certified_rules` are computed once per table object, and a cache
+    holds the table it keys on, so no id is recycled under a live entry.
     """
 
     k: int
@@ -91,6 +96,16 @@ class GroupTable:
                 follow[x].add(y)
         return tuple(map(frozenset, follow))
 
+    @cached_property
+    def mirrored(self) -> GroupTable:
+        """Every image tuple reversed; element numbers and labels unchanged."""
+        return replace(self, elements=tuple(e[::-1] for e in self.elements))
+
+    @cached_property
+    def prefixes(self) -> frozenset[Perm]:
+        """The first n-1 letters of every image tuple."""
+        return frozenset(e[:-1] for e in self.elements)
+
     def occurrences(self, factor: tuple[int, ...]) -> list[tuple[int, int]]:
         """(element index, 1-based start) of every occurrence of a factor of
         length >= 2 in an image tuple, in element order.  Image tuples are
@@ -102,7 +117,9 @@ class GroupTable:
 
     def windows_at(self, factor: tuple[int, ...], p: int) -> list[int]:
         """Indices of the elements whose images from position p spell
-        factor, in element order."""
+        factor, in element order.  Unlike `occurrences` it takes single
+        letters too, which `verify_overlapp` and `lemmas._step3_tails`
+        pass."""
         elements, end = self.elements, p - 1 + len(factor)
         if len(factor) == 1:
             return [i for i, e in enumerate(elements) if e[p - 1] == factor[0]]
@@ -110,53 +127,38 @@ class GroupTable:
                 if q == p and elements[i][p - 1:end] == factor]
 
 
-_RELABELLINGS: dict[tuple[Perm, ...], tuple[Perm, ...] | None] = {}
-
-
+@cache
 def relabellings(g: GroupTable) -> tuple[Perm, ...] | None:
     """The maps s o t0^-1 (s running over the elements, t0 the first), when
     the elements are permutations and relabelling letters by each of them
-    maps windows to windows; None otherwise.  Computed once per table
-    content.
+    maps windows to windows; None otherwise.
 
     Each then carries the window of t0 onto that of s and is an automorphism
     of the monoid, and together they form a group of order len(g): s o t0^-1
     composed with s' o t0^-1 sends t0 to a window, so it is one of the maps.
     """
-    try:
-        return _RELABELLINGS[g.elements]
-    except KeyError:
-        pass
-    pis: tuple[Perm, ...] | None = None
-    if all(sorted(e) == list(range(1, g.n + 1)) for e in g.elements):
-        t0_inv = inverse(g.elements[0])
-        pis = tuple(compose(s, t0_inv) for s in g.elements)
-        if not all(compose(pi, e) in g.index for pi in pis for e in g.elements):
-            pis = None
-    _RELABELLINGS[g.elements] = pis
+    if not all(sorted(e) == list(range(1, g.n + 1)) for e in g.elements):
+        return None
+    t0_inv = inverse(g.elements[0])
+    pis = tuple(compose(s, t0_inv) for s in g.elements)
+    if not all(compose(pi, e) in g.index for pi in pis for e in g.elements):
+        return None
     return pis
 
 
-_SELF_DUAL: dict[tuple[Perm, ...], bool] = {}
-
-
+@cache
 def self_dual(g: GroupTable) -> bool:
     """Whether delta maps windows to windows, where delta(w) reverses w
-    and then maps each letter x to n+1-x.  Computed once per table content.
+    and then maps each letter x to n+1-x.
 
     delta then reverses products, so it is an anti-automorphism of the
     monoid, and the mirrored table (every image tuple reversed) is the
     table relabelled by rho(x) = n+1-x: a statement about windows read
     right to left holds exactly when it holds read left to right.
     """
-    try:
-        return _SELF_DUAL[g.elements]
-    except KeyError:
-        pass
     top = g.n + 1
-    dual = _SELF_DUAL[g.elements] = all(
-        tuple(top - x for x in reversed(e)) in g.index for e in g.elements)
-    return dual
+    return all(tuple(top - x for x in reversed(e)) in g.index
+               for e in g.elements)
 
 
 def format_label(label: Label) -> str:
@@ -218,8 +220,10 @@ def build_u(cfg: QuaternionConfig) -> Perm:
     return u_act
 
 
+@cache
 def generate_group(cfg: QuaternionConfig) -> GroupTable:
-    """Close {t, u} under composition and label every element t^i u^j."""
+    """Close {t, u} under composition and label every element t^i u^j.
+    Built and checked once per config; a failed build caches nothing."""
     k, n = cfg.k, cfg.n
     t = build_t(cfg)
     u = build_u(cfg)

@@ -22,10 +22,11 @@ completeness certificate (`_certify`): the table contains the identity, its
 elements are permutations, each letter starts exactly one of them, and
 every critical pair of the rules with m <= 3 joins.  The certificate is
 computed on the first canonical form a table needs and kept per table
-content.  `canonical_form` and `words_equal` look the rules up once per
-call and rewrite with them on certified tables; on any other they read
-the class from `class_of`, the one class enumerator, which is also the
-tests' reference, with the bare rewrite they keep as `normal_form`.
+(`generate_group` builds one table per k).  `canonical_form` and
+`words_equal` look the rules up once per call and rewrite with them on
+certified tables; on any other they read the class from `class_of`, the
+one class enumerator, which is also the tests' reference, with the bare
+rewrite they keep as `normal_form`.
 
 The samplers draw each integer with `draw`, which makes exactly the
 `getrandbits` calls `random.Random.randint` makes, so a seed gives the
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .errors import BadFactor, ClassTooLarge
@@ -232,9 +234,6 @@ class _Rules:
 # bound on the chain length m of the schema rules whose critical pairs the
 # certificate joins; see `_certify` for why it carries to every m
 _SCHEMA_BOUND = 3
-# certificate verdicts by table content: `cli.main` builds a fresh table on
-# every call, and a recycled object id could name a different table
-_CERTIFIED: dict[tuple[Perm, ...], _Rules | None] = {}
 
 
 def _rule_table(g: GroupTable) -> _Rules | None:
@@ -325,13 +324,10 @@ def _certify(g: GroupTable) -> _Rules | None:
     return rules
 
 
+@cache
 def _certified_rules(g: GroupTable) -> _Rules | None:
-    """`_certify(g)`, computed once per table content."""
-    try:
-        return _CERTIFIED[g.elements]
-    except KeyError:
-        rules = _CERTIFIED[g.elements] = _certify(g)
-        return rules
+    """`_certify(g)`, computed once per table."""
+    return _certify(g)
 
 
 def words_equal(w1: Word, w2: Word, g: GroupTable, cfg: RewriteConfig) -> bool:

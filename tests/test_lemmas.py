@@ -206,7 +206,7 @@ def test_relabelling_needs_permutations(g2, cyclic8, dihedral8, poisoned8,
     # on the real table t0 is the identity, so the relabellings are the
     # elements themselves
     assert relabellings(g2) == g2.elements
-    assert relabellings(g2) is relabellings(g2)  # cached per table content
+    assert relabellings(g2) is relabellings(g2)  # cached per table
     repeated = bare_table(2, [tuple(range(1, 9)), (1, 1, 2, 3, 4, 5, 6, 7)])
     assert relabellings(repeated) is None
     assert relabellings(poisoned8) is None
@@ -226,6 +226,19 @@ def test_self_dual_truth_table(cyclic8, dihedral8, poisoned8, two_element8):
         mirrored = {e[::-1] for e in g.elements}
         relabelled = {tuple(g.n + 1 - x for x in e) for e in g.elements}
         assert (mirrored == relabelled) == self_dual(g)
+
+
+def test_mirror_runs_reuse_one_mirrored_table(poisoned8, cfg2):
+    # poisoned8 is not self-dual, so SymStep3 runs Step3 on the mirror; its
+    # derived facts are cached once, not once per run
+    assert poisoned8.mirrored is poisoned8.mirrored
+    assert poisoned8.mirrored.elements == tuple(
+        e[::-1] for e in poisoned8.elements)
+    sizes = []
+    for _ in range(3):
+        verify_sym_step3(poisoned8, cfg2, samples=1)
+        sizes.append(relabellings.cache_info().currsize)
+    assert sizes[0] == sizes[1] == sizes[2]
 
 
 def test_mirror_oracle_rejects_another_lemmas_report(g2):

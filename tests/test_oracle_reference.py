@@ -120,6 +120,24 @@ def test_find_relation_factors_matches_slice_scan(planted):
     assert found
 
 
+def test_prefixes_match_windows_at(planted):
+    # every (n-1)-letter factor of seeded words, which hold windows at
+    # random offsets, so both answers occur
+    g8 = generate_group(QuaternionConfig(8))
+    rng = random.Random(13)
+    seen = set()
+    for g in [*REAL.values(), g8, *planted]:
+        n = g.n
+        for _ in range(60):
+            w = seeded_word(rng, g, rng.randint(n - 1, 2 * n), p_window=0.8)
+            for p in range(len(w) - n + 2):
+                f = w[p:p + n - 1]
+                assert (f in g.prefixes) == bool(g.windows_at(f, 1)), (
+                    g.elements, f)
+                seen.add(f in g.prefixes)
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("case", ["k2", "k3", "k8", "cyclic8", "dihedral8",
                                   "poisoned8", "two_element8"])
 def test_mirror_reports_by_duality_match_the_mirror_run(case, request,

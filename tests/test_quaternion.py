@@ -1,6 +1,7 @@
 import pytest
 
 import qsemi.quaternion
+from qsemi import cli
 from qsemi.errors import ClosureError, ConsistencyError
 from qsemi.perms import compose, cycles, from_cycles, identity, inverse, power
 from qsemi.quaternion import (QuaternionConfig, check_disjoi, check_other,
@@ -114,8 +115,8 @@ def test_structure_checks_reject_mutants(cyclic8, poisoned8):
 def test_generate_group_detects_planted_generator(monkeypatch):
     monkeypatch.setattr(qsemi.quaternion, "build_u",
                         lambda cfg: from_cycles(cfg.n, [(1, 2)]))
-    with pytest.raises(ClosureError):
-        generate_group(QuaternionConfig(2))
+    with pytest.raises(ClosureError):  # past the per-config cache
+        generate_group.__wrapped__(QuaternionConfig(2))
 
 
 def test_build_u_cross_check(monkeypatch):
@@ -129,4 +130,27 @@ def test_generate_group_runs_the_fixed_point_check(monkeypatch):
     monkeypatch.setattr(qsemi.quaternion, "check_stabilizer_free",
                         lambda g: False)
     with pytest.raises(ConsistencyError, match="fixed point"):
-        generate_group(QuaternionConfig(2))
+        generate_group.__wrapped__(QuaternionConfig(2))
+
+
+def test_generate_group_builds_one_table_per_k():
+    for k in (2, 3, 8):
+        assert generate_group(QuaternionConfig(k)) is generate_group(
+            QuaternionConfig(k))
+
+
+def test_repeated_cli_calls_build_the_table_once(monkeypatch, capsys):
+    built = []
+
+    def counting(cfg, orig=qsemi.quaternion.build_t):
+        built.append(cfg.k)
+        return orig(cfg)
+
+    monkeypatch.setattr(qsemi.quaternion, "build_t", counting)
+    generate_group.cache_clear()
+    codes = [cli.main(["word-eq", "--k", "2", "5,8,7,6,3,2,1,4", w2])
+             for w2 in ("1,2,3,4,5,6,7,8", "5,8,7,6,3,2,1,4",
+                        "1,2,3,4,5,6,8,7")]
+    assert codes == [0, 0, 1]
+    assert capsys.readouterr().out.count("equal: ") == 3
+    assert built == [2]

@@ -415,7 +415,7 @@ def test_certificate_runs_once_per_table_content(monkeypatch, capsys):
          "import qsemi.cli, qsemi.words as words\n"
          "from qsemi.quaternion import QuaternionConfig, generate_group\n"
          "for k in (2, 3): generate_group(QuaternionConfig(k))\n"
-         "print(len(words._CERTIFIED))"],
+         "print(words._certified_rules.cache_info().currsize)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert fresh.stdout.split() == ["0"]
@@ -426,7 +426,7 @@ def test_certificate_runs_once_per_table_content(monkeypatch, capsys):
         return orig(g)
 
     monkeypatch.setattr(words, "_certify", counting)
-    monkeypatch.setattr(words, "_CERTIFIED", {})
+    words._certified_rules.cache_clear()
     generate_group(QuaternionConfig(2))
     assert cli.main(["verify-lemmas", "--k", "2", "--step3-samples", "2"]) == 0
     assert runs == []
@@ -442,7 +442,7 @@ def test_certificate_runs_once_per_table_content(monkeypatch, capsys):
         assert code == (0 if details["equal"] else 1)
         assert details["canonical_w1"] == format_word(bfs_least(w1, g))
         assert details["canonical_w2"] == format_word(bfs_least(w2, g))
-    # cli.main builds a fresh table on every call
+    # cli.main reads the one table per k, certified on its first word-eq
     assert sorted(runs) == [2, 3]
 
 
