@@ -22,8 +22,8 @@ from .quaternion import (GroupTable, QuaternionConfig, describe_elements,
 from .structure import (canonical_ground_set, cancellation_report,
                         run_tup_sweep)
 from .algebra import zero_divisor_search
-from .words import (RewriteConfig, canonical_form, default_config, format_word,
-                    parse_word, words_equal)
+from .words import (RewriteConfig, canonical_form, check_product_length,
+                    default_config, format_word, parse_word, words_equal)
 
 
 def _int_at_least(lo: int):
@@ -122,6 +122,13 @@ def _caps(args, n: int) -> RewriteConfig:
                          args.max_word_length or cfg.max_word_length)
 
 
+def _rng_digest(rng: random.Random) -> str:
+    """A short hex digest of the generator's state: two runs that drew
+    different bits from one seed leave different digests."""
+    import zlib  # here, so that commands that draw nothing never load it
+    return f"{zlib.crc32(repr(rng.getstate()).encode()):08x}"
+
+
 def _progress(label: str):
     def report(count: int) -> None:
         print(f"{label}: {count} done", file=sys.stderr)
@@ -178,6 +185,7 @@ def cmd_word_eq(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
 
 def cmd_tup_check(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
     cfg = _caps(args, g.n)
+    check_product_length(args.max_len, cfg)
     print(f"building ground set (length <= {args.max_len})", file=sys.stderr)
     reps = canonical_ground_set(g, cfg, args.max_len)
     print(f"{len(reps)} canonical representatives", file=sys.stderr)
@@ -197,9 +205,11 @@ def cmd_tup_check(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
 
 
 def cmd_cancel_sample(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
+    rng = random.Random(args.seed)
     report = cancellation_report(g, _caps(args, g.n), args.trials,
-                                 args.max_len, random.Random(args.seed),
+                                 args.max_len, rng,
                                  progress=_progress("cancel-sample"))
+    report["rng_digest"] = _rng_digest(rng)
     lines = [
         f"trials: {report['trials']}",
         f"antecedent hits: {report['antecedent_hits']}",
@@ -210,21 +220,22 @@ def cmd_cancel_sample(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
 
 
 def cmd_zero_divisor(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
+    rng = random.Random(args.seed)
     found = zero_divisor_search(g, _caps(args, g.n), p=args.p,
                                 trials=args.trials,
                                 max_support=args.max_support,
-                                max_len=args.max_len,
-                                rng=random.Random(args.seed),
+                                max_len=args.max_len, rng=rng,
                                 progress=_progress("zero-divisor"))
+    details = {"trials": args.trials, "found": None,
+               "rng_digest": _rng_digest(rng)}
     if found is None:
         lines = [f"no vanishing product in {args.trials} trials",
                  "zero-divisor: PASS"]
-        return True, {"trials": args.trials, "found": None}, lines
+        return True, details, lines
     x, y = found
     lines = [f"vanishing product found: ({x.to_text()}) * ({y.to_text()})",
              "zero-divisor: FAIL"]
-    details = {"trials": args.trials,
-               "found": {"x": x.to_json(), "y": y.to_json()}}
+    details["found"] = {"x": x.to_json(), "y": y.to_json()}
     return False, details, lines
 
 

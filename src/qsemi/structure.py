@@ -1,6 +1,10 @@
 """Finite-subset product bookkeeping: counting how many products of two
 subsets have a unique presentation, sweeping subset pairs exhaustively, and
-sampling the cancellation laws."""
+sampling the cancellation laws.
+
+The sweep interns every rep product to a small int id once; a side C
+becomes one bitmask column per rep d (the ids of c d, c in C), and each
+partner D is counted by folding its columns with integer ORs and ANDs."""
 
 from __future__ import annotations
 
@@ -18,20 +22,35 @@ from .words import (RewriteConfig, Word, canonicalizer,
 Side = tuple[int, ...]  # a subset of the ground set, as sorted rep indices
 
 
-def product_report(C: Sequence[int], D: Sequence[int],
-                   product: Sequence[Sequence[int]]) -> int:
+def product_columns(C: Sequence[int], product: Sequence[Sequence[int]]
+                    ) -> tuple[list[int], list[int]]:
+    """The side C as bitmask columns over product ids, one per rep d:
+    cols[d] has bit product[c][d] set for each c in C, and dups[d] the bits
+    that two members of C hit (c1 d = c2 d, only on a non-cancellative
+    table).  C indexes the reps; product[c][d] interns c d."""
+    cols, dups = [], []
+    for column in zip(*(product[c] for c in C)):
+        col = dup = 0
+        for p in column:
+            bit = 1 << p
+            dup |= col & bit
+            col |= bit
+        cols.append(col)
+        dups.append(dup)
+    return cols, dups
+
+
+def product_report(D: Sequence[int], cols: Sequence[int],
+                   dups: Sequence[int]) -> int:
     """The number of products c d, c in C and d in D, that no other pair
-    of C x D presents; C and D index the reps, product[c][d] interns c d."""
-    seen: set[int] = set()
-    repeated: set[int] = set()
-    for c in C:
-        for d in D:
-            p = product[c][d]
-            if p in seen:
-                repeated.add(p)
-            else:
-                seen.add(p)
-    return len(seen) - len(repeated)
+    of C x D presents, from C's `product_columns`: a product id is
+    repeated when a column hits it twice or two columns of D share it."""
+    seen = repeated = 0
+    for d in D:
+        m = cols[d]
+        repeated |= (seen & m) | dups[d]
+        seen |= m
+    return (seen ^ repeated).bit_count()  # repeated is a subset of seen
 
 
 def canonical_ground_set(g: GroupTable, cfg: RewriteConfig,
@@ -121,7 +140,8 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
     counts as checked when the stream passes it, since its first pair came
     earlier with the same verdict; so the first failing pair, the minimum
     and the cap are those of deciding every pair.  `relabellings` is the
-    number of permutations used, `specs_decided` the pairs decided."""
+    number of permutations used, `specs_decided` the pairs decided and
+    `products` the number of distinct interned rep products."""
     t0 = time.perf_counter()
     canon = canonicalizer(g, cfg)
     index: dict[Word, int] = {}
@@ -159,12 +179,13 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
                 stabilizer.append(sigma)
         else:
             moves = stabilizer if len(stabilizer) > 1 else ()
+            cols, dups = product_columns(C, product)
             for j in range(take):
                 D = Ds[j]
                 if moves and any(_image(sigma, D) < D[::-1] for sigma in moves):
                     continue
                 decided += 1
-                unique = product_report(C, D, product)
+                unique = product_report(D, cols, dups)
                 if min_unique is None or unique < min_unique:
                     min_unique = unique
                 if unique < 2:
@@ -194,6 +215,7 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
         "min_unique_count": min_unique,
         "relabellings": len(group),
         "specs_decided": decided,
+        "products": len(ids),
         "elapsed_ms": int((time.perf_counter() - t0) * 1000),
     }
     return summary, failure

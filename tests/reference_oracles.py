@@ -8,10 +8,13 @@
 - `naive_class`, congruence classes by brute slice comparison, the
   reference for `words.class_of`, and `tup_sweep`, the two unique products
   sweep by pairwise class membership, the reference for
-  `structure.run_tup_sweep`.  Each lemma scan walks its quantifier range in the
-  order of the statement and returns `(holds, instances, unsatisfiable)`.
-  It stops at the first violation, so the two counts are the size of the
-  whole range only when the lemma holds.
+  `structure.run_tup_sweep`.  `unique_product_count`, the count over
+  interned product ids with two sets, is the reference for the bitmask
+  kernel `structure.product_report`.  Each lemma scan walks its
+  quantifier range in the order of the statement and returns
+  `(holds, instances, unsatisfiable)`.  It stops at the first violation,
+  so the two counts are the size of the whole range only when the lemma
+  holds.
 - The normal-form arithmetic on labels t^i u^j, which the group table is
   checked against point by point.
 - Addition and support lengths in the monoid algebra, for the ring laws.
@@ -220,6 +223,21 @@ def tup_sweep(g, cfg, reps, max_size, limit=None):
                     "spec_index": checked - 1,
                 }
     return checked, min_unique, None
+
+
+def unique_product_count(C, D, product):
+    """The number of products c d, c in C and d in D, that no other pair
+    of C x D presents, counted over the ids product[c][d] with a set of
+    ids seen and a set of ids seen again."""
+    seen, repeated = set(), set()
+    for c in C:
+        for d in D:
+            p = product[c][d]
+            if p in seen:
+                repeated.add(p)
+            else:
+                seen.add(p)
+    return len(seen) - len(repeated)
 
 
 def step3_every_cell(g):

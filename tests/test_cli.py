@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qsemi import cli, lemmas
+from qsemi import cli, lemmas, words
 from qsemi.algebra import AlgebraElement
 from qsemi.cli import main
 from qsemi.errors import QsemiError
@@ -164,7 +164,11 @@ def test_tup_check(capsys):
     assert details["min_unique_count"] >= 2
     assert details["max_len"] == 1
     assert details["capped"] is False
-    assert "failure" not in details
+    # (), the 8 letters and the 64 words of two letters
+    assert details["products"] == 73
+    assert set(details) == {"k", "max_len", "max_size", "specs_checked",
+                            "capped", "min_unique_count", "relabellings",
+                            "specs_decided", "products", "elapsed_ms"}
 
 
 def test_tup_check_says_when_the_limit_cut_it_short(capsys):
@@ -209,25 +213,66 @@ def test_zero_divisor(capsys):
     code, payload = run_json(capsys, ["zero-divisor", "--k", "2", "--trials",
                                       "30", "--max-len", "6"])
     assert code == 0
-    assert payload["details"] == {"trials": 30, "found": None}
+    assert payload["details"] == {"trials": 30, "found": None,
+                                  "rng_digest": "bc873921"}
     assert payload["params"]["p"] == 2
+
+
+def _one_bit_short(rng, lo, hi):
+    """words.draw with one bit too few for a range of a power of two."""
+    n = hi - lo + 1
+    k = (n - 1).bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
+@pytest.mark.parametrize("command", ["zero-divisor", "cancel-sample"])
+def test_rng_digest_names_the_drawn_stream(monkeypatch, capsys, command):
+    # the words reach the window length, so seeded_word draws windows
+    # through words.draw
+    def digest(seed):
+        code, payload = run_json(capsys, [command, "--k", "2", "--trials",
+                                          "30", "--seed", str(seed)])
+        assert code == 0
+        return payload["details"]["rng_digest"]
+
+    first = digest(9)
+    assert len(first) == 8 and set(first) <= set("0123456789abcdef")
+    assert digest(9) == first and digest(10) != first
+    monkeypatch.setattr(words, "draw", _one_bit_short)
+    assert digest(9) != first
+
+
+def test_rng_digest_is_taken_once_per_command(monkeypatch, capsys):
+    calls = []
+    digest = cli._rng_digest
+    monkeypatch.setattr(cli, "_rng_digest",
+                        lambda rng: calls.append(rng) or digest(rng))
+    for command in ("zero-divisor", "cancel-sample"):
+        assert main([command, "--k", "2", "--trials", "30"]) == 0
+    assert len(calls) == 2
 
 
 # the sampling commands' outputs for fixed seeds, recorded before their
 # draws moved from randint/randrange to getrandbits, so a drift in the
-# random stream fails here.  These are totals and can survive a drift by
-# chance (a stream that drew the element index with one bit too few still
-# read 2062 at k=2, seed 5, but 2098 at seed 1); the draws themselves are
-# checked against randint in test_words.
+# random stream fails here.  The hit counts are totals and can survive a
+# drift by chance (a stream that drew the element index with one bit too
+# few still read 2062 at k=2, seed 5, but 2098 at seed 1); the digest of
+# the generator state after the last trial does not.  The draws themselves
+# are checked against randint in test_words.
 @pytest.mark.parametrize("k,seed,hits", [(2, 5, 2062), (3, 5, 2132),
                                          (2, 1, 2060)])
 def test_cancel_sample_replays_recorded_seed(capsys, k, seed, hits):
+    digest = {(2, 5): "101c9063", (3, 5): "3f1daddf", (2, 1): "aba796a5"}
     code, payload = run_json(capsys, ["cancel-sample", "--k", str(k),
                                       "--trials", "2000", "--seed", str(seed)])
     assert code == 0
     assert payload["details"] == {"trials": 2000, "max_len": 12,
                                   "antecedent_hits": hits, "violations": [],
-                                  "passed": True}
+                                  "passed": True,
+                                  "rng_digest": digest[k, seed]}
 
 
 def test_verify_lemmas_replays_recorded_stepss_seeds(capsys):
@@ -371,3 +416,18 @@ def test_repeated_calls_share_one_parser_and_no_flags(monkeypatch, capsys):
 def test_samplers_reject_parameters_before_drawing(capsys, argv, message):
     assert main(argv[:1] + ["--k", "2"] + argv[1:]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_tup_check_rejects_a_long_max_len_before_the_ground_set(
+        monkeypatch, capsys):
+    # words of 5 letters give products of 10; the 37,449 reps of length
+    # <= 5 are never built
+    def never(*args):
+        raise AssertionError("built the ground set")
+
+    monkeypatch.setattr(cli, "canonical_ground_set", never)
+    assert main(["tup-check", "--k", "2", "--max-len", "5",
+                 "--max-word-length", "9"]) == 2
+    assert capsys.readouterr().err == (
+        "error: max_len 5 gives products of 10 letters, over the "
+        "word-length cap 9\n")

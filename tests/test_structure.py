@@ -5,15 +5,20 @@ import pytest
 
 from qsemi import structure, words
 from qsemi.structure import (canonical_ground_set, cancellation_report,
-                             product_report, run_tup_sweep, subset_specs_over,
-                             subsets_colex)
+                             product_columns, product_report, run_tup_sweep,
+                             subset_specs_over, subsets_colex)
 from qsemi.words import (canonical_form, canonicalizer, class_of, seeded_word,
                          words_equal)
-from reference_oracles import tup_sweep
+from reference_oracles import tup_sweep, unique_product_count
 
 # both halves of the identity window against both halves shifted by one
 C_HALVES = ((1, 2, 3, 4), (2, 3, 4, 1))
 D_HALVES = ((5, 6, 7, 8), (6, 7, 8, 5))
+
+
+def _halves(g):
+    h = g.n // 2
+    return sorted({e[:h] for e in g.elements} | {e[h:] for e in g.elements})
 
 
 def _interned(reps, canon):
@@ -24,21 +29,31 @@ def _interned(reps, canon):
             for c in reps]
 
 
+def _report(C, D, product):
+    """product_report over C's columns, built as the sweep builds them."""
+    return product_report(D, *product_columns(C, product))
+
+
 def test_product_report_hand_example(g2, cfg2):
     canon = canonicalizer(g2, cfg2)
     # shorter than n: canonical
     reps = C_HALVES + D_HALVES
     C, D = (0, 1), (2, 3)
     product = _interned(reps, canon)
-    assert product_report(C, D, product) == 2
+    assert _report(C, D, product) == 2
     # (1,2,3,4)+(5,6,7,8) spells the identity window and (2,3,4,1)+(6,7,8,5)
     # spells t, so those two products merge; the cross products stay apart
     assert canon(reps[0] + reps[2]) == tuple(range(1, 9))
     assert product[0][2] == product[1][3]
     assert len({product[c][d] for c in C for d in D}) == 3
     # an id met three times is no more unique than one met twice
-    assert product_report((0, 1), (0, 1), [[0, 0], [0, 1]]) == 1
-    assert product_report((0, 1, 2), (0,), [[5], [6], [7]]) == 3
+    assert _report((0, 1), (0, 1), [[0, 0], [0, 1]]) == 1
+    assert _report((0, 1, 2), (0,), [[5], [6], [7]]) == 3
+    # a repeat inside one column (c1 d = c2 d) is seen without a second
+    # column: C = (0, 1) hits id 3 twice at d = 0
+    assert product_columns((0, 1), [[3, 1], [3, 2]]) == ([8, 6], [8, 0])
+    assert _report((0, 1), (0,), [[3, 1], [3, 2]]) == 0
+    assert _report((0, 1), (0, 1), [[3, 1], [3, 2]]) == 2
 
 
 def test_product_report_agrees_with_pairwise_equality(g2, cfg2):
@@ -54,8 +69,78 @@ def test_product_report_agrees_with_pairwise_equality(g2, cfg2):
             if sum(words_equal(w, v, g2, cfg2) for v in raw) == 1)
         reps = sorted(set(C) | set(D))
         product = _interned(reps, canon)
-        assert product_report(tuple(map(reps.index, C)),
-                              tuple(map(reps.index, D)), product) == unique
+        assert _report(tuple(map(reps.index, C)), tuple(map(reps.index, D)),
+                       product) == unique
+
+
+def _all_pairs_agree(product, max_size):
+    """The bitmask count equals the set count on every subset pair over
+    the rows of `product`; returns the number of pairs compared and the
+    number of sides C with a repeat inside some column."""
+    pairs = repeats = 0
+    for C, Ds in subset_specs_over(product, max_size):
+        cols, dups = product_columns(C, product)
+        repeats += any(dups)
+        for D in Ds:
+            assert (product_report(D, cols, dups)
+                    == unique_product_count(C, D, product)), (C, D)
+            pairs += 1
+    return pairs, repeats
+
+
+def test_product_report_matches_the_set_count_on_every_decided_pair(
+        g2, cfg2, monkeypatch):
+    # the sweep builds C's columns, then counts each partner D of C
+    columns, report = structure.product_columns, structure.product_report
+    side, counts = [], []
+
+    def columns_of(C, product):
+        side[:] = [C, product]
+        return columns(C, product)
+
+    def checked(D, cols, dups):
+        C, product = side
+        unique = report(D, cols, dups)
+        assert unique == unique_product_count(C, D, product), (C, D)
+        counts.append(unique)
+        return unique
+
+    monkeypatch.setattr(structure, "product_columns", columns_of)
+    monkeypatch.setattr(structure, "product_report", checked)
+    summary, failure = run_tup_sweep(g2, cfg2, _halves(g2), 3)
+    assert failure is None and summary["products"] == 249
+    assert len(counts) == summary["specs_decided"] == 60528
+    assert min(counts) == 2
+
+
+@pytest.mark.parametrize("table, max_size, pairs, repeats", [
+    # both tables hold the identity and the transposition of 1 and 2, so
+    # 1,2,3,4 + 5,6,7,8 and 2,1,3,4 + 5,6,7,8 merge: a repeat inside the
+    # column of 5,6,7,8 for each side C holding both first halves
+    ("poisoned8", 2, 120 * 120 - 15 * 15, 1),  # 15 halves
+    ("two_element8", 3, 7 * 7 - 3 * 3, 2)])  # 3 halves
+def test_product_report_matches_the_set_count_on_planted_halves(
+        table, max_size, pairs, repeats, cfg2, request):
+    g = request.getfixturevalue(table)
+    product = _interned(_halves(g), canonicalizer(g, cfg2))
+    assert _all_pairs_agree(product, max_size) == (pairs, repeats)
+
+
+def test_product_report_matches_the_set_count_with_in_column_repeats():
+    # few ids for many cells, so columns repeat ids and D's columns overlap
+    rng = random.Random(11)
+    for rows, cols, ids in ((4, 4, 3), (5, 3, 4), (6, 6, 8), (3, 7, 2)):
+        product = [[rng.randrange(ids) for _ in range(cols)]
+                   for _ in range(rows)]
+        assert any(len(set(column)) < rows for column in zip(*product))
+        sides = [s for n in range(1, 4)
+                 for s in itertools.combinations(range(rows), n)]
+        for C in sides:
+            columns = product_columns(C, product)
+            for size in range(1, 4):
+                for D in itertools.combinations(range(cols), size):
+                    assert (product_report(D, *columns)
+                            == unique_product_count(C, D, product)), (C, D)
 
 
 def test_subsets_colex():
@@ -161,8 +246,6 @@ def test_run_tup_sweep_counts_the_specs_it_is_given(g2, cfg2, monkeypatch):
     assert fewer["specs_checked"] == summary["specs_checked"] - 45 == 1899
 
 
-def _halves(g):
-    return sorted({e[:4] for e in g.elements} | {e[4:] for e in g.elements})
 
 
 def _cut_and_uncut(monkeypatch, g, cfg, reps, max_size, limit=None):
@@ -201,11 +284,27 @@ def test_orbit_cut_matches_the_plain_sweep_on_the_halves(g2, cfg2, max_size,
     assert ticks == list(range(50000, summary["specs_checked"] + 1, 50000))
 
 
+def test_run_tup_sweep_passes_on_the_k3_halves(g3, cfg3):
+    # the 24 half-windows at k=3, every pair of sides up to 3: the 12
+    # relabellings leave one pair in twelve to decide
+    summary, failure = run_tup_sweep(g3, cfg3, _halves(g3), 3)
+    assert failure is None
+    assert {key: summary[key] for key in (
+        "specs_checked", "specs_decided", "relabellings", "min_unique_count",
+        "capped", "products")} == {
+        "specs_checked": 5400400, "specs_decided": 450056,
+        "relabellings": 12, "min_unique_count": 2, "capped": False,
+        "products": 565}
+
+
 def test_orbit_cut_decides_one_pair_per_orbit(g2, cfg2, monkeypatch):
+    # on the cancellative monoid c d = c' d only when c = c', so D and the
+    # columns of C name the pair
     calls = []
     report = structure.product_report
     monkeypatch.setattr(structure, "product_report",
-                        lambda *a: calls.append(a[:2]) or report(*a))
+                        lambda D, cols, dups: calls.append((D, tuple(cols)))
+                        or report(D, cols, dups))
     summary, failure = run_tup_sweep(g2, cfg2, _halves(g2), 3)
     assert failure is None and summary["specs_checked"] == 484160
     assert len(calls) == len(set(calls)) == summary["specs_decided"] == 60528
