@@ -117,12 +117,6 @@ def _rep_permutations(g: GroupTable, reps: Sequence[Word],
     return list(perms) or alone
 
 
-def _image(sigma: Sequence[int], S: Side) -> Side:
-    """The side S moved by sigma, reversed: its members in descending order,
-    which compare as `subsets_colex` orders sides of one size."""
-    return tuple(sorted((sigma[i] for i in S), reverse=True))
-
-
 def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
                   max_size: int, limit: int | None = None,
                   progress: Callable[[int], None] | None = None
@@ -134,14 +128,15 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
 
     Each relabelling of the letters is an automorphism of the monoid
     (`quaternion.relabellings`); when it permutes the reps it maps every pair
-    to one with the same unique count.  Only the first pair of each orbit in
-    the stream is decided: its C comes first in the orbit of C, and its D
-    first in the orbit of D under the stabilizer of C.  Every other pair
-    counts as checked when the stream passes it, since its first pair came
-    earlier with the same verdict; so the first failing pair, the minimum
-    and the cap are those of deciding every pair.  `relabellings` is the
-    number of permutations used, `specs_decided` the pairs decided and
-    `products` the number of distinct interned rep products."""
+    to one with the same unique count.  Only the sides C that come first in
+    their orbit are decided, each with every partner D up to the cap.  A pair
+    whose C comes later counts as checked when the stream passes it: some
+    relabelling moves C to the side leading its orbit, so the image pair, of
+    the same sizes, came earlier in the stream with the same verdict.  The
+    first failing pair, the minimum and the cap are thus those of deciding
+    every pair.  `relabellings` is the number of permutations used,
+    `specs_decided` the pairs decided and `products` the number of distinct
+    interned rep products."""
     t0 = time.perf_counter()
     canon = canonicalizer(g, cfg)
     index: dict[Word, int] = {}
@@ -169,21 +164,13 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
         take = len(Ds)
         if limit is not None:
             take = max(0, min(take, limit - checked))
-        first = C[::-1]
-        stabilizer = []
-        for sigma in group:
-            moved = _image(sigma, C)
-            if moved < first:
-                break  # an earlier C in the orbit decides this group
-            if moved == first:
-                stabilizer.append(sigma)
-        else:
-            moves = stabilizer if len(stabilizer) > 1 else ()
+        # sides of one size compare in colex order by their reversed members
+        first = sorted(C, reverse=True)
+        if all(sorted((sigma[i] for i in C), reverse=True) >= first
+               for sigma in group):
             cols, dups = product_columns(C, product)
             for j in range(take):
                 D = Ds[j]
-                if moves and any(_image(sigma, D) < D[::-1] for sigma in moves):
-                    continue
                 decided += 1
                 unique = product_report(D, cols, dups)
                 if min_unique is None or unique < min_unique:
@@ -238,21 +225,14 @@ def _sampled_triples(g: GroupTable, cfg: RewriteConfig, trials: int,
 
 def cancellation_report(g: GroupTable, cfg: RewriteConfig, trials: int,
                         max_len: int, rng: random.Random | None = None,
-                        progress: Callable[[int], None] | None = None,
-                        triples: Sequence[tuple[Word, Word, Word]] | None = None,
+                        progress: Callable[[int], None] | None = None
                         ) -> dict:
     """Sampled test of both cancellation laws: ac = bc implies a = b, and
-    ca = cb implies a = b.
-
-    Explicit (a, b, c) triples, if given, replace the sampling; ValueError
-    if 2 * max_len exceeds the cap.
+    ca = cb implies a = b.  ValueError if 2 * max_len exceeds the cap.
     """
     check_product_length(max_len, cfg)
-    if triples is None:
-        triples = _sampled_triples(g, cfg, trials, max_len,
-                                   rng if rng is not None else random.Random(0))
-    else:
-        trials = len(triples)
+    triples = _sampled_triples(g, cfg, trials, max_len,
+                               rng if rng is not None else random.Random(0))
     violations: list[dict] = []
     antecedent_hits = 0
     for trial, (a, b, c) in enumerate(triples):

@@ -160,7 +160,10 @@ def test_tup_check(capsys):
     assert details["specs_checked"] == 45 * 45 - 81
     # the 8 relabellings fix () and permute the letters
     assert details["relabellings"] == 8
-    assert details["specs_decided"] == 246  # (1944 + 24) / 8 by Burnside
+    # C = () and C = (1,) decide their 36 partners each, and the five
+    # leading two-element sides, ((), 1) and one two-letter side per orbit,
+    # decide 45 each
+    assert details["specs_decided"] == 2 * 36 + 5 * 45 == 297
     assert details["min_unique_count"] >= 2
     assert details["max_len"] == 1
     assert details["capped"] is False

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from qsemi import structure, words
+from qsemi.quaternion import relabellings
 from qsemi.structure import (canonical_ground_set, cancellation_report,
                              product_columns, product_report, run_tup_sweep,
                              subset_specs_over, subsets_colex)
@@ -109,7 +110,7 @@ def test_product_report_matches_the_set_count_on_every_decided_pair(
     monkeypatch.setattr(structure, "product_report", checked)
     summary, failure = run_tup_sweep(g2, cfg2, _halves(g2), 3)
     assert failure is None and summary["products"] == 249
-    assert len(counts) == summary["specs_decided"] == 60528
+    assert len(counts) == summary["specs_decided"] == 61216
     assert min(counts) == 2
 
 
@@ -278,7 +279,7 @@ def test_orbit_cut_matches_the_plain_sweep_on_the_halves(g2, cfg2, max_size,
     assert failure is None and summary["min_unique_count"] == 2
     assert summary["relabellings"] == 8
     assert (summary["specs_checked"], summary["specs_decided"]) == {
-        2: (18240, 2288), 3: (484160, 60528)}[max_size]
+        2: (18240, 2416), 3: (484160, 61216)}[max_size]
     # one tick per multiple of 50,000 crossed, though the count grows by
     # whole groups of pairs
     assert ticks == list(range(50000, summary["specs_checked"] + 1, 50000))
@@ -286,28 +287,15 @@ def test_orbit_cut_matches_the_plain_sweep_on_the_halves(g2, cfg2, max_size,
 
 def test_run_tup_sweep_passes_on_the_k3_halves(g3, cfg3):
     # the 24 half-windows at k=3, every pair of sides up to 3: the 12
-    # relabellings leave one pair in twelve to decide
+    # relabellings leave about one side C in twelve to decide
     summary, failure = run_tup_sweep(g3, cfg3, _halves(g3), 3)
     assert failure is None
     assert {key: summary[key] for key in (
         "specs_checked", "specs_decided", "relabellings", "min_unique_count",
         "capped", "products")} == {
-        "specs_checked": 5400400, "specs_decided": 450056,
+        "specs_checked": 5400400, "specs_decided": 455456,
         "relabellings": 12, "min_unique_count": 2, "capped": False,
         "products": 565}
-
-
-def test_orbit_cut_decides_one_pair_per_orbit(g2, cfg2, monkeypatch):
-    # on the cancellative monoid c d = c' d only when c = c', so D and the
-    # columns of C name the pair
-    calls = []
-    report = structure.product_report
-    monkeypatch.setattr(structure, "product_report",
-                        lambda D, cols, dups: calls.append((D, tuple(cols)))
-                        or report(D, cols, dups))
-    summary, failure = run_tup_sweep(g2, cfg2, _halves(g2), 3)
-    assert failure is None and summary["specs_checked"] == 484160
-    assert len(calls) == len(set(calls)) == summary["specs_decided"] == 60528
 
 
 def test_orbit_cut_finds_images_through_their_canonical_forms(g2, cfg2,
@@ -336,11 +324,36 @@ def test_orbit_cut_falls_back_to_the_identity(g2, poisoned8, cfg2):
 
 
 def _leads(g, reps, C):
-    """Whether no relabelling by an element (t0 is the identity on a real
-    table) moves the side C to one earlier in colex order."""
+    """Whether no relabelling moves the side C to one earlier in colex
+    order, by trying each on every member of C."""
     images = [sorted(reps.index(tuple(pi[a - 1] for a in reps[i])) for i in C)
-              for pi in g.elements]
+              for pi in relabellings(g)]
     return min(images, key=lambda S: S[::-1]) == list(C)
+
+
+def test_orbit_cut_decides_every_partner_of_each_leading_side(
+        g2, cfg2, monkeypatch):
+    # the sweep builds C's columns, then counts each partner D of C
+    reps = _halves(g2)
+    columns, report = structure.product_columns, structure.product_report
+    side, decided = [], []
+
+    def columns_of(C, product):
+        side[:] = [C]
+        return columns(C, product)
+
+    def recorded(D, cols, dups):
+        decided.append((side[0], D))
+        return report(D, cols, dups)
+
+    monkeypatch.setattr(structure, "product_columns", columns_of)
+    monkeypatch.setattr(structure, "product_report", recorded)
+    summary, failure = run_tup_sweep(g2, cfg2, reps, 3)
+    assert failure is None and summary["specs_checked"] == 484160
+    # in stream order, each pair once
+    assert decided == [(C, D) for C, Ds in subset_specs_over(reps, 3)
+                       if _leads(g2, reps, C) for D in Ds]
+    assert len(set(decided)) == summary["specs_decided"] == 61216
 
 
 @pytest.mark.parametrize("limit, leads", [
@@ -414,10 +427,12 @@ def test_cancellation_sampling_replays_from_the_seed(g2, cfg2):
     assert (report["trials"], report["antecedent_hits"]) == (300, 286)
 
 
-def test_cancellation_report_flags_planted_violation(two_element8, cfg2):
+def test_cancellation_report_flags_planted_violation(two_element8, cfg2,
+                                                    monkeypatch):
     a, b, c = (1, 2), (2, 1), (3, 4, 5, 6, 7, 8)
-    report = cancellation_report(two_element8, cfg2, trials=0, max_len=10,
-                                 triples=[(a, b, c)])
+    monkeypatch.setattr(structure, "_sampled_triples",
+                        lambda g, cfg, trials, max_len, rng: iter([(a, b, c)]))
+    report = cancellation_report(two_element8, cfg2, trials=1, max_len=10)
     assert not report["passed"]
     assert report["trials"] == 1
     assert report["violations"] == [
