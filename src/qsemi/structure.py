@@ -69,23 +69,32 @@ def canonical_ground_set(g: GroupTable, cfg: RewriteConfig,
 
 def subsets_colex(m: int, max_size: int) -> Iterator[Side]:
     """Nonempty subsets of range(m) with at most max_size members, by size
-    and then in colexicographic order, so a failure index is reproducible."""
+    and then in colexicographic order, so a failure index is reproducible;
+    each is yielded as it is built, so a prefix costs only its own length."""
     smaller: list[Side] = [()]
     for size in range(1, max_size + 1):
         # the colex order of the subsets of range(top) is a prefix of that of
         # range(m), so each subset is a smaller one with a new largest member
-        smaller = [rest + (top,) for top in range(m)
-                   for rest in itertools.islice(smaller, comb(top, size - 1))]
-        yield from smaller
+        current: list[Side] = []
+        for top in range(m):
+            for rest in itertools.islice(smaller, comb(top, size - 1)):
+                current.append(rest + (top,))
+                yield current[-1]
+        smaller = current
 
 
-def subset_specs_over(reps: Sequence[Word], max_size: int
+def subset_specs_over(reps: Sequence[Word], max_size: int,
+                      limit: int | None = None
                       ) -> Iterator[tuple[Side, list[Side]]]:
     """Subset pairs with |C| + |D| > 2 over indices into `reps`, grouped
     as (C, Ds): each side C, in the order of `subsets_colex`, with the
     list of its partner sides D in that order (all sides, or for a
-    singleton C the wider ones).  The lists are shared between groups."""
-    sides = list(subsets_colex(len(reps), max_size))
+    singleton C the wider ones).  The lists are shared between groups.
+    With a `limit`, only the first len(reps) + limit + 1 sides are built:
+    when there are more, the first group (C a singleton) keeps over `limit`
+    partners, so a sweep capped at `limit` stops inside it."""
+    bound = None if limit is None else len(reps) + max(limit, 0) + 1
+    sides = list(itertools.islice(subsets_colex(len(reps), max_size), bound))
     wider = sides[len(reps):]  # sides come by size, the singletons first
     for C in sides:
         Ds = sides if len(C) > 1 else wider
@@ -94,27 +103,14 @@ def subset_specs_over(reps: Sequence[Word], max_size: int
 
 
 def _rep_permutations(g: GroupTable, reps: Sequence[Word],
-                      index: dict[Word, int],
-                      canon: Callable[[Word], Word]
-                      ) -> list[tuple[int, ...]]:
-    """The permutations of rep indices that the table's relabellings induce,
-    each once: pi sends reps[i] to the rep of pi . reps[i], found among the
-    reps or else through its canonical form.  The identity alone when the
-    table has no relabellings or some image is not a rep."""
-    alone = [tuple(range(len(reps)))]
-    perms: dict[tuple[int, ...], None] = {}
-    for pi in relabellings(g) or ():
-        images = []
-        for r in reps:
-            w = tuple(pi[a - 1] for a in r)
-            i = index.get(w)
-            if i is None:
-                i = index.get(canon(w))
-                if i is None:
-                    return alone
-            images.append(i)
-        perms[tuple(images)] = None
-    return list(perms) or alone
+                      index: dict[Word, int]) -> list[tuple[int, ...]]:
+    """The distinct rep-index permutations that the relabellings induce, in
+    their order, if each maps every rep to a rep; else the identity alone."""
+    images = [tuple(index.get(tuple(pi[a - 1] for a in r)) for r in reps)
+              for pi in relabellings(g) or ()]
+    if not images or any(None in perm for perm in images):
+        return [tuple(range(len(reps)))]
+    return list(dict.fromkeys(images))
 
 
 def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
@@ -124,19 +120,21 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
     """Check every subset pair over `reps`, which must be canonical and
     pairwise distinct (ValueError otherwise); stop at the cap or at the first
     failure.  Returns (summary, failure-or-None); the summary's `capped` is
-    True when the cap stopped the sweep with specs left.
+    True when the cap stopped the sweep with specs left.  A capped sweep
+    builds only the sides its stream reaches (`subset_specs_over`).
 
     Each relabelling of the letters is an automorphism of the monoid
-    (`quaternion.relabellings`); when it permutes the reps it maps every pair
-    to one with the same unique count.  Only the sides C that come first in
-    their orbit are decided, each with every partner D up to the cap.  A pair
-    whose C comes later counts as checked when the stream passes it: some
-    relabelling moves C to the side leading its orbit, so the image pair, of
-    the same sizes, came earlier in the stream with the same verdict.  The
-    first failing pair, the minimum and the cap are thus those of deciding
-    every pair.  `relabellings` is the number of permutations used,
-    `specs_decided` the pairs decided and `products` the number of distinct
-    interned rep products."""
+    (`quaternion.relabellings`); when each sends every rep to a rep, it maps
+    every pair to one with the same unique count (else the group is the
+    identity alone).  Only the sides C that come first in their orbit are
+    decided, each with every partner D up to the cap.  A pair whose C comes
+    later counts as checked when the stream passes it: some relabelling
+    moves C to the side leading its orbit, so the image pair, of the same
+    sizes, came earlier in the stream with the same verdict.  The first
+    failing pair, the minimum and the cap are thus those of deciding every
+    pair.  `relabellings` is the number of permutations used, `specs_decided`
+    the pairs decided and `products` the number of distinct interned rep
+    products."""
     t0 = time.perf_counter()
     canon = canonicalizer(g, cfg)
     index: dict[Word, int] = {}
@@ -154,13 +152,15 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
         return ids.setdefault(w, len(ids))
 
     product = [[intern(c, d) for d in reps] for c in reps]
-    group = _rep_permutations(g, reps, index, canon)
+    group = _rep_permutations(g, reps, index)
     checked = decided = 0
     tick = 50000
     capped = False
     min_unique: int | None = None
     failure: dict | None = None
-    for C, Ds in subset_specs_over(reps, max_size):
+    # uncapped, the call keeps the two-argument form the bench self-test fakes
+    for C, Ds in (subset_specs_over(reps, max_size) if limit is None
+                  else subset_specs_over(reps, max_size, limit)):
         take = len(Ds)
         if limit is not None:
             take = max(0, min(take, limit - checked))

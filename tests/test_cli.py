@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qsemi import cli, lemmas, words
+from qsemi import cli, lemmas, structure, words
 from qsemi.algebra import AlgebraElement
 from qsemi.cli import main
 from qsemi.errors import QsemiError
@@ -183,6 +183,26 @@ def test_tup_check_says_when_the_limit_cut_it_short(capsys):
     assert main(["tup-check", "--k", "2", "--max-len", "1", "--max-size",
                  "2", "--limit", "10"]) == 0
     assert "PASS over the first 10 pairs" in capsys.readouterr().out
+
+
+def test_tup_check_builds_only_the_sides_the_limit_reaches(capsys,
+                                                          monkeypatch):
+    # the 73 reps of length <= 2 have 1,153,327 sides of at most 4; the
+    # first 1000 pairs all have the singleton C = () and need 73 + 1001
+    colex, built = structure.subsets_colex, []
+
+    def counted(m, max_size):
+        for side in colex(m, max_size):
+            built.append(side)
+            yield side
+
+    monkeypatch.setattr(structure, "subsets_colex", counted)
+    code, payload = run_json(capsys, ["tup-check", "--k", "2", "--max-size",
+                                      "4", "--limit", "1000"])
+    assert code == 0
+    assert payload["details"]["specs_checked"] == 1000
+    assert payload["details"]["capped"] is True
+    assert len(built) == 73 + 1000 + 1
 
 
 @pytest.mark.parametrize("argv, entry", [

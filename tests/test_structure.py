@@ -4,12 +4,12 @@ import random
 import pytest
 
 from qsemi import structure, words
-from qsemi.quaternion import relabellings
+from qsemi.quaternion import QuaternionConfig, generate_group, relabellings
 from qsemi.structure import (canonical_ground_set, cancellation_report,
                              product_columns, product_report, run_tup_sweep,
                              subset_specs_over, subsets_colex)
-from qsemi.words import (canonical_form, canonicalizer, class_of, seeded_word,
-                         words_equal)
+from qsemi.words import (canonical_form, canonicalizer, class_of,
+                         default_config, seeded_word, words_equal)
 from reference_oracles import tup_sweep, unique_product_count
 
 # both halves of the identity window against both halves shifted by one
@@ -298,29 +298,93 @@ def test_run_tup_sweep_passes_on_the_k3_halves(g3, cfg3):
         "products": 565}
 
 
-def test_orbit_cut_finds_images_through_their_canonical_forms(g2, cfg2,
-                                                              monkeypatch):
-    # criterion 6's length-n reps: the window class, whose relabelled
-    # images are other windows and canonicalize back to 1..8, and the
-    # rotated windows, which relabelling permutes
+def _bounded_and_unbounded(monkeypatch, g, cfg, reps, max_size, limit):
+    """The capped sweep as it runs, and with a `subset_specs_over` that
+    builds every side; both must report the same specs, minimum, failure
+    and ticks, and the first builds len(reps) + limit + 1 sides where
+    there are more."""
+    every, colex = structure.subset_specs_over, structure.subsets_colex
+    runs = []
+    for bounded in (True, False):
+        built = []
+
+        def counted(m, max_size):
+            for side in colex(m, max_size):
+                built.append(side)
+                yield side
+        ticks = []
+        with monkeypatch.context() as m:
+            m.setattr(structure, "subsets_colex", counted)
+            if not bounded:
+                m.setattr(structure, "subset_specs_over",
+                          lambda reps, max_size, limit: every(reps, max_size))
+            summary, failure = run_tup_sweep(g, cfg, reps, max_size,
+                                             limit=limit, progress=ticks.append)
+        del summary["elapsed_ms"]
+        runs.append(((summary, failure, ticks), len(built)))
+    (bounded, sides), (unbounded, every_side) = runs
+    assert bounded == unbounded
+    assert sides == min(every_side, len(reps) + limit + 1)
+
+
+@pytest.mark.parametrize("ground", ["halves", "max-len 2", "two_element8"])
+def test_bounded_side_list_matches_the_unbounded_one(ground, g2, cfg2,
+                                                     two_element8,
+                                                     monkeypatch):
+    g, reps, max_size = {
+        "halves": (g2, _halves(g2), 3),
+        "max-len 2": (g2, canonical_ground_set(g2, cfg2, 2), 2),
+        "two_element8": (two_element8, [(1, 2), (2, 1), (3, 4, 5, 6, 7, 8)],
+                         3)}[ground]
+    groups = list(subset_specs_over(reps, max_size))
+    wider, total = len(groups[0][1]), sum(len(Ds) for _, Ds in groups)
+    # the edges of the first group, a point inside the eleventh, one past
+    # the end, and around the failing pair where there is one
+    limits = {0, 1, wider - 1, wider, wider + 1, 10 * wider + wider // 2,
+              total + 1}
+    if ground == "two_element8":
+        _, failure = run_tup_sweep(g, cfg2, reps, max_size)
+        limits |= {failure["spec_index"] + d for d in (-1, 0, 1, 2)}
+    for limit in sorted(limits):
+        _bounded_and_unbounded(monkeypatch, g, cfg2, reps, max_size, limit)
+
+
+def test_orbit_cut_falls_back_to_the_identity(g2, poisoned8, cfg2,
+                                              monkeypatch):
+    # the letters 1..3 are not closed under relabelling, nor are criterion
+    # 6's length-n reps, the window class and the rotated windows (seven
+    # relabellings send 1..8, the canonical form of the window class, to
+    # another window), and poisoned8 has no relabellings: every pair is
+    # decided
     canon = canonicalizer(g2, cfg2)
-    ident = tuple(range(1, 9))
-    reps = sorted({canon(w) for w in
-                   [ident] + [e[1:] + e[:1] for e in g2.elements]})
-    assert ident in reps and g2.u not in reps
-    summary, failure, _ = _cut_and_uncut(monkeypatch, g2, cfg2, reps, 2)
-    assert failure is None and summary["min_unique_count"] >= 2
-    assert summary["relabellings"] == 8
-    assert summary["specs_decided"] < summary["specs_checked"]
-
-
-def test_orbit_cut_falls_back_to_the_identity(g2, poisoned8, cfg2):
-    # the letters 1..3 are not closed under relabelling, and poisoned8 has
-    # no relabellings: every pair is decided
-    for g, reps in ((g2, [(1,), (2,), (3,)]), (poisoned8, _halves(poisoned8))):
-        summary, _ = run_tup_sweep(g, cfg2, reps, 2)
+    windows = sorted({canon(w) for w in
+                      [tuple(range(1, 9))] + [e[1:] + e[:1]
+                                              for e in g2.elements]})
+    assert sum(tuple(pi[a - 1] for a in r) not in windows
+               for pi in relabellings(g2) for r in windows) == 7
+    for g, reps in ((g2, [(1,), (2,), (3,)]), (g2, windows),
+                    (poisoned8, _halves(poisoned8))):
+        summary, _, _ = _cut_and_uncut(monkeypatch, g, cfg2, reps, 2)
         assert summary["relabellings"] == 1
         assert summary["specs_decided"] == summary["specs_checked"]
+    summary, failure = run_tup_sweep(g2, cfg2, windows, 3)
+    assert failure is None and summary["min_unique_count"] >= 2
+    assert summary["specs_decided"] == summary["specs_checked"] == 16560
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_orbit_cut_applies_to_the_swept_ground_sets(k):
+    # the halves the benchmark sweeps and tup-check's ground sets at
+    # --max-len 1 and 2: every relabelling permutes the reps, so the sweep
+    # gets the whole group of |H| = n rep permutations
+    g = generate_group(QuaternionConfig(k))
+    cfg = default_config(g.n)
+    for reps in (_halves(g), canonical_ground_set(g, cfg, 1),
+                 canonical_ground_set(g, cfg, 2)):
+        index = {r: i for i, r in enumerate(reps)}
+        group = structure._rep_permutations(g, reps, index)
+        assert len(group) == len(relabellings(g)) == g.n
+        assert group[0] == tuple(range(len(reps)))
 
 
 def _leads(g, reps, C):
