@@ -15,16 +15,16 @@ decides every pair of the classes it builds; Step3 an exact tail family.
 Both look window prefixes of n-1 letters up in `GroupTable.prefixes`.
 
 The mirror-image oracles (SymNotPossible, SymMaxOne, SymOverlapp, SymStep3)
-state the same lemmas read right to left, and all go through `_on_mirror`.
-Where the table is `self_dual` (delta, reversal followed by x -> n+1-x,
-maps windows to windows, as on every quaternion table) the mirrored table
-is the table with its letters relabelled, so a mirror lemma holds exactly
-when its forward lemma does: a passing forward report is carried over,
-stats included, and marked `by_duality`.  Otherwise, or when the forward
-lemma fails, the forward oracle runs on the mirrored table (image tuples
-reversed, labels unchanged), with the counterexample mapped back: words
-reversed, positions p to n+1-p, pair starts p to n-p, and for Overlapp
-sigma and tau swapped.
+state the same lemmas read right to left.  Each runs its forward oracle on
+the mirrored table (image tuples reversed, labels unchanged) through
+`_on_mirror`, with the counterexample mapped back: words reversed,
+positions p to n+1-p, pair starts p to n-p, and for Overlapp sigma and tau
+swapped.  Where the table is `self_dual` (delta, reversal followed by
+x -> n+1-x, maps windows to windows, as on every quaternion table) the
+mirrored table is the table with its letters relabelled, so a mirror lemma
+holds exactly when its forward lemma does: `run_lemma_suite` carries a
+passing forward report over, stats included, marked `by_duality`, and runs
+the mirror oracle only otherwise.
 
 Every oracle returns a LemmaReport; a planted violation (a table that is not
 a regular quaternion group) must surface as passed=False with a populated
@@ -64,7 +64,7 @@ class LemmaReport:
     passed: bool
     counterexample: dict | None = None
     stats: dict = field(default_factory=dict)
-    # carried over from the forward report by duality (see `_on_mirror`)
+    # carried over from the forward report by duality (see `run_lemma_suite`)
     by_duality: bool = False
 
     def __post_init__(self) -> None:
@@ -165,62 +165,40 @@ def verify_overlapp(g: GroupTable) -> LemmaReport:
 
 
 def _on_mirror(g: GroupTable, lemma_id: LemmaId, oracle: Callable[..., LemmaReport],
-               back: Callable[[dict], dict], forward: LemmaReport | None = None,
-               **kwargs) -> LemmaReport:
-    """`oracle` read right to left, reported as `lemma_id`.
-
-    When `forward`, the report of `oracle` on g, passed and g is
-    `self_dual`, the mirrored table is g relabelled by rho(x) = n+1-x with
-    its elements reordered.  Every oracle's verdict and stats are unchanged
-    by that, and delta carries each instance or sampled tail of `forward`
-    onto one of the mirror lemma, so `forward` passes as `lemma_id` with
-    its stats and no oracle runs.  Otherwise `oracle` runs on
-    `g.mirrored`, and its counterexample is mapped back to original
-    coordinates by `back`."""
-    if forward is not None and forward.passed and self_dual(g):
-        if "Sym" + forward.lemma_id.value != lemma_id.value:
-            raise ValueError(f"{forward.lemma_id.value} is not the forward "
-                             f"lemma of {lemma_id.value}")
-        return LemmaReport(lemma_id, g.k, True, stats=dict(forward.stats),
-                           by_duality=True)
+               back: Callable[[dict], dict], **kwargs) -> LemmaReport:
+    """`oracle` run on `g.mirrored` and reported as `lemma_id`, its
+    counterexample mapped back to original coordinates by `back`."""
     r = oracle(g.mirrored, **kwargs)
     return LemmaReport(lemma_id, g.k, r.passed,
                        r.counterexample and back(r.counterexample), r.stats)
 
 
-def verify_sym_not_possible(g: GroupTable,
-                            forward: LemmaReport | None = None) -> LemmaReport:
+def verify_sym_not_possible(g: GroupTable) -> LemmaReport:
     """Mirror of NotPossible: upper-half pairs of one window against
-    lower-half pairs of another.  `forward`: NotPossible's report on g,
-    if already run (see `_on_mirror`)."""
+    lower-half pairs of another."""
     n = g.n
     return _on_mirror(g, LemmaId.SYM_NOT_POSSIBLE, verify_not_possible, lambda c: {
-        **c, "p": n - c["p"], "q": n - c["q"], "pair": c["pair"][::-1]},
-        forward)
+        **c, "p": n - c["p"], "q": n - c["q"], "pair": c["pair"][::-1]})
 
 
-def verify_sym_max_one(g: GroupTable,
-                       forward: LemmaReport | None = None) -> LemmaReport:
+def verify_sym_max_one(g: GroupTable) -> LemmaReport:
     """Mirror of MaxOne: a prefix of one window against an interior factor
-    t(j..i) anchored past position n/2 + 2.  `forward`: MaxOne's report on
-    g, if already run."""
+    t(j..i) anchored past position n/2 + 2."""
     n = g.n
     return _on_mirror(g, LemmaId.SYM_MAX_ONE, verify_max_one, lambda c: {
         **c, "i": n + 1 - c["i"], "j": n + 1 - c["j"],
-        "factor": c["factor"][::-1]}, forward)
+        "factor": c["factor"][::-1]})
 
 
-def verify_sym_overlapp(g: GroupTable,
-                        forward: LemmaReport | None = None) -> LemmaReport:
+def verify_sym_overlapp(g: GroupTable) -> LemmaReport:
     """Mirror of Overlapp: the mixed word s(j..l) t(l+1..m) starts at
     position 1 or 2 and the matching factor of a single window ends at
-    position `end`, n-1 or n.  `forward`: Overlapp's report on g, if
-    already run."""
+    position `end`, n-1 or n."""
     n = g.n
     return _on_mirror(g, LemmaId.SYM_OVERLAPP, verify_overlapp, lambda c: {
         "sigma": c["tau"], "tau": c["sigma"], "lambda": c["lambda"],
         "j": n + 1 - c["m"], "l": n - c["l"], "m": n + 1 - c["j"],
-        "end": n + 1 - c["i"], "word": c["word"][::-1]}, forward)
+        "end": n + 1 - c["i"], "word": c["word"][::-1]})
 
 
 def default_stepss_seeds(g: GroupTable, max_extra: int,
@@ -376,18 +354,15 @@ _SYM_STEP3_REASONS = {
 
 def verify_sym_step3(g: GroupTable, cfg: RewriteConfig,
                      samples: int = 1000,
-                     rng: random.Random | None = None,
-                     forward: LemmaReport | None = None) -> LemmaReport:
+                     rng: random.Random | None = None) -> LemmaReport:
     """Mirror of Step3 for suffixes: every member of the class of
     w2 t(1..i) either keeps that exact suffix or replaces the first letter
-    of the t-part by a fresh length n-1 window suffix.  `forward`: Step3's
-    report on g, if already run; carried over, a sampled one stands for
-    the delta-image of its sample, and nothing is drawn from rng."""
+    of the t-part by a fresh length n-1 window suffix."""
     n = g.n
     return _on_mirror(g, LemmaId.SYM_STEP3, verify_step3, lambda c: {
         "w1": _reversed_word(c["w1"]), "reason": _SYM_STEP3_REASONS[c["reason"]],
         "tau": c["tau"], "i": n - c["i"], "seed": _reversed_word(c["seed"])},
-        forward, cfg=cfg, samples=samples, rng=rng)
+        cfg=cfg, samples=samples, rng=rng)
 
 
 def _reversed_word(text: str) -> str:
@@ -398,8 +373,11 @@ def run_lemma_suite(g: GroupTable, cfg: RewriteConfig,
                     stepss_extra: int | None = None,
                     step3_samples: int = 1000,
                     rng: random.Random | None = None) -> list[LemmaReport]:
-    """All ten oracles, deterministic order; each mirror oracle gets its
-    forward report."""
+    """All ten oracles, deterministic order.  On a `self_dual` table a
+    passing forward report is carried over to its mirror lemma, stats
+    included: delta carries each instance or sampled tail of it onto one
+    of the mirror lemma, so no mirror oracle runs and nothing is drawn
+    from rng for it.  Otherwise the mirror oracle runs."""
     rng = rng if rng is not None else random.Random(0)
     forward = [
         verify_not_possible(g),
@@ -410,10 +388,13 @@ def run_lemma_suite(g: GroupTable, cfg: RewriteConfig,
         verify_step3(g, cfg, samples=step3_samples, rng=rng),
     ]
     not_possible, max_one, _, overlapp, _, step3 = forward
+    mirrors = [(not_possible, verify_sym_not_possible, {}),
+               (max_one, verify_sym_max_one, {}),
+               (step3, verify_sym_step3,
+                {"cfg": cfg, "samples": step3_samples, "rng": rng}),
+               (overlapp, verify_sym_overlapp, {})]
     return forward + [
-        verify_sym_not_possible(g, not_possible),
-        verify_sym_max_one(g, max_one),
-        verify_sym_step3(g, cfg, samples=step3_samples, rng=rng,
-                         forward=step3),
-        verify_sym_overlapp(g, overlapp),
-    ]
+        LemmaReport(LemmaId("Sym" + r.lemma_id.value), g.k, True,
+                    stats=dict(r.stats), by_duality=True)
+        if r.passed and self_dual(g) else oracle(g, **kwargs)
+        for r, oracle, kwargs in mirrors]

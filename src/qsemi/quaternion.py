@@ -47,9 +47,9 @@ class GroupTable:
     the normal form (i, j) of t^i u^j to that number.
 
     Tables hash by identity (`eq=False`): the cached properties and the
-    `functools.cache`d `relabellings`, `self_dual` and
-    `words._certified_rules` are computed once per table object, and a cache
-    holds the table it keys on, so no id is recycled under a live entry.
+    `functools.cache`d `relabellings`, `self_dual` and `words._certify`
+    are computed once per table object, and a cache holds the table it
+    keys on, so no id is recycled under a live entry.
     """
 
     k: int

@@ -21,12 +21,13 @@ result is the lex-least member of the class when the table passes a
 completeness certificate (`_certify`): the table contains the identity, its
 elements are permutations, each letter starts exactly one of them, and
 every critical pair of the rules with m <= 3 joins.  The certificate is
-computed on the first canonical form a table needs and kept per table
-(`generate_group` builds one table per k).  `canonical_form` and
-`words_equal` look the rules up once per call and rewrite with them on
-certified tables; on any other they read the class from `class_of`, the
-one class enumerator, which is also the tests' reference, with the bare
-rewrite they keep as `normal_form`.
+computed on the first canonical form a table needs and cached per table
+(`generate_group` builds one table per k).  `canonical_form` looks the
+rules up at each call and rewrites with them on certified tables; on any
+other it takes the least member of the class from `class_of`, the one
+class enumerator, which is also the tests' reference, with the bare
+rewrite they keep as `normal_form`.  `words_equal` compares canonical
+forms.
 
 The samplers draw each integer with `draw`, which makes exactly the
 `getrandbits` calls `random.Random.randint` makes, so a seed gives the
@@ -289,9 +290,10 @@ def _critical_pairs(rules: _Rules, max_m: int):
                     yield left + l2[cut:], right + l2[cut:], left[:i] + r2
 
 
+@cache
 def _certify(g: GroupTable) -> _Rules | None:
     """The rules of g when they are a complete system for its monoid, else
-    None.
+    None; computed once per table.
 
     Every rule is a consequence of the relations and shrinks its word in
     the lexicographic order, which is well founded on words of one length,
@@ -324,37 +326,22 @@ def _certify(g: GroupTable) -> _Rules | None:
     return rules
 
 
-@cache
-def _certified_rules(g: GroupTable) -> _Rules | None:
-    """`_certify(g)`, computed once per table."""
-    return _certify(g)
-
-
-def words_equal(w1: Word, w2: Word, g: GroupTable, cfg: RewriteConfig) -> bool:
-    """Decide w1 = w2 in the monoid.  Relations preserve length, so words of
-    different lengths are never equal."""
-    if len(w1) != len(w2):
-        return False
-    if w1 == w2:
-        return True
-    if len(w1) < g.n:
-        return False
-    rules = _certified_rules(g)
-    if rules is None:
-        return w2 in class_of(w1, g, cfg).members
-    _check_length(w1, cfg)
-    return rules.rewrite(w1) == rules.rewrite(w2)
-
-
 def canonical_form(w: Word, g: GroupTable, cfg: RewriteConfig) -> Word:
     """Lexicographically least member of the class of w."""
     if len(w) < g.n:
         return w
-    rules = _certified_rules(g)
+    rules = _certify(g)
     if rules is None:
         return min(class_of(w, g, cfg).members)
     _check_length(w, cfg)
     return rules.rewrite(w)
+
+
+def words_equal(w1: Word, w2: Word, g: GroupTable, cfg: RewriteConfig) -> bool:
+    """Decide w1 = w2 in the monoid: relations preserve length, and words
+    of one length are equal exactly when their canonical forms are."""
+    return len(w1) == len(w2) and (
+        w1 == w2 or canonical_form(w1, g, cfg) == canonical_form(w2, g, cfg))
 
 
 def canonicalizer(g: GroupTable, cfg: RewriteConfig) -> Canon:

@@ -19,9 +19,9 @@
   checked against point by point.
 - Addition and support lengths in the monoid algebra, for the ring laws.
 - `normal_form`, one rewrite under a table's certified rules, which
-  `words.canonical_form` and `words.words_equal` inline; and the word
-  samplers as they were drawn through `randint` and `randrange`, the
-  stream that `words.draw` must reproduce bit for bit.
+  `words.canonical_form` inlines; and the word samplers as they were
+  drawn through `randint` and `randrange`, the stream that `words.draw`
+  must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -309,7 +309,7 @@ def normal_form(w, g):
     """The irreducible form of w under the certified rules of g, which is
     the lex-least member of its class.  ValueError when g fails the
     certificate."""
-    rules = words._certified_rules(g)
+    rules = words._certify(g)
     if rules is None:
         raise ValueError("the table's rewriting system is not certified complete")
     return rules.rewrite(w)

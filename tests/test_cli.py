@@ -8,7 +8,9 @@ from qsemi.algebra import AlgebraElement
 from qsemi.cli import main
 from qsemi.errors import QsemiError
 from qsemi.lemmas import LemmaId, LemmaReport
-from qsemi.words import RewriteConfig, default_config
+from qsemi.quaternion import QuaternionConfig, generate_group
+from qsemi.words import (RewriteConfig, default_config, format_word,
+                         words_equal)
 
 K2_T = [2, 3, 4, 1, 6, 7, 8, 5]
 K2_U = [5, 8, 7, 6, 3, 2, 1, 4]
@@ -222,6 +224,31 @@ def test_caps_default_to_default_config(monkeypatch, argv, entry):
     monkeypatch.setattr(cli, entry, stop)
     assert main(argv[:1] + ["--k", "3"] + argv[1:]) == 2
     assert used == [default_config(12)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_certified_commands_never_enumerate_a_class(monkeypatch, capsys, k):
+    # why word-eq, tup-check and zero-divisor take no --max-class-size: on
+    # the certified quaternion tables they rewrite, and words_equal never
+    # falls back to class_of
+    g, cfg = generate_group(QuaternionConfig(k)), default_config(4 * k)
+    pairs = [(g.t + g.u, g.u + g.t), (g.t + (1,), (1,) + g.t),
+             (g.t + g.u + g.t, g.elements[0] * 3)]
+    verdicts = [words_equal(w1, w2, g, cfg) for w1, w2 in pairs]
+    assert set(verdicts) == {True, False}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("class_of was called")
+
+    monkeypatch.setattr(words, "class_of", refuse)
+    monkeypatch.setattr(structure, "class_of", refuse)
+    for (w1, w2), equal in zip(pairs, verdicts):
+        assert main(["word-eq", "--k", str(k), format_word(w1),
+                     format_word(w2)]) == (0 if equal else 1)
+    assert main(["tup-check", "--k", str(k), "--max-len", "1",
+                 "--limit", "1000"]) == 0
+    assert main(["zero-divisor", "--k", str(k), "--trials", "50"]) == 0
+    capsys.readouterr()
 
 
 def test_cancel_sample(capsys):

@@ -2,10 +2,12 @@
 function or class of the package, and every public method of its classes,
 is used by the package or the benchmark; the package draws no random
 integer through `randint` or `randrange`; and every code name the README
-cites still exists."""
+or a docstring or comment of the package cites still exists."""
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -162,8 +164,37 @@ def test_detects_a_stale_citation():
         "_private", "gone_name"]
 
 
+def prose(source: str) -> str:
+    """The docstrings and comments of a module."""
+    docs = [ast.get_docstring(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Module,) + DEFS)]
+    comments = [tok.string for tok in
+                tokenize.generate_tokens(io.StringIO(source).readline)
+                if tok.type == tokenize.COMMENT]
+    return "\n".join(filter(None, docs + comments))
+
+
+def test_prose_is_docstrings_and_comments():
+    source = ('"""`mod_doc`"""\nx = "`not_prose`"  # `a_comment`\n'
+              'class C:\n    """`class_doc`"""\n'
+              '    def f(self):\n        """`func_doc`"""\n')
+    assert CITED.findall(prose(source)) == [
+        "mod_doc", "class_doc", "func_doc", "a_comment"]
+
+
+CODE = MODULES + sorted((ROOT / "bench").glob("*.py"))
+
+
+def stale_in(text: str) -> list[str]:
+    """`stale_citations` of text against every module of the repo."""
+    return stale_citations(text, [path.read_text() for path in CODE],
+                           [path.stem for path in CODE])
+
+
 def test_readme_cites_only_live_names():
-    code = MODULES + sorted((ROOT / "bench").glob("*.py"))
-    assert stale_citations((ROOT / "README.md").read_text(),
-                           [path.read_text() for path in code],
-                           [path.stem for path in code]) == []
+    assert stale_in((ROOT / "README.md").read_text()) == []
+
+
+def test_package_prose_cites_only_live_names():
+    assert stale_in("\n".join(prose(path.read_text())
+                              for path in PACKAGE)) == []

@@ -241,14 +241,6 @@ def test_mirror_runs_reuse_one_mirrored_table(poisoned8, cfg2):
     assert sizes[0] == sizes[1] == sizes[2]
 
 
-def test_mirror_oracle_rejects_another_lemmas_report(g2):
-    with pytest.raises(ValueError, match="Big is not the forward lemma"):
-        verify_sym_max_one(g2, verify_big(g2))
-    r = verify_sym_max_one(g2, verify_max_one(g2))
-    assert r.by_duality and r.passed
-    assert r.to_json() == verify_sym_max_one(g2).to_json()
-
-
 def test_dihedral_table_breaks_window_lemmas(dihedral8):
     assert not verify_not_possible(dihedral8).passed
     assert not verify_big(dihedral8).passed
@@ -265,29 +257,53 @@ def test_poisoned_table_breaks_overlapp(poisoned8):
     assert not verify_max_one(poisoned8).passed
 
 
-def test_traced_suite_reaches_every_oracle(g2, cfg2):
-    # the benchmark's traced run wraps oracles and class_of by module
-    # attribute; the suite must keep those names and call each oracle
-    # through them (the Sym* oracles reaching a forward one do not count)
+def _traced_suite(g, cfg):
+    """Span calls by name, and the sorted names of the spans called
+    directly by the suite, for one traced `run_lemma_suite` on g."""
     from qsemi import cli
     spans = bench_module("spans")
     tracer = spans.Tracer()
     tracer.install()
     try:
-        cli.run_lemma_suite(g2, cfg2, stepss_extra=1, step3_samples=2,
+        cli.run_lemma_suite(g, cfg, stepss_extra=1, step3_samples=2,
                             rng=random.Random(0))
     finally:
         tracer.uninstall()
     calls = {name: row["calls"]
              for name, row in tracer.aggregate()["spans"].items()}
-    assert all(calls[name] > 0 for name in calls
-               if name.startswith("lemmas.") or name == "words.class_of"), calls
     names = list(tracer._name_ids)
     suite = {i for i, name in enumerate(tracer.span_name)
              if names[name] == "lemmas.run_lemma_suite"}
     called = sorted(names[tracer.span_name[i]]
                     for i, parent in enumerate(tracer.span_parent)
                     if parent in suite)
+    return calls, called
+
+
+def test_traced_suite_reaches_every_forward_oracle(g2, cfg2):
+    # the benchmark's traced run wraps oracles and class_of by module
+    # attribute; the suite must keep those names and call each oracle
+    # through them.  g2 is self-dual, so every Sym* report is carried over
+    # and no Sym* oracle runs.
+    spans = bench_module("spans")
+    calls, called = _traced_suite(g2, cfg2)
+    oracles = spans.EXHAUSTIVE_ORACLES + spans.SAMPLED_ORACLES
+    forward = [f for f in oracles if not f.startswith("verify_sym_")]
+    assert len(forward) == 6
+    assert called == sorted(f"lemmas.{f}" for f in forward)
+    assert all(calls[f"lemmas.{f}"] == 0 for f in oracles if f not in forward)
+    assert calls["words.class_of"] > 0
+
+
+def test_traced_suite_reaches_every_oracle(g2, cfg2, monkeypatch):
+    # with duality off every Sym* oracle runs too, each through its module
+    # attribute (the Sym* oracles reaching a forward one do not count)
+    from qsemi import lemmas
+    spans = bench_module("spans")
+    monkeypatch.setattr(lemmas, "self_dual", lambda g: False)
+    calls, called = _traced_suite(g2, cfg2)
+    assert all(calls[name] > 0 for name in calls
+               if name.startswith("lemmas.") or name == "words.class_of"), calls
     assert called == sorted(f"lemmas.{f}" for f in
                             spans.EXHAUSTIVE_ORACLES + spans.SAMPLED_ORACLES)
 

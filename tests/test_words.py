@@ -164,8 +164,9 @@ def test_class_matches_naive_closure_on_the_planted_tables(request, table,
 @pytest.mark.parametrize("table", PLANTED)
 def test_words_equal_matches_naive_closure_on_the_planted_tables(request,
                                                                  table, cfg2):
-    # uncertified, so words_equal and canonical_form read the whole class
-    # of w1 from class_of, and the class-size cap binds all of it
+    # uncertified, so canonical_form reads the whole class from class_of,
+    # and the class-size cap binds all of it; words_equal compares the
+    # canonical forms of w1 and w2, so the cap binds both classes
     g = request.getfixturevalue(table)
     rng = random.Random(6)
     verdicts, capped = set(), 0
@@ -186,6 +187,13 @@ def test_words_equal_matches_naive_closure_on_the_planted_tables(request,
                 capped += 1
     assert verdicts == {True, False}
     assert capped
+    # w1's class fits under the cap and w2's does not: the cap trips
+    w1, w2 = (1,) * 9, g.elements[0] + (1,)
+    cap = len(naive_class(w1, g))
+    assert len(naive_class(w2, g)) > cap
+    assert not words_equal(w1, w2, g, cfg2)
+    with pytest.raises(ClassTooLarge):
+        words_equal(w1, w2, g, RewriteConfig(cap, 24))
 
 
 class CountingTuple(tuple):
@@ -415,18 +423,18 @@ def test_certificate_runs_once_per_table_content(monkeypatch, capsys):
          "import qsemi.cli, qsemi.words as words\n"
          "from qsemi.quaternion import QuaternionConfig, generate_group\n"
          "for k in (2, 3): generate_group(QuaternionConfig(k))\n"
-         "print(words._certified_rules.cache_info().currsize)"],
+         "print(words._certify.cache_info().currsize)"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert fresh.stdout.split() == ["0"]
     runs = []
 
-    def counting(g, orig=words._certify):
+    def counting(g, orig=words._rule_table):
         runs.append(g.k)
         return orig(g)
 
-    monkeypatch.setattr(words, "_certify", counting)
-    words._certified_rules.cache_clear()
+    monkeypatch.setattr(words, "_rule_table", counting)
+    words._certify.cache_clear()
     generate_group(QuaternionConfig(2))
     assert cli.main(["verify-lemmas", "--k", "2", "--step3-samples", "2"]) == 0
     assert runs == []
