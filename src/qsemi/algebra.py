@@ -3,16 +3,25 @@
 Elements are dictionaries from canonical word forms to nonzero coefficients
 mod p.  Multiplication concatenates supports pairwise and re-canonicalizes,
 so coefficients of equivalent products merge (and may cancel mod p).  The
-zero-divisor search repeatedly multiplies random nonzero elements looking
-for a vanishing product; the canonicalizer is a parameter so the identical
-search can run against a deliberately degenerate quotient as a control.
+zero-divisor search draws random nonzero elements looking for a vanishing
+product; the canonicalizer is a parameter so the identical search can run
+against a deliberately degenerate quotient as a control.
+
+The relations of the monoid preserve length, so the products of x's and
+y's longest support words are the only terms of x*y of the greatest
+length.  If one of them is equal to no other (`unique_top_product`), its
+coefficient is the product of two nonzero coefficients and x*y != 0 over
+every field.  The search over the monoid decides each such trial by that
+rule alone and multiplies in full only the trials it leaves open; the
+control quotient shortens words, so its search always multiplies.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from typing import Callable, Iterable
+from collections import Counter
+from typing import Callable, Iterable, NamedTuple
 
 from .quaternion import GroupTable
 from .words import (Canon, RewriteConfig, Word, canonicalizer,
@@ -48,6 +57,11 @@ class AlgebraElement:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def top_words(self) -> list[Word]:
+        """The support words of the greatest length."""
+        top = max(map(len, self.terms))
+        return [w for w in self.terms if len(w) == top]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgebraElement)
@@ -110,25 +124,56 @@ def random_element(rng: random.Random, p: int, canon: Canon,
             return x
 
 
+def unique_top_product(x_top: list[Word], y_top: list[Word],
+                       canon: Canon) -> bool:
+    """True when some product u + v, u in x_top and v in y_top, has a
+    canonical form that no other such pair gives; with one word on each
+    side that holds without a rewrite.  For the longest support words of x
+    and y under a length-preserving canon, True means x*y != 0."""
+    if len(x_top) == 1 and len(y_top) == 1:
+        return True
+    counts = Counter(canon(u + v) for u in x_top for v in y_top)
+    return 1 in counts.values()
+
+
+class SearchResult(NamedTuple):
+    """The first vanishing product (x, y) and its 0-based trial, or None
+    and None; and the trials run, split into those certified by a unique
+    top-length product and those multiplied in full."""
+
+    found: tuple[AlgebraElement, AlgebraElement] | None
+    trial: int | None
+    certified: int
+    multiplied: int
+
+
 def zero_divisor_search_with_canon(
         canon: Canon, word_sampler: Callable[[random.Random], Word], p: int,
         trials: int, max_support: int, rng: random.Random | None = None,
-        progress: Callable[[int], None] | None = None,
-) -> tuple[AlgebraElement, AlgebraElement] | None:
+        progress: Callable[[int], None] | None = None, graded: bool = False,
+) -> SearchResult:
     """Random search for x, y != 0 with x*y = 0 under the given
-    canonicalizer, support words drawn by `word_sampler`.  Returns the
-    first hit or None; ValueError if p is not prime."""
+    canonicalizer, support words drawn by `word_sampler`; stops at the
+    first hit.  With `graded` (canon preserves length) a trial with a
+    unique top-length product is certified without the multiplication;
+    the rule draws nothing, so the stream of trials is the same either
+    way.  ValueError if p is not prime."""
     if not _is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     rng = rng if rng is not None else random.Random(0)
+    certified = multiplied = 0
     for trial in range(trials):
         x = random_element(rng, p, canon, word_sampler, max_support)
         y = random_element(rng, p, canon, word_sampler, max_support)
-        if mul_with_canon(x, y, canon).is_zero():
-            return x, y
+        if graded and unique_top_product(x.top_words(), y.top_words(), canon):
+            certified += 1
+        else:
+            multiplied += 1
+            if mul_with_canon(x, y, canon).is_zero():
+                return SearchResult((x, y), trial, certified, multiplied)
         if progress is not None and (trial + 1) % 1000 == 0:
             progress(trial + 1)
-    return None
+    return SearchResult(None, None, certified, multiplied)
 
 
 def zero_divisor_search(g: GroupTable, cfg: RewriteConfig, p: int = 2,
@@ -136,14 +181,15 @@ def zero_divisor_search(g: GroupTable, cfg: RewriteConfig, p: int = 2,
                         max_len: int = 10,
                         rng: random.Random | None = None,
                         progress: Callable[[int], None] | None = None,
-                        ) -> tuple[AlgebraElement, AlgebraElement] | None:
-    """Search the monoid algebra itself.  Support words are biased to
-    contain defining windows so products actually merge terms; ValueError
-    if 2 * max_len exceeds the word-length cap."""
+                        ) -> SearchResult:
+    """Search the monoid algebra itself, graded by length.  Support words
+    are biased to contain defining windows so products actually merge
+    terms; ValueError if 2 * max_len exceeds the word-length cap."""
     check_product_length(max_len, cfg)
 
     def sampler(r: random.Random) -> Word:
         return seeded_word(r, g, draw(r, 1, max_len))
 
     return zero_divisor_search_with_canon(
-        canonicalizer(g, cfg), sampler, p, trials, max_support, rng, progress)
+        canonicalizer(g, cfg), sampler, p, trials, max_support, rng, progress,
+        graded=True)

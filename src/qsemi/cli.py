@@ -221,21 +221,26 @@ def cmd_cancel_sample(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
 
 def cmd_zero_divisor(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
     rng = random.Random(args.seed)
-    found = zero_divisor_search(g, _caps(args, g.n), p=args.p,
-                                trials=args.trials,
-                                max_support=args.max_support,
-                                max_len=args.max_len, rng=rng,
-                                progress=_progress("zero-divisor"))
+    result = zero_divisor_search(g, _caps(args, g.n), p=args.p,
+                                 trials=args.trials,
+                                 max_support=args.max_support,
+                                 max_len=args.max_len, rng=rng,
+                                 progress=_progress("zero-divisor"))
     details = {"trials": args.trials, "found": None,
-               "rng_digest": _rng_digest(rng)}
-    if found is None:
-        lines = [f"no vanishing product in {args.trials} trials",
+               "rng_digest": _rng_digest(rng),
+               "certified_by_unique_top": result.certified,
+               "multiplied_in_full": result.multiplied}
+    counts = (f"certified by a unique top-length product: {result.certified}"
+              f", multiplied in full: {result.multiplied}")
+    if result.found is None:
+        lines = [f"no vanishing product in {args.trials} trials", counts,
                  "zero-divisor: PASS"]
         return True, details, lines
-    x, y = found
+    x, y = result.found
     lines = [f"vanishing product found: ({x.to_text()}) * ({y.to_text()})",
-             "zero-divisor: FAIL"]
-    details["found"] = {"x": x.to_json(), "y": y.to_json()}
+             counts, "zero-divisor: FAIL"]
+    details["found"] = {"trial": result.trial, "x": x.to_json(),
+                        "y": y.to_json()}
     return False, details, lines
 
 

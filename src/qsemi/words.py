@@ -27,7 +27,8 @@ rules up at each call and rewrites with them on certified tables; on any
 other it takes the least member of the class from `class_of`, the one
 class enumerator, which is also the tests' reference, with the bare
 rewrite they keep as `normal_form`.  `words_equal` compares canonical
-forms.
+forms; on certified tables, whose relations all permute letters, it first
+rejects words whose sorted letters differ.
 
 The samplers draw each integer with `draw`, which makes exactly the
 `getrandbits` calls `random.Random.randint` makes, so a seed gives the
@@ -339,9 +340,14 @@ def canonical_form(w: Word, g: GroupTable, cfg: RewriteConfig) -> Word:
 
 def words_equal(w1: Word, w2: Word, g: GroupTable, cfg: RewriteConfig) -> bool:
     """Decide w1 = w2 in the monoid: relations preserve length, and words
-    of one length are equal exactly when their canonical forms are."""
-    return len(w1) == len(w2) and (
-        w1 == w2 or canonical_form(w1, g, cfg) == canonical_form(w2, g, cfg))
+    of one length are equal exactly when their canonical forms are.  On a
+    certified table every window is a permutation of 1..n, so relations
+    also preserve the letters counted with multiplicity, and words whose
+    sorted letters differ are unequal with no rewrite (and no check of
+    the word-length cap)."""
+    return len(w1) == len(w2) and (w1 == w2 or (
+        (_certify(g) is None or sorted(w1) == sorted(w2))
+        and canonical_form(w1, g, cfg) == canonical_form(w2, g, cfg)))
 
 
 def canonicalizer(g: GroupTable, cfg: RewriteConfig) -> Canon:

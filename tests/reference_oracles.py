@@ -17,7 +17,9 @@
   holds.
 - The normal-form arithmetic on labels t^i u^j, which the group table is
   checked against point by point.
-- Addition and support lengths in the monoid algebra, for the ring laws.
+- Addition and support lengths in the monoid algebra, for the ring laws,
+  and `collapse_canon`, the degenerate quotient that the zero-divisor
+  search must find a hit in.
 - `normal_form`, one rewrite under a table's certified rules, which
   `words.canonical_form` inlines; and the word samplers as they were
   drawn through `randint` and `randrange`, the stream that `words.draw`
@@ -303,6 +305,28 @@ def algebra_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 def support_lengths(x: AlgebraElement) -> set[int]:
     return {len(w) for w in x.terms}
+
+
+def collapse_canon(w):
+    """Degenerate control quotient: letter 2 equals letter 1, and runs of
+    three or more 1s drop two letters (so 1 + 1,1 squares to zero mod 2)."""
+    w = tuple(1 if x == 2 else x for x in w)
+    out = []
+    i = 0
+    while i < len(w):
+        if w[i] == 1:
+            j = i
+            while j < len(w) and w[j] == 1:
+                j += 1
+            run = j - i
+            if run >= 3:
+                run = (run - 1) % 2 + 1
+            out.extend([1] * run)
+            i = j
+        else:
+            out.append(w[i])
+            i += 1
+    return tuple(out)
 
 
 def normal_form(w, g):

@@ -17,9 +17,9 @@ from qsemi.structure import canonical_ground_set, cancellation_report, run_tup_s
 from qsemi.words import (canonical_form, canonicalizer, class_of,
                          default_config, find_relation_factors, random_word,
                          rewrite_step, seeded_word, words_equal)
-from reference_oracles import (EXHAUSTIVE, algebra_add, label_mul,
-                               label_of_point, overlap_bound, point_of_label,
-                               support_lengths)
+from reference_oracles import (EXHAUSTIVE, algebra_add, collapse_canon,
+                               label_mul, label_of_point, overlap_bound,
+                               point_of_label, support_lengths)
 
 K2_T = (2, 3, 4, 1, 6, 7, 8, 5)
 K2_U = (5, 8, 7, 6, 3, 2, 1, 4)
@@ -179,37 +179,17 @@ def test_criterion_7_prefix_shape_oracles():
             f"step3 members {r2.stats['members_checked']}")
 
 
-def _collapse_canon(w):
-    # control quotient: letter 2 folds into letter 1 and runs of three or
-    # more 1s drop two letters, so 1 + 1,1 squares to zero over F_2
-    w = tuple(1 if x == 2 else x for x in w)
-    out = []
-    i = 0
-    while i < len(w):
-        if w[i] == 1:
-            j = i
-            while j < len(w) and w[j] == 1:
-                j += 1
-            run = j - i
-            out.extend([1] * ((run - 1) % 2 + 1 if run >= 3 else run))
-            i = j
-        else:
-            out.append(w[i])
-            i += 1
-    return tuple(out)
-
-
 def test_criterion_8_algebra_domain():
     g = generate_group(QuaternionConfig(2))
     cfg = default_config(g.n)
-    hit = zero_divisor_search(g, cfg, p=2, trials=10_000, max_support=3,
-                              max_len=10, rng=random.Random(0))
-    ok = hit is None
+    search = zero_divisor_search(g, cfg, p=2, trials=10_000, max_support=3,
+                                 max_len=10, rng=random.Random(0))
+    ok = search.found is None
 
     planted = zero_divisor_search_with_canon(
-        _collapse_canon, lambda r: random_word(r, 2, r.randint(1, 2)), p=2,
+        collapse_canon, lambda r: random_word(r, 2, r.randint(1, 2)), p=2,
         trials=3000, max_support=3, rng=random.Random(0))
-    ok &= planted is not None
+    ok &= planted.found is not None
 
     rng = random.Random(1)
     canon = canonicalizer(g, cfg)

@@ -5,32 +5,12 @@ import pytest
 
 from qsemi import algebra
 from qsemi.algebra import (AlgebraElement, element_from_pairs,
-                           mul_with_canon, random_element, zero_divisor_search,
-                           zero_divisor_search_with_canon)
-from qsemi.words import canonicalizer, random_word, seeded_word
-from reference_oracles import algebra_add, support_lengths
-
-
-def collapse_canon(w):
-    """Degenerate control quotient: letter 2 equals letter 1, and runs of
-    three or more 1s drop two letters (so 1 + 1,1 squares to zero mod 2)."""
-    w = tuple(1 if x == 2 else x for x in w)
-    out = []
-    i = 0
-    while i < len(w):
-        if w[i] == 1:
-            j = i
-            while j < len(w) and w[j] == 1:
-                j += 1
-            run = j - i
-            if run >= 3:
-                run = (run - 1) % 2 + 1
-            out.extend([1] * run)
-            i = j
-        else:
-            out.append(w[i])
-            i += 1
-    return tuple(out)
+                           mul_with_canon, random_element, unique_top_product,
+                           zero_divisor_search, zero_divisor_search_with_canon)
+from qsemi.quaternion import QuaternionConfig, generate_group
+from qsemi.words import (canonicalizer, default_config, draw, random_word,
+                         seeded_word)
+from reference_oracles import algebra_add, collapse_canon, support_lengths
 
 
 def test_validation():
@@ -137,25 +117,107 @@ def test_random_element_replays_recorded_seed(g2, cfg2):
 
 
 def test_no_zero_divisor_found_on_the_monoid(g2, cfg2):
-    assert zero_divisor_search(g2, cfg2, trials=200,
-                               rng=random.Random(0)) is None
+    search = zero_divisor_search(g2, cfg2, trials=200, rng=random.Random(0))
+    assert search == (None, None, 200, 0)
 
 
-def test_planted_quotient_has_zero_divisors():
+def test_planted_quotient_has_zero_divisors(monkeypatch):
+    # collapse_canon shortens words, so the top-length products are not
+    # the top-length terms of the product: the control multiplies every
+    # trial and never applies the grading rule
+    def refuse(*args):
+        raise AssertionError("the grading rule was applied")
+
+    monkeypatch.setattr(algebra, "unique_top_product", refuse)
     x = element_from_pairs([((1,), 1), ((1, 1), 1)], 2, collapse_canon)
     assert mul_with_canon(x, x, collapse_canon).is_zero()
     rng = random.Random(0)
     hit = zero_divisor_search_with_canon(
         collapse_canon, lambda r: random_word(r, 2, r.randint(1, 2)), p=2,
         trials=3000, max_support=3, rng=rng)
-    assert hit is not None
-    a, b = hit
+    assert hit.found is not None
+    assert hit.certified == 0 and hit.multiplied == hit.trial + 1
+    a, b = hit.found
     assert not a.is_zero() and not b.is_zero()
     assert mul_with_canon(a, b, collapse_canon).is_zero()
     # the hit and the stream after it, recorded before the draws moved to
     # getrandbits
     assert [a.to_text(), b.to_text()] == ["1*1 + 1*1,1", "1*1 + 1*1,1"]
     assert rng.random() == 0.06225875887122312
+
+
+@pytest.mark.parametrize("k, max_len", [(2, 10), (3, 16)])
+def test_certified_trials_have_a_nonzero_unique_top_product(k, max_len):
+    # the trials zero_divisor_search draws: wherever the rule answers True,
+    # the full product is nonzero and each top-length product that no
+    # other pair gives keeps the coefficient c_u * c_v
+    g = generate_group(QuaternionConfig(k))
+    canon = canonicalizer(g, default_config(g.n))
+
+    def sampler(r):
+        return seeded_word(r, g, draw(r, 1, max_len))
+
+    certified = rewritten = 0
+    for p in (2, 3, 5):
+        for seed in range(100):
+            rng = random.Random(seed)
+            for _ in range(4):
+                x = random_element(rng, p, canon, sampler, 3)
+                y = random_element(rng, p, canon, sampler, 3)
+                x_top, y_top = x.top_words(), y.top_words()
+                if not unique_top_product(x_top, y_top, canon):
+                    continue
+                certified += 1
+                rewritten += len(x_top) * len(y_top) > 1
+                xy = mul_with_canon(x, y, canon)
+                assert not xy.is_zero()
+                by_product = {}
+                for u in x_top:
+                    for v in y_top:
+                        by_product.setdefault(canon(u + v), []).append((u, v))
+                unique = [(w, pairs[0]) for w, pairs in by_product.items()
+                          if len(pairs) == 1]
+                assert unique
+                for w, (u, v) in unique:
+                    assert xy.terms[w] == x.terms[u] * y.terms[v] % p
+    # the monoid has unique products, so the rule leaves no trial open
+    assert certified == 1200
+    assert rewritten > 0
+
+
+def test_unique_top_product_is_exact_on_the_two_element_table(two_element8,
+                                                             cfg2):
+    # 1,2 and 2,1 followed by 3..8 spell the two elements, so both top
+    # products are one element and cancel over F_2
+    canon = canonicalizer(two_element8, cfg2)
+    x = element_from_pairs([((1, 2), 1), ((2, 1), 1)], 2, canon)
+    y = element_from_pairs([((3, 4, 5, 6, 7, 8), 1)], 2, canon)
+    assert len(x.terms) == 2
+    assert not unique_top_product(x.top_words(), y.top_words(), canon)
+    assert mul_with_canon(x, y, canon).is_zero()
+    assert unique_top_product(x.top_words(), [(3, 4, 5, 6, 7)], canon)
+    assert unique_top_product([(1, 2)], [(2, 1)], lambda w: 1 / 0)
+
+
+@pytest.mark.parametrize("p, max_len", [(2, 10), (3, 6), (5, 4)])
+def test_grading_changes_neither_the_hits_nor_the_stream(g2, cfg2, p,
+                                                         max_len):
+    # the same search multiplied in full: same result, same rng state
+    canon = canonicalizer(g2, cfg2)
+
+    def sampler(r):
+        return seeded_word(r, g2, draw(r, 1, max_len))
+
+    for seed in range(3):
+        runs = []
+        for graded in (True, False):
+            rng = random.Random(seed)
+            result = zero_divisor_search_with_canon(
+                canon, sampler, p, 200, 3, rng, graded=graded)
+            runs.append((result.found, result.certified + result.multiplied,
+                         rng.getstate()))
+        assert runs[0] == runs[1]
+        assert runs[0][:2] == (None, 200)
 
 
 def test_each_modulus_is_trial_divided_once(g2, cfg2):
@@ -176,7 +238,7 @@ def test_each_modulus_is_trial_divided_once(g2, cfg2):
                                   rng=random.Random(0))
     finally:
         sys.setprofile(None)
-    assert hit is None
+    assert hit.found is None
     assert runs == [p]
 
 
@@ -184,7 +246,7 @@ def test_search_reports_progress(g2, cfg2):
     ticks = []
     assert zero_divisor_search(g2, cfg2, trials=1000, max_len=6,
                                rng=random.Random(1),
-                               progress=ticks.append) is None
+                               progress=ticks.append).found is None
     assert ticks == [1000]
 
 

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from qsemi import cli, lemmas, structure, words
-from qsemi.algebra import AlgebraElement
+from qsemi.algebra import AlgebraElement, SearchResult
 from qsemi.cli import main
 from qsemi.errors import QsemiError
 from qsemi.lemmas import LemmaId, LemmaReport
@@ -264,8 +264,28 @@ def test_zero_divisor(capsys):
                                       "30", "--max-len", "6"])
     assert code == 0
     assert payload["details"] == {"trials": 30, "found": None,
-                                  "rng_digest": "bc873921"}
+                                  "rng_digest": "bc873921",
+                                  "certified_by_unique_top": 30,
+                                  "multiplied_in_full": 0}
     assert payload["params"]["p"] == 2
+    assert main(["zero-divisor", "--k", "2", "--trials", "30", "--max-len",
+                 "6"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "no vanishing product in 30 trials",
+        "certified by a unique top-length product: 30, multiplied in full: 0",
+        "zero-divisor: PASS"]
+
+
+def test_zero_divisor_hit_names_its_trial(monkeypatch, capsys):
+    x = AlgebraElement(2, {(1,): 1})
+    monkeypatch.setattr(cli, "zero_divisor_search",
+                        lambda *args, **kwargs: SearchResult((x, x), 7, 5, 3))
+    code, payload = run_json(capsys, ["zero-divisor", "--k", "2"])
+    assert code == 1
+    details = payload["details"]
+    assert details["found"] == {"trial": 7, "x": x.to_json(), "y": x.to_json()}
+    assert (details["certified_by_unique_top"],
+            details["multiplied_in_full"]) == (5, 3)
 
 
 def _one_bit_short(rng, lo, hi):
@@ -421,7 +441,8 @@ def test_json_params_are_the_subcommands_own_flags(capsys, argv, params):
       "violations": [{"side": "right", "a": "1", "b": "2", "c": "3"}]},
      "cancel-sample: FAIL"),
     (["zero-divisor"], "zero_divisor_search",
-     (AlgebraElement(2, {(1,): 1}),) * 2, "zero-divisor: FAIL")],
+     SearchResult((AlgebraElement(2, {(1,): 1}),) * 2, 0, 0, 1),
+     "zero-divisor: FAIL")],
     ids=["verify-lemmas", "tup-check", "cancel-sample", "zero-divisor"])
 def test_a_failed_check_exits_one(monkeypatch, capsys, argv, entry, result,
                                   fail_line):

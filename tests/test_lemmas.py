@@ -14,8 +14,8 @@ from qsemi.lemmas import (LemmaId, LemmaReport, _SYM_STEP3_REASONS,
 from qsemi.perms import compose
 from qsemi.quaternion import (QuaternionConfig, generate_group, relabellings,
                               self_dual)
-from qsemi.words import class_of, default_config
-from reference_oracles import EXHAUSTIVE, stepss
+from qsemi.words import class_of, default_config, random_word
+from reference_oracles import EXHAUSTIVE, collapse_canon, stepss
 
 SUITE_ORDER = ["NotPossible", "MaxOne", "Big", "Overlapp", "Stepss", "Step3",
                "SymNotPossible", "SymMaxOne", "SymStep3", "SymOverlapp"]
@@ -311,8 +311,10 @@ def test_traced_suite_reaches_every_oracle(g2, cfg2, monkeypatch):
 def test_traced_layers_outside_lemmas_are_reached(g2, cfg2):
     # the benchmark's traced run also wraps cli, structure, algebra and words
     # functions and both canonicalizer factories by module attribute; each
-    # name must exist and be called through it
-    from qsemi import cli, quaternion, structure
+    # name must exist and be called through it.  zero-divisor certifies
+    # every trial by grading, so the control search reaches
+    # algebra.mul_with_canon.
+    from qsemi import algebra, cli, quaternion, structure
     spans = bench_module("spans")
     word = ",".join(map(str, g2.elements[1]))
     tracer = spans.Tracer()
@@ -321,6 +323,10 @@ def test_traced_layers_outside_lemmas_are_reached(g2, cfg2):
         assert cli.main(["word-eq", "--k", "2", word, "1,2,3,4,5,6,7,8"]) == 0
         assert cli.main(["cancel-sample", "--k", "2", "--trials", "20"]) == 0
         assert cli.main(["zero-divisor", "--k", "2", "--trials", "5"]) == 0
+        control = algebra.zero_divisor_search_with_canon(
+            collapse_canon, lambda r: random_word(r, 2, r.randint(1, 2)),
+            p=2, trials=5, max_support=3, rng=random.Random(0))
+        assert control.multiplied > 0
         g = quaternion.generate_group(QuaternionConfig(2))
         before = tracer.canon_calls
         halves = sorted({e[:4] for e in g.elements})[:4]

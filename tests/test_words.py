@@ -268,6 +268,73 @@ def test_words_equal(g2, cfg2):
     assert words_equal(g2.t + (1,), g2.u + (1,), g2, cfg2)
 
 
+def _counting_canonical_form(monkeypatch):
+    """Record the words words_equal hands to canonical_form."""
+    calls, orig = [], words.canonical_form
+
+    def counted(w, g, cfg):
+        calls.append(w)
+        return orig(w, g, cfg)
+
+    monkeypatch.setattr(words, "canonical_form", counted)
+    return calls
+
+
+def _same_length_pairs(rng, g, cfg, count, lengths):
+    """(w1, w2) of one length: a member of w1's class, w1 with two
+    neighbouring letters swapped, and a fresh word."""
+    pairs = []
+    for _ in range(count):
+        w1 = seeded_word(rng, g, rng.randint(*lengths))
+        v = list(w1)
+        i = rng.randrange(len(v) - 1)
+        v[i], v[i + 1] = v[i + 1], v[i]
+        pairs += [(w1, random_member(rng, class_of(w1, g, cfg))),
+                  (w1, tuple(v)), (w1, seeded_word(rng, g, len(w1)))]
+    return pairs
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_words_equal_rejects_other_letters_without_a_rewrite(monkeypatch, k):
+    # certified tables: relations permute letters, so words whose sorted
+    # letters differ are unequal; every verdict is the canonical forms'
+    g = generate_group(QuaternionConfig(k))
+    cfg = default_config(g.n)
+    pairs = _same_length_pairs(random.Random(k), g, cfg, 200, (2, 2 * g.n))
+    expected = [canonical_form(w1, g, cfg) == canonical_form(w2, g, cfg)
+                for w1, w2 in pairs]
+    calls = _counting_canonical_form(monkeypatch)
+    kinds = set()
+    for (w1, w2), equal in zip(pairs, expected):
+        calls.clear()
+        assert words_equal(w1, w2, g, cfg) == equal
+        same_letters = sorted(w1) == sorted(w2)
+        if not same_letters:
+            assert calls == []
+        kinds.add((equal, same_letters, w1 == w2))
+    assert {(True, True, False), (False, True, False),
+            (False, False, False)} <= kinds
+
+
+@pytest.mark.parametrize("table", PLANTED)
+def test_words_equal_on_the_planted_tables_compares_canonical_forms(
+        request, monkeypatch, table, cfg2):
+    # uncertified tables keep the class_of path for every pair of one
+    # length, whatever its letters
+    g = request.getfixturevalue(table)
+    pairs = _same_length_pairs(random.Random(8), g, cfg2, 30, (8, 12))
+    expected = [w1 == w2 or canonical_form(w1, g, cfg2)
+                == canonical_form(w2, g, cfg2) for w1, w2 in pairs]
+    calls = _counting_canonical_form(monkeypatch)
+    other_letters = 0
+    for (w1, w2), equal in zip(pairs, expected):
+        calls.clear()
+        assert words_equal(w1, w2, g, cfg2) == equal
+        assert calls == ([] if w1 == w2 else [w1, w2])
+        other_letters += sorted(w1) != sorted(w2)
+    assert other_letters and set(expected) == {True, False}
+
+
 def test_canonical_form(g2, cfg2):
     rng = random.Random(2)
     for _ in range(20):
