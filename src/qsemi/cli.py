@@ -262,7 +262,3 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print("\n".join(lines))
     return 0 if passed else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

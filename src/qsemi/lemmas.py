@@ -3,9 +3,9 @@
 The first group of oracles is exhaustive: each decides its whole quantifier
 range and confirms that short factors of defining windows cannot collide
 except in the trivial ways (NotPossible, MaxOne, Big, Overlapp).  They are
-queries on the table's pair index (`GroupTable.occurrences`, and
-`windows_at` past single letters): image tuples are permutations, so the
-first two letters of a factor locate every window that contains it.
+queries on the table's index of single letters and adjacent letter pairs
+(`GroupTable.occurrences`): image tuples are permutations, so the first two
+letters of a factor locate every window that contains it.
 `stats["instances"]` is the size of the range decided.
 
 The second group (Stepss, Step3) is empirical: it enumerates members of
@@ -152,7 +152,7 @@ def verify_overlapp(g: GroupTable) -> LemmaReport:
                     while a < m - j and s[j - 1 + a] == lam[i - 1 + a]:
                         a += 1
                     l = j + a - 1
-                    for ti in g.windows_at(lam[i - 1 + a:end], l + 1):
+                    for ti, _ in g.occurrences(lam[i - 1 + a:end], l + 1):
                         if ti != si:
                             return _failed(
                                 g, LemmaId.OVERLAPP, si, ti,
@@ -291,8 +291,8 @@ def _step3_tails(g: GroupTable, t: Perm) -> list[Word]:
     of at most one letter, then every window: the only tails v up to length
     n that let t(i+1..n) v hold a window, as MaxOne bars longer overlaps."""
     xs = [()] + [(a,) for a in range(1, g.n + 1)]
-    return list(dict.fromkeys([g.elements[li][1:] + x for li in
-                               g.windows_at(t[-1:], 1) for x in xs] + list(g.elements)))
+    return list(dict.fromkeys([g.elements[li][1:] + x for li, _ in
+                               g.occurrences(t[-1:], 1) for x in xs] + list(g.elements)))
 
 
 def verify_step3(g: GroupTable, cfg: RewriteConfig, samples: int = 1000,

@@ -76,24 +76,26 @@ class GroupTable:
         return {e: i for i, e in enumerate(self.elements)}
 
     @cached_property
-    def pair_index(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
-        """Adjacent letter pair -> (element index, position of its first
-        letter) for every occurrence in an image tuple: n(n-1) entries."""
-        index: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    def pair_index(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+        """Single letter or adjacent letter pair -> (element index, position
+        of its first letter) for every occurrence in an image tuple, in
+        element order: n^2 + n(n-1) entries."""
+        index: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for idx, e in enumerate(self.elements):
-            for p in range(1, self.n):
-                index.setdefault(e[p - 1:p + 1], []).append((idx, p))
+            for p in range(1, self.n + 1):
+                index.setdefault(e[p - 1:p], []).append((idx, p))
+                if p < self.n:
+                    index.setdefault(e[p - 1:p + 1], []).append((idx, p))
         return index
 
     @cached_property
     def follow(self) -> tuple[frozenset[int], ...]:
         """`follow[x]`: the letters y such that some image tuple starts
-        x y, read off `pair_index`.  A scan for windows slices a factor
-        only where its first two letters are such a pair."""
+        x y.  A scan for windows slices a factor only where its first two
+        letters are such a pair."""
         follow: list[set[int]] = [set() for _ in range(self.n + 1)]
-        for (x, y), hits in self.pair_index.items():
-            if any(p == 1 for _, p in hits):
-                follow[x].add(y)
+        for e in self.elements:
+            follow[e[0]].add(e[1])
         return tuple(map(frozenset, follow))
 
     @cached_property
@@ -106,25 +108,17 @@ class GroupTable:
         """The first n-1 letters of every image tuple."""
         return frozenset(e[:-1] for e in self.elements)
 
-    def occurrences(self, factor: tuple[int, ...]) -> list[tuple[int, int]]:
-        """(element index, 1-based start) of every occurrence of a factor of
-        length >= 2 in an image tuple, in element order.  Image tuples are
-        permutations, so the factor's first two letters locate every
+    def occurrences(self, factor: tuple[int, ...],
+                    at: int | None = None) -> list[tuple[int, int]]:
+        """(element index, 1-based start) of every occurrence of a nonempty
+        factor in an image tuple, in element order; with `at`, only those
+        that start at position `at`.  Image tuples are permutations, so the
+        factor's first two letters, or its one letter, locate every
         candidate."""
         elements, end = self.elements, len(factor) - 1
         return [(idx, p) for idx, p in self.pair_index.get(factor[:2], ())
-                if elements[idx][p - 1:p + end] == factor]
-
-    def windows_at(self, factor: tuple[int, ...], p: int) -> list[int]:
-        """Indices of the elements whose images from position p spell
-        factor, in element order.  Unlike `occurrences` it takes single
-        letters too, which `verify_overlapp` and `lemmas._step3_tails`
-        pass."""
-        elements, end = self.elements, p - 1 + len(factor)
-        if len(factor) == 1:
-            return [i for i, e in enumerate(elements) if e[p - 1] == factor[0]]
-        return [i for i, q in self.pair_index.get(factor[:2], ())
-                if q == p and elements[i][p - 1:end] == factor]
+                if (at is None or p == at)
+                and elements[idx][p - 1:p + end] == factor]
 
 
 @cache

@@ -4,7 +4,9 @@
   of Stepss and of Step3 over every cell: the slow reference for the
   pair-index, counting and orbit-cut oracles in `qsemi.lemmas`.
 - `relation_factors`, the windows of a word by slicing at every position,
-  the reference for `words.find_relation_factors`.
+  the reference for `words.find_relation_factors`, and
+  `factor_occurrences`, the starts of a factor by slicing every image tuple
+  at every position, the reference for `GroupTable.occurrences`.
 - `naive_class`, congruence classes by brute slice comparison, the
   reference for `words.class_of`, and `tup_sweep`, the two unique products
   sweep by pairwise class membership, the reference for
@@ -165,6 +167,16 @@ def relation_factors(w, g):
     n = g.n
     return [(p0 + 1, w[p0:p0 + n]) for p0 in range(len(w) - n + 1)
             if w[p0:p0 + n] in g.elements]
+
+
+def factor_occurrences(g, factor, at=None):
+    """(element index, 1-based start) of every occurrence of factor in an
+    image tuple, in element order, no index; with `at`, only the starts at
+    `at`."""
+    m = len(factor)
+    return [(idx, p) for idx, e in enumerate(g.elements)
+            for p in range(1, len(e) - m + 2)
+            if e[p - 1:p - 1 + m] == factor and at in (None, p)]
 
 
 def naive_class(w, g, rounds=50):

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -42,6 +45,18 @@ def test_gen_group_json(capsys):
     assert rows[0]["label"] == "e"
     assert [r["images"] for r in rows if r["label"] == "t"] == [K2_T]
     assert [r["images"] for r in rows if r["label"] == "u"] == [K2_U]
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    (["word-eq", "--k", "2", "1,2", "2,1"], 1, ""),
+    (["gen-group", "--k", "x"], 2, "not an integer: 'x'")],
+    ids=["unequal-words", "bad-k"])
+def test_python_m_qsemi_exits_with_main_code(argv, code, stderr):
+    done = subprocess.run(
+        [sys.executable, "-m", "qsemi", *argv], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == code
+    assert stderr in done.stderr
 
 
 def test_word_eq_equal(capsys):

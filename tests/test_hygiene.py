@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module; every top-level
 function or class of the package, and every public method of its classes,
 is used by the package or the benchmark; the package draws no random
-integer through `randint` or `randrange`; and every code name the README
+integer through `randint` or `randrange`; no module of the package but
+`__main__.py` tests `__name__ == "__main__"`; and every code name the README
 or a docstring or comment of the package cites still exists."""
 
 import ast
@@ -139,6 +140,36 @@ def test_detects_a_slow_draw():
                          ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_package_draws_through_getrandbits(path):
     assert slow_draws(path.read_text()) == []
+
+
+def main_guards(source: str) -> list[int]:
+    """The line of each `__name__ == "__main__"` comparison of a module,
+    either way round."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            names = {x.id for x in sides if isinstance(x, ast.Name)}
+            values = {x.value for x in sides if isinstance(x, ast.Constant)}
+            if "__name__" in names and "__main__" in values:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_detects_a_main_guard():
+    assert main_guards('def main():\n    pass\n\n'
+                       'if __name__ == "__main__":\n    main()\n'
+                       'if "__main__" == __name__:\n    main()\n') == [4, 6]
+    assert main_guards('name = __name__\nx = "__main__"\n'
+                       'if __name__ == "qsemi":\n    pass\n') == []
+
+
+def test_only_dunder_main_runs_as_a_script():
+    # the console script and `python -m qsemi` are the entry points; a
+    # module that also runs as a script is a third, undocumented one
+    guarded = {path.name: main_guards(path.read_text()) for path in PACKAGE
+               if path.name != "__main__.py"}
+    assert {name: lines for name, lines in guarded.items() if lines} == {}
 
 
 # `name`, `module.name` or `name(args)`, all lowercase

@@ -13,9 +13,9 @@ from qsemi.quaternion import QuaternionConfig, generate_group
 from qsemi.structure import canonical_ground_set, run_tup_sweep
 from qsemi.words import (class_of, default_config, find_relation_factors,
                          parse_word, random_word, seeded_word)
-from reference_oracles import (EXHAUSTIVE, FORWARD, relation_factors,
-                               reversed_table, step3_every_cell, stepss,
-                               tup_sweep)
+from reference_oracles import (EXHAUSTIVE, FORWARD, factor_occurrences,
+                               relation_factors, reversed_table,
+                               step3_every_cell, stepss, tup_sweep)
 
 SYM = {"SymNotPossible": "NotPossible", "SymMaxOne": "MaxOne",
        "SymOverlapp": "Overlapp"}
@@ -120,7 +120,31 @@ def test_find_relation_factors_matches_slice_scan(planted):
     assert found
 
 
-def test_prefixes_match_windows_at(planted):
+def test_occurrences_match_a_scan_of_the_elements(planted):
+    # every factor of every window and random factors, which repeat letters
+    # or occur nowhere, with no start and with each start 1..n, on the
+    # tables the forward oracles query and on the mirrored ones the Sym*
+    # oracles query
+    rng = random.Random(17)
+    hits = misses = 0
+    for g in [REAL[2], REAL[3], *planted]:
+        for table in (g, g.mirrored):
+            n = table.n
+            factors = {e[p:q] for e in table.elements
+                       for p in range(n) for q in range(p + 1, n + 1)}
+            factors |= {random_word(rng, n, rng.randint(1, n))
+                        for _ in range(200)}
+            for f in factors:
+                for at in (None, *range(1, n + 1)):
+                    expected = factor_occurrences(table, f, at)
+                    assert table.occurrences(f, at) == expected, (
+                        table.elements, f, at)
+                    hits += bool(expected)
+                    misses += not expected
+    assert hits and misses
+
+
+def test_prefixes_match_occurrences_at_the_first_position(planted):
     # every (n-1)-letter factor of seeded words, which hold windows at
     # random offsets, so both answers occur
     g8 = generate_group(QuaternionConfig(8))
@@ -132,7 +156,7 @@ def test_prefixes_match_windows_at(planted):
             w = seeded_word(rng, g, rng.randint(n - 1, 2 * n), p_window=0.8)
             for p in range(len(w) - n + 2):
                 f = w[p:p + n - 1]
-                assert (f in g.prefixes) == bool(g.windows_at(f, 1)), (
+                assert (f in g.prefixes) == bool(g.occurrences(f, 1)), (
                     g.elements, f)
                 seen.add(f in g.prefixes)
     assert seen == {True, False}

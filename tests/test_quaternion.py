@@ -119,6 +119,24 @@ def test_generate_group_detects_planted_generator(monkeypatch):
         generate_group.__wrapped__(QuaternionConfig(2))
 
 
+def test_generate_group_rejects_repeated_elements(monkeypatch):
+    # u = 1 makes t^i u the same permutation as t^i
+    monkeypatch.setattr(qsemi.quaternion, "build_u",
+                        lambda cfg: identity(cfg.n))
+    with pytest.raises(ClosureError,
+                       match="expected 8 distinct elements, got 4"):
+        generate_group.__wrapped__(QuaternionConfig(2))
+
+
+def test_generate_group_checks_the_defining_relations(monkeypatch):
+    # the flip of the dihedral group of order 8 gives 8 distinct elements
+    # closed under composition, but it squares to 1, not to t^2
+    monkeypatch.setattr(qsemi.quaternion, "build_u",
+                        lambda cfg: (1, 4, 3, 2, 5, 8, 7, 6))
+    with pytest.raises(ConsistencyError, match=r"u\^2 = t\^k"):
+        generate_group.__wrapped__(QuaternionConfig(2))
+
+
 def test_build_u_cross_check(monkeypatch):
     monkeypatch.setattr(qsemi.quaternion, "_u_from_cycle_form",
                         lambda cfg: identity(cfg.n))
