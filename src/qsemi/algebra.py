@@ -4,16 +4,17 @@ Elements are dictionaries from canonical word forms to nonzero coefficients
 mod p.  Multiplication concatenates supports pairwise and re-canonicalizes,
 so coefficients of equivalent products merge (and may cancel mod p).  The
 zero-divisor search draws random nonzero elements looking for a vanishing
-product; the canonicalizer is a parameter so the identical search can run
-against a deliberately degenerate quotient as a control.
+product.
 
 The relations of the monoid preserve length, so the products of x's and
 y's longest support words are the only terms of x*y of the greatest
 length.  If one of them is equal to no other (`unique_top_product`), its
 coefficient is the product of two nonzero coefficients and x*y != 0 over
-every field.  The search over the monoid decides each such trial by that
-rule alone and multiplies in full only the trials it leaves open; the
-control quotient shortens words, so its search always multiplies.
+every field.  The search decides each such trial by that rule alone and
+multiplies in full only the trials it leaves open.  Its control, the same
+search multiplying every trial over a degenerate quotient that shortens
+words, lives with the tests as their slow reference
+(`tests/reference_oracles.py`).
 """
 
 from __future__ import annotations
@@ -147,49 +148,35 @@ class SearchResult(NamedTuple):
     multiplied: int
 
 
-def zero_divisor_search_with_canon(
-        canon: Canon, word_sampler: Callable[[random.Random], Word], p: int,
-        trials: int, max_support: int, rng: random.Random | None = None,
-        progress: Callable[[int], None] | None = None, graded: bool = False,
-) -> SearchResult:
-    """Random search for x, y != 0 with x*y = 0 under the given
-    canonicalizer, support words drawn by `word_sampler`; stops at the
-    first hit.  With `graded` (canon preserves length) a trial with a
-    unique top-length product is certified without the multiplication;
-    the rule draws nothing, so the stream of trials is the same either
-    way.  ValueError if p is not prime."""
+def zero_divisor_search(g: GroupTable, cfg: RewriteConfig, p: int,
+                        trials: int, max_support: int, max_len: int,
+                        rng: random.Random,
+                        progress: Callable[[int], None]) -> SearchResult:
+    """Random search of the monoid algebra for x, y != 0 with x*y = 0;
+    stops at the first hit.  Support words are biased to contain defining
+    windows so products actually merge terms.  A trial with a unique
+    top-length product is certified without the multiplication; the rule
+    draws nothing, so the stream of trials is that of multiplying every
+    one.  ValueError if 2 * max_len exceeds the word-length cap, or else if
+    p is not prime."""
+    check_product_length(max_len, cfg)
     if not _is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    rng = rng if rng is not None else random.Random(0)
+    canon = canonicalizer(g, cfg)
+
+    def sampler(r: random.Random) -> Word:
+        return seeded_word(r, g, draw(r, 1, max_len))
+
     certified = multiplied = 0
     for trial in range(trials):
-        x = random_element(rng, p, canon, word_sampler, max_support)
-        y = random_element(rng, p, canon, word_sampler, max_support)
-        if graded and unique_top_product(x.top_words(), y.top_words(), canon):
+        x = random_element(rng, p, canon, sampler, max_support)
+        y = random_element(rng, p, canon, sampler, max_support)
+        if unique_top_product(x.top_words(), y.top_words(), canon):
             certified += 1
         else:
             multiplied += 1
             if mul_with_canon(x, y, canon).is_zero():
                 return SearchResult((x, y), trial, certified, multiplied)
-        if progress is not None and (trial + 1) % 1000 == 0:
+        if (trial + 1) % 1000 == 0:
             progress(trial + 1)
     return SearchResult(None, None, certified, multiplied)
-
-
-def zero_divisor_search(g: GroupTable, cfg: RewriteConfig, p: int = 2,
-                        trials: int = 10000, max_support: int = 3,
-                        max_len: int = 10,
-                        rng: random.Random | None = None,
-                        progress: Callable[[int], None] | None = None,
-                        ) -> SearchResult:
-    """Search the monoid algebra itself, graded by length.  Support words
-    are biased to contain defining windows so products actually merge
-    terms; ValueError if 2 * max_len exceeds the word-length cap."""
-    check_product_length(max_len, cfg)
-
-    def sampler(r: random.Random) -> Word:
-        return seeded_word(r, g, draw(r, 1, max_len))
-
-    return zero_divisor_search_with_canon(
-        canonicalizer(g, cfg), sampler, p, trials, max_support, rng, progress,
-        graded=True)

@@ -146,7 +146,7 @@ def cmd_gen_group(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
 
 def cmd_verify_lemmas(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
     rng = random.Random(args.seed)
-    stepss_extra = None if args.stepss_extra < 0 else args.stepss_extra
+    stepss_extra = g.n if args.stepss_extra < 0 else args.stepss_extra
     reports = run_lemma_suite(g, _caps(args, g.n), stepss_extra=stepss_extra,
                               step3_samples=args.step3_samples, rng=rng)
     checks = group_checks(g)

@@ -223,9 +223,8 @@ def default_stepss_seeds(g: GroupTable, max_extra: int,
     return seeds
 
 
-def verify_stepss(g: GroupTable, cfg: RewriteConfig,
-                  max_extra: int | None = None,
-                  rng: random.Random | None = None) -> LemmaReport:
+def verify_stepss(g: GroupTable, cfg: RewriteConfig, max_extra: int,
+                  rng: random.Random) -> LemmaReport:
     """Equivalent words of equal length whose first letters differ must each
     start with the first n-1 letters of some window, and at most one of the
     two may break the window at its n-th letter.
@@ -239,8 +238,7 @@ def verify_stepss(g: GroupTable, cfg: RewriteConfig,
     only the first keeps sum K_a B_b, and only the second as many.
     """
     n = g.n
-    rng = rng if rng is not None else random.Random(0)
-    seeds = default_stepss_seeds(g, n if max_extra is None else max_extra, rng)
+    seeds = default_stepss_seeds(g, max_extra, rng)
     pairs = classes = 0
     cond_counts = [0, 0, 0]  # both letters match / only first / only second
     for seed in seeds:
@@ -295,8 +293,8 @@ def _step3_tails(g: GroupTable, t: Perm) -> list[Word]:
                                g.occurrences(t[-1:], 1) for x in xs] + list(g.elements)))
 
 
-def verify_step3(g: GroupTable, cfg: RewriteConfig, samples: int = 1000,
-                 rng: random.Random | None = None) -> LemmaReport:
+def verify_step3(g: GroupTable, cfg: RewriteConfig, samples: int,
+                 rng: random.Random) -> LemmaReport:
     """Every member of the class of t(i+1..n) v keeps that exact prefix or
     replaces its last letter by a fresh window prefix of length n-1.  Each
     (element, i) cell takes `samples` of its `_step3_tails`, all if they fit.
@@ -304,7 +302,6 @@ def verify_step3(g: GroupTable, cfg: RewriteConfig, samples: int = 1000,
     (t0, i), its tails, classes and checks onto (s, i); so where
     `relabellings` applies, t0's cells alone run, and count for their
     orbits."""
-    rng = rng if rng is not None else random.Random(0)
     pis = relabellings(g)
     orbit = len(pis) if pis is not None else 1
     cells = [(ti, t, _step3_tails(g, t))
@@ -352,9 +349,8 @@ _SYM_STEP3_REASONS = {
 }
 
 
-def verify_sym_step3(g: GroupTable, cfg: RewriteConfig,
-                     samples: int = 1000,
-                     rng: random.Random | None = None) -> LemmaReport:
+def verify_sym_step3(g: GroupTable, cfg: RewriteConfig, samples: int,
+                     rng: random.Random) -> LemmaReport:
     """Mirror of Step3 for suffixes: every member of the class of
     w2 t(1..i) either keeps that exact suffix or replaces the first letter
     of the t-part by a fresh length n-1 window suffix."""
@@ -369,16 +365,14 @@ def _reversed_word(text: str) -> str:
     return ",".join(reversed(text.split(",")))
 
 
-def run_lemma_suite(g: GroupTable, cfg: RewriteConfig,
-                    stepss_extra: int | None = None,
-                    step3_samples: int = 1000,
-                    rng: random.Random | None = None) -> list[LemmaReport]:
+def run_lemma_suite(g: GroupTable, cfg: RewriteConfig, stepss_extra: int,
+                    step3_samples: int,
+                    rng: random.Random) -> list[LemmaReport]:
     """All ten oracles, deterministic order.  On a `self_dual` table a
     passing forward report is carried over to its mirror lemma, stats
     included: delta carries each instance or sampled tail of it onto one
     of the mirror lemma, so no mirror oracle runs and nothing is drawn
     from rng for it.  Otherwise the mirror oracle runs."""
-    rng = rng if rng is not None else random.Random(0)
     forward = [
         verify_not_possible(g),
         verify_max_one(g),

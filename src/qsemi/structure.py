@@ -224,15 +224,15 @@ def _sampled_triples(g: GroupTable, cfg: RewriteConfig, trials: int,
 
 
 def cancellation_report(g: GroupTable, cfg: RewriteConfig, trials: int,
-                        max_len: int, rng: random.Random | None = None,
-                        progress: Callable[[int], None] | None = None
-                        ) -> dict:
+                        max_len: int, rng: random.Random,
+                        progress: Callable[[int], None]) -> dict:
     """Sampled test of both cancellation laws: ac = bc implies a = b, and
-    ca = cb implies a = b.  ValueError if 2 * max_len exceeds the cap.
+    ca = cb implies a = b.  Each violation names its 0-based trial, so the
+    same seed run for trial + 1 trials ends on it.  ValueError if
+    2 * max_len exceeds the cap.
     """
     check_product_length(max_len, cfg)
-    triples = _sampled_triples(g, cfg, trials, max_len,
-                               rng if rng is not None else random.Random(0))
+    triples = _sampled_triples(g, cfg, trials, max_len, rng)
     violations: list[dict] = []
     antecedent_hits = 0
     for trial, (a, b, c) in enumerate(triples):
@@ -245,11 +245,11 @@ def cancellation_report(g: GroupTable, cfg: RewriteConfig, trials: int,
                 ab_equal = words_equal(a, b, g, cfg)
             if not ab_equal:
                 violations.append({
-                    "side": side,
+                    "trial": trial, "side": side,
                     "a": format_word(a), "b": format_word(b),
                     "c": format_word(c),
                 })
-        if progress is not None and (trial + 1) % 1000 == 0:
+        if (trial + 1) % 1000 == 0:
             progress(trial + 1)
     return {
         "trials": trials,

@@ -383,12 +383,11 @@ def random_word(rng: random.Random, n_letters: int, length: int) -> Word:
     return tuple(word)
 
 
-def seeded_word(rng: random.Random, g: GroupTable, length: int,
-                p_window: float = 0.5) -> Word:
-    """Random word that, with probability p_window and room permitting,
-    contains some element's image tuple as a factor."""
+def seeded_word(rng: random.Random, g: GroupTable, length: int) -> Word:
+    """Random word that, with probability 1/2 and room permitting, contains
+    some element's image tuple as a factor."""
     n = g.n
-    if length >= n and rng.random() < p_window:
+    if length >= n and rng.random() < 0.5:
         e = g.elements[draw(rng, 0, len(g.elements) - 1)]
         off = draw(rng, 0, length - n)
         head = random_word(rng, n, off)

@@ -28,6 +28,10 @@ def cfg3(g3):
     return default_config(g3.n)
 
 
+def quiet(done):
+    """A progress callback that reports nothing."""
+
+
 def bench_module(name):
     """A module of the benchmark harness (`bench/<name>.py`), loaded from
     its file without touching it."""

@@ -19,22 +19,25 @@
   holds.
 - The normal-form arithmetic on labels t^i u^j, which the group table is
   checked against point by point.
-- Addition and support lengths in the monoid algebra, for the ring laws,
-  and `collapse_canon`, the degenerate quotient that the zero-divisor
-  search must find a hit in.
+- Addition and support lengths in the monoid algebra, for the ring laws;
+  `ungraded_zero_divisor_search`, the search that multiplies every trial
+  under any canonicalizer, the reference for the graded
+  `algebra.zero_divisor_search`; and `collapse_canon`, the degenerate
+  quotient that the ungraded search must find a hit in, its control.
 - `normal_form`, one rewrite under a table's certified rules, which
   `words.canonical_form` inlines; and the word samplers as they were
   drawn through `randint` and `randrange`, the stream that `words.draw`
-  must reproduce bit for bit.
+  must reproduce bit for bit.  `randint_seeded_word` also takes the window
+  probability that `words.seeded_word` fixes at 1/2, for the tests that
+  want windows more often.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 
-from qsemi import words
-from qsemi.algebra import AlgebraElement
+from qsemi import algebra, words
+from qsemi.algebra import AlgebraElement, SearchResult
 from qsemi.lemmas import (default_stepss_seeds, verify_big, verify_max_one,
                           verify_not_possible, verify_overlapp,
                           verify_sym_max_one, verify_sym_not_possible,
@@ -134,15 +137,14 @@ def overlap_bound(g):
                    for j in range(2, n + 1))
 
 
-def stepss(g, cfg, max_extra=None, rng=None):
+def stepss(g, cfg, max_extra, rng):
     """Every ordered pair of members with distinct first letters, in every
     class of the default Stepss seeds: `(holds, pairs, condition_counts)`,
     the counts being both / only the first / only the second word keeping
     its window at letter n.  Stops at the first pair, in sorted order, that
     breaks Stepss."""
     n = g.n
-    seeds = default_stepss_seeds(g, n if max_extra is None else max_extra,
-                                 rng if rng is not None else random.Random(0))
+    seeds = default_stepss_seeds(g, max_extra, rng)
     prefixes = {e[:n - 1] for e in g.elements}
     pairs, counts = 0, [0, 0, 0]
     for seed in seeds:
@@ -339,6 +341,21 @@ def collapse_canon(w):
             out.append(w[i])
             i += 1
     return tuple(out)
+
+
+def ungraded_zero_divisor_search(canon, word_sampler, p, trials, max_support,
+                                 rng):
+    """The zero-divisor search with every trial multiplied in full under
+    `canon`, support words drawn by `word_sampler`; stops at the first
+    hit.  It draws the stream the graded search draws.  Each product goes
+    through the module attribute `algebra.mul_with_canon`, the name the
+    benchmark traces."""
+    for trial in range(trials):
+        x = algebra.random_element(rng, p, canon, word_sampler, max_support)
+        y = algebra.random_element(rng, p, canon, word_sampler, max_support)
+        if algebra.mul_with_canon(x, y, canon).is_zero():
+            return SearchResult((x, y), trial, 0, trial + 1)
+    return SearchResult(None, None, 0, trials)
 
 
 def normal_form(w, g):

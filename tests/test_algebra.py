@@ -6,11 +6,13 @@ import pytest
 from qsemi import algebra
 from qsemi.algebra import (AlgebraElement, element_from_pairs,
                            mul_with_canon, random_element, unique_top_product,
-                           zero_divisor_search, zero_divisor_search_with_canon)
+                           zero_divisor_search)
 from qsemi.quaternion import QuaternionConfig, generate_group
 from qsemi.words import (canonicalizer, default_config, draw, random_word,
                          seeded_word)
-from reference_oracles import algebra_add, collapse_canon, support_lengths
+from conftest import quiet
+from reference_oracles import (algebra_add, collapse_canon, support_lengths,
+                               ungraded_zero_divisor_search)
 
 
 def test_validation():
@@ -117,26 +119,23 @@ def test_random_element_replays_recorded_seed(g2, cfg2):
 
 
 def test_no_zero_divisor_found_on_the_monoid(g2, cfg2):
-    search = zero_divisor_search(g2, cfg2, trials=200, rng=random.Random(0))
+    search = zero_divisor_search(g2, cfg2, 2, 200, 3, 10, random.Random(0),
+                                 quiet)
     assert search == (None, None, 200, 0)
 
 
-def test_planted_quotient_has_zero_divisors(monkeypatch):
+def test_planted_quotient_has_zero_divisors():
     # collapse_canon shortens words, so the top-length products are not
     # the top-length terms of the product: the control multiplies every
-    # trial and never applies the grading rule
-    def refuse(*args):
-        raise AssertionError("the grading rule was applied")
-
-    monkeypatch.setattr(algebra, "unique_top_product", refuse)
+    # trial, as the ungraded reference does
     x = element_from_pairs([((1,), 1), ((1, 1), 1)], 2, collapse_canon)
     assert mul_with_canon(x, x, collapse_canon).is_zero()
     rng = random.Random(0)
-    hit = zero_divisor_search_with_canon(
+    hit = ungraded_zero_divisor_search(
         collapse_canon, lambda r: random_word(r, 2, r.randint(1, 2)), p=2,
         trials=3000, max_support=3, rng=rng)
     assert hit.found is not None
-    assert hit.certified == 0 and hit.multiplied == hit.trial + 1
+    assert hit.multiplied == hit.trial + 1
     a, b = hit.found
     assert not a.is_zero() and not b.is_zero()
     assert mul_with_canon(a, b, collapse_canon).is_zero()
@@ -202,22 +201,47 @@ def test_unique_top_product_is_exact_on_the_two_element_table(two_element8,
 @pytest.mark.parametrize("p, max_len", [(2, 10), (3, 6), (5, 4)])
 def test_grading_changes_neither_the_hits_nor_the_stream(g2, cfg2, p,
                                                          max_len):
-    # the same search multiplied in full: same result, same rng state
+    # the graded search against the reference that multiplies every trial
+    # over the same sampler: same result, same trials, same rng state
     canon = canonicalizer(g2, cfg2)
 
     def sampler(r):
         return seeded_word(r, g2, draw(r, 1, max_len))
 
     for seed in range(3):
-        runs = []
-        for graded in (True, False):
-            rng = random.Random(seed)
-            result = zero_divisor_search_with_canon(
-                canon, sampler, p, 200, 3, rng, graded=graded)
-            runs.append((result.found, result.certified + result.multiplied,
-                         rng.getstate()))
-        assert runs[0] == runs[1]
-        assert runs[0][:2] == (None, 200)
+        graded_rng, full_rng = random.Random(seed), random.Random(seed)
+        graded = zero_divisor_search(g2, cfg2, p, 200, 3, max_len, graded_rng,
+                                     quiet)
+        full = ungraded_zero_divisor_search(canon, sampler, p, 200, 3,
+                                            full_rng)
+        assert (graded.found, graded.trial) == (full.found, full.trial)
+        assert (graded.certified + graded.multiplied == full.multiplied
+                == 200)
+        assert graded.found is None and graded.certified > 0
+        assert graded_rng.getstate() == full_rng.getstate()
+
+
+def test_graded_search_stops_where_the_reference_does_on_two_elements(
+        two_element8, cfg2, monkeypatch):
+    # support words 1,2, 2,1 and 3..8: 1,2 and 2,1 followed by 3..8 spell
+    # the two elements, so some trials have no unique top product and
+    # vanish over F_2; the graded search must multiply those in full
+    parts = [(1, 2), (2, 1), (3, 4, 5, 6, 7, 8)]
+
+    def part(r, g, length):
+        return parts[draw(r, 0, 2)]
+
+    monkeypatch.setattr(algebra, "seeded_word", part)
+    canon = canonicalizer(two_element8, cfg2)
+    graded_rng, full_rng = random.Random(0), random.Random(0)
+    graded = zero_divisor_search(two_element8, cfg2, 2, 200, 3, 6, graded_rng,
+                                 quiet)
+    full = ungraded_zero_divisor_search(
+        canon, lambda r: part(r, two_element8, draw(r, 1, 6)), 2, 200, 3,
+        full_rng)
+    assert graded.found is not None and graded.certified > 0
+    assert (graded.found, graded.trial) == (full.found, full.trial)
+    assert graded_rng.getstate() == full_rng.getstate()
 
 
 def test_each_modulus_is_trial_divided_once(g2, cfg2):
@@ -234,8 +258,8 @@ def test_each_modulus_is_trial_divided_once(g2, cfg2):
 
     sys.setprofile(count)
     try:
-        hit = zero_divisor_search(g2, cfg2, p=p, trials=300,
-                                  rng=random.Random(0))
+        hit = zero_divisor_search(g2, cfg2, p, 300, 3, 10, random.Random(0),
+                                  quiet)
     finally:
         sys.setprofile(None)
     assert hit.found is None
@@ -244,9 +268,8 @@ def test_each_modulus_is_trial_divided_once(g2, cfg2):
 
 def test_search_reports_progress(g2, cfg2):
     ticks = []
-    assert zero_divisor_search(g2, cfg2, trials=1000, max_len=6,
-                               rng=random.Random(1),
-                               progress=ticks.append).found is None
+    assert zero_divisor_search(g2, cfg2, 2, 1000, 3, 6, random.Random(1),
+                               ticks.append).found is None
     assert ticks == [1000]
 
 

@@ -380,6 +380,16 @@ def test_sampling_commands_are_seed_deterministic(capsys):
     assert outs[0] == outs[1]
 
 
+def test_stepss_extra_minus_one_means_n(capsys):
+    # the command line resolves the sentinel once; the lemmas see only n
+    _, by_sentinel = run_json(capsys, ["verify-lemmas", "--k", "2",
+                                       "--stepss-extra", "-1"])
+    _, by_n = run_json(capsys, ["verify-lemmas", "--k", "2",
+                                "--stepss-extra", "8"])
+    assert by_sentinel["details"] == by_n["details"]
+    assert by_sentinel["params"]["stepss_extra"] == -1
+
+
 def test_rejects_stepss_extra_below_minus_one():
     with pytest.raises(SystemExit) as exc:
         main(["verify-lemmas", "--k", "2", "--stepss-extra", "-2"])

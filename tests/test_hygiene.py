@@ -1,9 +1,11 @@
 """Every name a module imports is used in that module; every top-level
 function or class of the package, and every public method of its classes,
-is used by the package or the benchmark; the package draws no random
-integer through `randint` or `randrange`; no module of the package but
-`__main__.py` tests `__name__ == "__main__"`; and every code name the README
-or a docstring or comment of the package cites still exists."""
+is used by the package or the benchmark; each defaulted parameter of a
+package function is set by some call in the package or the benchmark and
+left out by another; the package draws no random integer through
+`randint` or `randrange`; no module of the package but `__main__.py`
+tests `__name__ == "__main__"`; and every code name the README or a
+docstring or comment of the package cites still exists."""
 
 import ast
 import io
@@ -113,6 +115,87 @@ def test_no_dead_top_level_names():
     # tests are not users: a definition only tests reach belongs in tests
     defining = {path.stem: path.read_text() for path in PACKAGE}
     assert dead_names(defining, [path.read_text() for path in USERS]) == []
+
+
+def defaulted_parameters(source: str):
+    """(function, parameter, position) of each parameter with a default of
+    every function and method of a module: its index among the positional
+    arguments of a call (a method's `self` not counted), or None for a
+    keyword-only parameter."""
+    tree = ast.parse(source)
+    methods = {id(node) for top in ast.walk(tree)
+               if isinstance(top, ast.ClassDef)
+               for node in top.body if isinstance(node, FUNCS)}
+    for node in ast.walk(tree):
+        if not isinstance(node, FUNCS):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first, skip = len(positional) - len(args.defaults), id(node) in methods
+        for i, arg in enumerate(positional[first:], first):
+            yield node.name, arg.arg, i - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether a call passes the parameter: by keyword, through `**kwargs`,
+    or by position, where a `*args` may reach any position."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    return position is not None and (
+        position < len(call.args)
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def idle_defaults(defining: dict[str, str], users: list[str]) -> list[str]:
+    """`module.function(parameter): ...` for each defaulted parameter of
+    the `defining` sources (module -> source) that no call in `users`
+    passes ("never set": the default is a constant) or that every call
+    passes ("never left out": the default is unused).  Calls match a
+    function by its bare name, as `dead_names` matches references."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in users:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = (f.id if isinstance(f, ast.Name) else
+                        f.attr if isinstance(f, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for module, source in defining.items():
+        for func, param, position in defaulted_parameters(source):
+            passed = {passes(call, param, position)
+                      for call in calls.get(func, ())}
+            if True not in passed:
+                found.append(f"{module}.{func}({param}): never set")
+            elif False not in passed:
+                found.append(f"{module}.{func}({param}): never left out")
+    return sorted(found)
+
+
+def test_detects_an_idle_default():
+    lib = ("def f(a, b=1, *, c=2, d=3):\n    pass\n"
+           "def g(a, b=1):\n    pass\n"
+           "class K:\n    def m(self, a, b=None):\n        pass\n")
+    # d is set only through **opts, which counts
+    caller = ("f(0, 5, c=1)\nf(0, c=4)\ng(0)\nx.m(0, 1)\nx.m(0)\n"
+              "f(0, **opts)\n")
+    assert idle_defaults({"lib": lib}, [lib, caller]) == [
+        "lib.f(c): never left out", "lib.g(b): never set"]
+    assert idle_defaults({"lib": lib}, [caller, "g(0, *rest)\nf(0)\n"]) == []
+    assert idle_defaults({"lib": lib}, [lib, "x.m(0, 1)\n"]) == [
+        "lib.f(b): never set", "lib.f(c): never set", "lib.f(d): never set",
+        "lib.g(b): never set", "lib.m(b): never left out"]
+
+
+def test_every_default_is_both_set_and_left_out():
+    # a default that every call overrides is dead weight, and one that no
+    # call overrides is a constant: the command line owns the check
+    # parameters, and tests pass theirs in full
+    defining = {path.stem: path.read_text() for path in PACKAGE}
+    assert idle_defaults(defining, [path.read_text() for path in USERS]) == []
 
 
 SLOW_DRAWS = {"randint", "randrange"}

@@ -15,7 +15,8 @@ from qsemi.perms import compose
 from qsemi.quaternion import (QuaternionConfig, generate_group, relabellings,
                               self_dual)
 from qsemi.words import class_of, default_config, random_word
-from reference_oracles import EXHAUSTIVE, collapse_canon, stepss
+from reference_oracles import (EXHAUSTIVE, collapse_canon, stepss,
+                               ungraded_zero_divisor_search)
 
 SUITE_ORDER = ["NotPossible", "MaxOne", "Big", "Overlapp", "Stepss", "Step3",
                "SymNotPossible", "SymMaxOne", "SymStep3", "SymOverlapp"]
@@ -36,7 +37,7 @@ def test_report_invariant():
 
 
 def test_full_suite_passes_k2(g2, cfg2):
-    reports = run_lemma_suite(g2, cfg2, step3_samples=200,
+    reports = run_lemma_suite(g2, cfg2, stepss_extra=g2.n, step3_samples=200,
                               rng=random.Random(0))
     assert [r.lemma_id.value for r in reports] == SUITE_ORDER
     for r in reports:
@@ -60,11 +61,11 @@ def test_stepss_exercises_all_three_conditions(k):
     # brute-force reference counts them
     g = generate_group(QuaternionConfig(k))
     cfg = default_config(g.n)
-    r = verify_stepss(g, cfg, rng=random.Random(0))
+    r = verify_stepss(g, cfg, max_extra=g.n, rng=random.Random(0))
     assert r.passed
     both, first_only, second_only = r.stats["condition_counts"]
     assert both > 0 and first_only > 0 and second_only > 0
-    assert stepss(g, cfg, rng=random.Random(0)) == (
+    assert stepss(g, cfg, g.n, random.Random(0)) == (
         True, r.stats["pairs"], r.stats["condition_counts"])
 
 
@@ -128,8 +129,8 @@ def test_sampled_coverage_at_k8():
     # the classes the k=8 suite enumerates, pinned: a faster class closure
     # must visit the same members
     g = generate_group(QuaternionConfig(8))
-    reports = run_lemma_suite(g, default_config(g.n), step3_samples=1,
-                              rng=random.Random(0))
+    reports = run_lemma_suite(g, default_config(g.n), stepss_extra=g.n,
+                              step3_samples=1, rng=random.Random(0))
     stats = {r.lemma_id.value: r.stats for r in reports}
     assert stats["Stepss"] == {"classes": 134, "pairs": 136772,
                                "condition_counts": [132928, 1922, 1922]}
@@ -140,7 +141,7 @@ def test_sampled_coverage_at_k8():
 
 
 def test_symmetric_analogs_order_and_pass(g3, cfg3):
-    reports = run_lemma_suite(g3, cfg3, step3_samples=50,
+    reports = run_lemma_suite(g3, cfg3, stepss_extra=g3.n, step3_samples=50,
                               rng=random.Random(3))[6:]
     assert [r.lemma_id for r in reports] == [
         LemmaId.SYM_NOT_POSSIBLE, LemmaId.SYM_MAX_ONE, LemmaId.SYM_STEP3,
@@ -174,7 +175,7 @@ def test_cyclic_table_still_satisfies_overlapp(cyclic8):
 
 
 def test_cyclic_table_breaks_stepss(cyclic8, cfg2):
-    r = verify_stepss(cyclic8, cfg2)
+    r = verify_stepss(cyclic8, cfg2, max_extra=8, rng=random.Random(0))
     assert not r.passed
     assert r.counterexample["reason"] == "first n-1 letters are not a window prefix"
 
@@ -236,7 +237,7 @@ def test_mirror_runs_reuse_one_mirrored_table(poisoned8, cfg2):
         e[::-1] for e in poisoned8.elements)
     sizes = []
     for _ in range(3):
-        verify_sym_step3(poisoned8, cfg2, samples=1)
+        verify_sym_step3(poisoned8, cfg2, samples=1, rng=random.Random(0))
         sizes.append(relabellings.cache_info().currsize)
     assert sizes[0] == sizes[1] == sizes[2]
 
@@ -312,9 +313,9 @@ def test_traced_layers_outside_lemmas_are_reached(g2, cfg2):
     # the benchmark's traced run also wraps cli, structure, algebra and words
     # functions and both canonicalizer factories by module attribute; each
     # name must exist and be called through it.  zero-divisor certifies
-    # every trial by grading, so the control search reaches
+    # every trial by grading, so the ungraded control search reaches
     # algebra.mul_with_canon.
-    from qsemi import algebra, cli, quaternion, structure
+    from qsemi import cli, quaternion, structure
     spans = bench_module("spans")
     word = ",".join(map(str, g2.elements[1]))
     tracer = spans.Tracer()
@@ -323,7 +324,7 @@ def test_traced_layers_outside_lemmas_are_reached(g2, cfg2):
         assert cli.main(["word-eq", "--k", "2", word, "1,2,3,4,5,6,7,8"]) == 0
         assert cli.main(["cancel-sample", "--k", "2", "--trials", "20"]) == 0
         assert cli.main(["zero-divisor", "--k", "2", "--trials", "5"]) == 0
-        control = algebra.zero_divisor_search_with_canon(
+        control = ungraded_zero_divisor_search(
             collapse_canon, lambda r: random_word(r, 2, r.randint(1, 2)),
             p=2, trials=5, max_support=3, rng=random.Random(0))
         assert control.multiplied > 0

@@ -12,10 +12,11 @@ from qsemi.lemmas import (run_lemma_suite, verify_step3, verify_stepss,
 from qsemi.quaternion import QuaternionConfig, generate_group
 from qsemi.structure import canonical_ground_set, run_tup_sweep
 from qsemi.words import (class_of, default_config, find_relation_factors,
-                         parse_word, random_word, seeded_word)
+                         parse_word, random_word)
 from reference_oracles import (EXHAUSTIVE, FORWARD, factor_occurrences,
-                               relation_factors, reversed_table,
-                               step3_every_cell, stepss, tup_sweep)
+                               randint_seeded_word, relation_factors,
+                               reversed_table, step3_every_cell, stepss,
+                               tup_sweep)
 
 SYM = {"SymNotPossible": "NotPossible", "SymMaxOne": "MaxOne",
        "SymOverlapp": "Overlapp"}
@@ -109,7 +110,8 @@ def test_find_relation_factors_matches_slice_scan(planted):
         for _ in range(60):
             w = random_word(rng, n, rng.randint(0, n))
             for _ in range(rng.randint(0, 3)):
-                w += seeded_word(rng, g, rng.randint(n, n + 3), p_window=0.8)
+                w += randint_seeded_word(rng, g, rng.randint(n, n + 3),
+                                         p_window=0.8)
             words = [w]
             if len(w) <= 2 * n:
                 words += sorted(class_of(w, g, cfg).members)[:20]
@@ -153,7 +155,8 @@ def test_prefixes_match_occurrences_at_the_first_position(planted):
     for g in [*REAL.values(), g8, *planted]:
         n = g.n
         for _ in range(60):
-            w = seeded_word(rng, g, rng.randint(n - 1, 2 * n), p_window=0.8)
+            w = randint_seeded_word(rng, g, rng.randint(n - 1, 2 * n),
+                                    p_window=0.8)
             for p in range(len(w) - n + 2):
                 f = w[p:p + n - 1]
                 assert (f in g.prefixes) == bool(g.occurrences(f, 1)), (
@@ -176,9 +179,11 @@ def test_mirror_reports_by_duality_match_the_mirror_run(case, request,
     else:
         g = request.getfixturevalue(case)
     cfg = default_config(g.n)
-    derived = run_lemma_suite(g, cfg, step3_samples=1, rng=random.Random(0))
+    derived = run_lemma_suite(g, cfg, stepss_extra=g.n, step3_samples=1,
+                              rng=random.Random(0))
     monkeypatch.setattr(lemmas, "self_dual", lambda g: False)
-    mirrored = run_lemma_suite(g, cfg, step3_samples=1, rng=random.Random(0))
+    mirrored = run_lemma_suite(g, cfg, stepss_extra=g.n, step3_samples=1,
+                               rng=random.Random(0))
     assert [r.to_json() for r in derived] == [r.to_json() for r in mirrored]
     assert not any(r.by_duality for r in mirrored)
     assert [r.lemma_id.value for r in derived if r.by_duality] == {
@@ -274,8 +279,8 @@ def test_stepss_matches_reference(planted, cfg2):
     reasons = set()
     for g in planted + RANDOM:
         cfg = default_config(g.n)
-        holds, pairs, counts = stepss(g, cfg)
-        r = verify_stepss(g, cfg)
+        holds, pairs, counts = stepss(g, cfg, g.n, random.Random(0))
+        r = verify_stepss(g, cfg, g.n, random.Random(0))
         assert (r.passed, r.stats["pairs"]) == (holds, pairs), g.elements
         if holds:
             assert r.stats["condition_counts"] == counts
@@ -292,7 +297,8 @@ def test_stepss_matches_reference(planted, cfg2):
         reasons.add(c["reason"])
     assert reasons == {"first n-1 letters are not a window prefix",
                        "both words break their window at letter n"}
-    assert [verify_stepss(g, cfg2).passed for g in planted] == [
+    assert [verify_stepss(g, cfg2, g.n, random.Random(0)).passed
+            for g in planted] == [
         False, False, True, True]
 
 
@@ -308,7 +314,7 @@ def test_step3_orbit_cut_matches_every_cell(planted):
         for verify, table in ((verify_step3, g),
                               (verify_sym_step3, reversed_table(g))):
             holds, count = step3_every_cell(table)
-            r = verify(g, cfg)
+            r = verify(g, cfg, 1000, random.Random(0))
             assert (r.passed, holds) == (members is not None,) * 2, g.elements
             if holds:
                 assert count == members
@@ -350,7 +356,7 @@ def test_sampled_counterexamples_hold_in_original_coordinates(cyclic8, cfg2):
     def is_prefix(w):
         return any(e[:n - 1] == w for e in g.elements)
 
-    r = verify_stepss(g, cfg2)
+    r = verify_stepss(g, cfg2, n, random.Random(0))
     w1, w2 = (parse_word(r.counterexample[w], n) for w in ("w1", "w2"))
     assert w1[0] != w2[0] and w2 in class_of(w1, g, cfg2).members
     assert r.counterexample["reason"] == "first n-1 letters are not a window prefix"

@@ -115,7 +115,8 @@ def test_structure_checks_reject_mutants(cyclic8, poisoned8):
 def test_generate_group_detects_planted_generator(monkeypatch):
     monkeypatch.setattr(qsemi.quaternion, "build_u",
                         lambda cfg: from_cycles(cfg.n, [(1, 2)]))
-    with pytest.raises(ClosureError):  # past the per-config cache
+    # past the per-config cache; the closure passes the 8 labelled elements
+    with pytest.raises(ClosureError, match="exceeded 8 elements"):
         generate_group.__wrapped__(QuaternionConfig(2))
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import quiet
 from qsemi import structure, words
 from qsemi.quaternion import QuaternionConfig, generate_group, relabellings
 from qsemi.structure import (canonical_ground_set, cancellation_report,
@@ -10,7 +11,8 @@ from qsemi.structure import (canonical_ground_set, cancellation_report,
                              subset_specs_over, subsets_colex)
 from qsemi.words import (canonical_form, canonicalizer, class_of,
                          default_config, seeded_word, words_equal)
-from reference_oracles import tup_sweep, unique_product_count
+from reference_oracles import (randint_seeded_word, tup_sweep,
+                               unique_product_count)
 
 # both halves of the identity window against both halves shifted by one
 C_HALVES = ((1, 2, 3, 4), (2, 3, 4, 1))
@@ -478,7 +480,7 @@ def test_run_tup_sweep_rejects_reps_that_are_not_canonical_and_distinct(
 
 def test_cancellation_report_passes_on_the_monoid(g2, cfg2):
     report = cancellation_report(g2, cfg2, trials=300, max_len=10,
-                                 rng=random.Random(0))
+                                 rng=random.Random(0), progress=quiet)
     assert report["passed"]
     assert report["violations"] == []
     assert report["antecedent_hits"] > 50
@@ -487,7 +489,7 @@ def test_cancellation_report_passes_on_the_monoid(g2, cfg2):
 def test_cancellation_sampling_replays_from_the_seed(g2, cfg2):
     # the figures `cancel-sample --k 2 --trials 300` prints
     report = cancellation_report(g2, cfg2, trials=300, max_len=12,
-                                 rng=random.Random(0))
+                                 rng=random.Random(0), progress=quiet)
     assert (report["trials"], report["antecedent_hits"]) == (300, 286)
 
 
@@ -496,18 +498,46 @@ def test_cancellation_report_flags_planted_violation(two_element8, cfg2,
     a, b, c = (1, 2), (2, 1), (3, 4, 5, 6, 7, 8)
     monkeypatch.setattr(structure, "_sampled_triples",
                         lambda g, cfg, trials, max_len, rng: iter([(a, b, c)]))
-    report = cancellation_report(two_element8, cfg2, trials=1, max_len=10)
+    report = cancellation_report(two_element8, cfg2, trials=1, max_len=10,
+                                 rng=random.Random(0), progress=quiet)
     assert not report["passed"]
     assert report["trials"] == 1
-    assert report["violations"] == [
-        {"side": "right", "a": "1,2", "b": "2,1", "c": "3,4,5,6,7,8"}]
+    assert report["violations"] == [{"trial": 0, "side": "right", "a": "1,2",
+                                     "b": "2,1", "c": "3,4,5,6,7,8"}]
+
+
+def test_cancellation_violations_replay_from_their_trial(two_element8, cfg2,
+                                                         monkeypatch):
+    # the seeded stream, with a violating triple in place of each drawn
+    # triple whose a starts with 1: the first trial + 1 trials of a run
+    # are a run of trial + 1 trials, which ends on the same violation,
+    # and a run one trial shorter does not reach it
+    drawn = structure._sampled_triples
+
+    def planted(*args):
+        for a, b, c in drawn(*args):
+            yield ((1, 2), (2, 1), (3, 4, 5, 6, 7, 8)) if a[0] == 1 else (
+                a, b, c)
+
+    monkeypatch.setattr(structure, "_sampled_triples", planted)
+
+    def violations(trials):
+        return cancellation_report(two_element8, cfg2, trials, 10,
+                                   random.Random(5), quiet)["violations"]
+
+    found = violations(60)
+    assert len(found) > 1
+    assert [v["trial"] for v in found] == sorted({v["trial"] for v in found})
+    for v in found:
+        assert violations(v["trial"] + 1)[-1] == v
+        assert v not in violations(v["trial"])
 
 
 def test_cancellation_antecedent_via_classes(g2, cfg2):
     # when b is drawn from the class of a, both laws must hold verbatim
     rng = random.Random(7)
     for _ in range(5):
-        a = seeded_word(rng, g2, 9, p_window=1.0)
+        a = randint_seeded_word(rng, g2, 9, p_window=1.0)
         cls = class_of(a, g2, cfg2)
         for b in sorted(cls.members)[:4]:
             c = seeded_word(rng, g2, 3)

@@ -171,7 +171,7 @@ def test_words_equal_matches_naive_closure_on_the_planted_tables(request,
     rng = random.Random(6)
     verdicts, capped = set(), 0
     for _ in range(40):
-        w1 = seeded_word(rng, g, rng.randint(8, 12), p_window=1.0)
+        w1 = randint_seeded_word(rng, g, rng.randint(8, 12), p_window=1.0)
         naive = naive_class(w1, g)
         assert canonical_form(w1, g, cfg2) == min(naive)
         v = list(w1)
@@ -367,7 +367,7 @@ def test_canonicalizer_reaches_canonical_form_at_every_call(g2, cfg2,
 def test_congruence_respects_concat(g2, cfg2):
     rng = random.Random(3)
     for _ in range(10):
-        w1 = seeded_word(rng, g2, 9, p_window=1.0)
+        w1 = randint_seeded_word(rng, g2, 9, p_window=1.0)
         cls = class_of(w1, g2, cfg2)
         w2 = random_member(rng, cls)
         x = random_word(rng, g2.n, rng.randint(0, 3))
@@ -385,10 +385,12 @@ def test_word_samplers(g2):
     rng = random.Random(4)
     w = random_word(rng, 8, 30)
     assert len(w) == 30 and all(1 <= x <= 8 for x in w)
-    for _ in range(10):
-        w = seeded_word(rng, g2, 10, p_window=1.0)
+    windowed = 0
+    for _ in range(40):
+        w = seeded_word(rng, g2, 10)
         assert len(w) == 10
-        assert any(w[i:i + 8] in g2.index for i in range(3))
+        windowed += any(w[i:i + 8] in g2.index for i in range(3))
+    assert 10 <= windowed <= 30  # a window with probability 1/2
 
 
 # letter counts and moduli minus one (1 is p - 1 for p = 2, the last
@@ -415,10 +417,9 @@ def test_draws_replay_the_randint_stream(seed, n):
 def test_word_samplers_replay_the_randint_stream(g2, g3, cfg2, seed):
     ours, ref = random.Random(seed), random.Random(seed)
     for g in (g2, g3):
-        for length in range(3 * g.n):
-            for p_window in (0.5, 1.0):
-                assert (seeded_word(ours, g, length, p_window)
-                        == randint_seeded_word(ref, g, length, p_window))
+        for length in [*range(3 * g.n)] * 2:
+            assert (seeded_word(ours, g, length)
+                    == randint_seeded_word(ref, g, length))
     for w in ((1, 2), REGRESSION_WORD, g2.t + g2.u):
         cls = class_of(w, g2, cfg2)
         assert random_member(ours, cls) == randint_member(ref, cls)
