@@ -3,8 +3,10 @@ subsets have a unique presentation, sweeping subset pairs exhaustively, and
 sampling the cancellation laws.
 
 The sweep interns every rep product to a small int id once; a side C
-becomes one bitmask column per rep d (the ids of c d, c in C), and each
-partner D is counted by folding its columns with integer ORs and ANDs."""
+becomes one bitmask column per rep d (the ids of c d, c in C), and all of
+C's partners D are counted in one walk over their colex order: D's masks
+are those of its parent, D without its largest member, folded with one
+column by integer ORs and ANDs, so each pair costs one fold."""
 
 from __future__ import annotations
 
@@ -40,17 +42,54 @@ def product_columns(C: Sequence[int], product: Sequence[Sequence[int]]
     return cols, dups
 
 
-def product_report(D: Sequence[int], cols: Sequence[int],
-                   dups: Sequence[int]) -> int:
-    """The number of products c d, c in C and d in D, that no other pair
-    of C x D presents, from C's `product_columns`: a product id is
-    repeated when a column hits it twice or two columns of D share it."""
-    seen = repeated = 0
-    for d in D:
-        m = cols[d]
-        repeated |= (seen & m) | dups[d]
-        seen |= m
-    return (seen ^ repeated).bit_count()  # repeated is a subset of seen
+def product_report(Ds: Sequence[Side], cols: Sequence[int],
+                   dups: Sequence[int], take: int) -> list[int]:
+    """The unique counts of the first `take` partners D in `Ds` of the side
+    C whose `product_columns` are cols and dups: for each D, the number of
+    products c d, c in C and d in D, that no other pair of C x D presents.
+    A product id is repeated when a column hits it twice or two columns of
+    D share it.
+
+    `Ds` runs in `subsets_colex` order over range(len(cols)) from the
+    first side of its smallest size; ValueError unless Ds[0] is that side
+    and Ds[take - 1] is the side the walk ends on.  In that order the side
+    of size s at position i of the run with largest member t is the side of
+    size s - 1 at position i plus t, for i < comb(t, s - 1), so each side's
+    (seen, repeated) pair of masks is its parent's folded with one column.
+    The walk keeps those pairs only for the parents of the sides up to
+    Ds[take - 1]."""
+    if take <= 0:
+        return []
+    m, first, last = len(cols), len(Ds[0]), Ds[take - 1]
+    size, top = len(last), last[-1]
+    # last's position: the sides of the smaller sizes, then its colex rank
+    if not (0 < first <= size and Ds[0] == tuple(range(first)) and take - 1
+            == sum(comb(m, s) for s in range(first, size))
+            + sum(comb(c, j) for j, c in enumerate(last, 1))):
+        raise ValueError("partners must run in colex order from the first "
+                         "side of a size")
+    # filled in place: a list grown run by run peaks higher in memory
+    counts, done = [0] * take, 0
+    states = [(0, 0)]  # the empty side, parent of each singleton
+    for s in range(1, size + 1):
+        # the sides the next size extends: the runs with top below `ends`
+        ends = top if s == size - 1 else m - 1 if s < size else 0
+        grown: list[tuple[int, int]] = []
+        for t in range(s - 1, m if s < size else top + 1):
+            run = comb(t, s - 1) if s < size or t < top else take - done
+            parents = states[:run]
+            col, dup = cols[t], dups[t]
+            if s >= first:
+                # unique: seen by exactly one of the parent and the column,
+                # and repeated by neither
+                counts[done:done + run] = [
+                    (((a ^ col) | (rep := b | dup)) ^ rep).bit_count()
+                    for a, b in parents]
+                done += run
+            if t < ends:
+                grown += [(a | col, b | (a & col) | dup) for a, b in parents]
+        states = grown
+    return counts
 
 
 def canonical_ground_set(g: GroupTable, cfg: RewriteConfig,
@@ -168,21 +207,22 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
         first = sorted(C, reverse=True)
         if all(sorted((sigma[i] for i in C), reverse=True) >= first
                for sigma in group):
-            cols, dups = product_columns(C, product)
-            for j in range(take):
-                D = Ds[j]
-                decided += 1
-                unique = product_report(D, cols, dups)
-                if min_unique is None or unique < min_unique:
-                    min_unique = unique
-                if unique < 2:
+            counts = product_report(Ds, *product_columns(C, product), take)
+            if counts:
+                low = min(counts)
+                if low < 2:  # the first failing pair ends the sweep
+                    j = next(j for j, u in enumerate(counts) if u < 2)
+                    del counts[j + 1:]
+                    low = min(counts)
                     failure = {
                         "C": [format_word(reps[i]) for i in C],
-                        "D": [format_word(reps[i]) for i in D],
-                        "unique_count": unique,
+                        "D": [format_word(reps[i]) for i in Ds[j]],
+                        "unique_count": counts[j],
                         "spec_index": checked + j,
                     }
-                    break
+                if min_unique is None or low < min_unique:
+                    min_unique = low
+            decided += len(counts)
         checked = failure["spec_index"] + 1 if failure else checked + take
         # a tick per multiple of 50,000 passing pairs, as if counted singly
         while progress is not None and tick <= checked - (failure is not None):

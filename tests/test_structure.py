@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -11,6 +12,7 @@ from qsemi.structure import (canonical_ground_set, cancellation_report,
                              subset_specs_over, subsets_colex)
 from qsemi.words import (canonical_form, canonicalizer, class_of,
                          default_config, seeded_word, words_equal)
+import reference_oracles
 from reference_oracles import (randint_seeded_word, tup_sweep,
                                unique_product_count)
 
@@ -33,8 +35,14 @@ def _interned(reps, canon):
 
 
 def _report(C, D, product):
-    """product_report over C's columns, built as the sweep builds them."""
-    return product_report(D, *product_columns(C, product))
+    """product_report's count for the partner D of the side C, over C's
+    columns built as the sweep builds them: the last count of a walk that
+    ends on D in the colex list of every side up to D's size."""
+    D = tuple(sorted(D))
+    sides = list(subsets_colex(len(product[0]), len(D)))
+    counts = product_report(sides, *product_columns(C, product),
+                            sides.index(D) + 1)
+    return counts[-1]
 
 
 def test_product_report_hand_example(g2, cfg2):
@@ -84,16 +92,15 @@ def _all_pairs_agree(product, max_size):
     for C, Ds in subset_specs_over(product, max_size):
         cols, dups = product_columns(C, product)
         repeats += any(dups)
-        for D in Ds:
-            assert (product_report(D, cols, dups)
-                    == unique_product_count(C, D, product)), (C, D)
-            pairs += 1
+        assert product_report(Ds, cols, dups, len(Ds)) == [
+            unique_product_count(C, D, product) for D in Ds], C
+        pairs += len(Ds)
     return pairs, repeats
 
 
 def test_product_report_matches_the_set_count_on_every_decided_pair(
         g2, cfg2, monkeypatch):
-    # the sweep builds C's columns, then counts each partner D of C
+    # the sweep builds C's columns, then counts C's partners in one walk
     columns, report = structure.product_columns, structure.product_report
     side, counts = [], []
 
@@ -101,11 +108,12 @@ def test_product_report_matches_the_set_count_on_every_decided_pair(
         side[:] = [C, product]
         return columns(C, product)
 
-    def checked(D, cols, dups):
+    def checked(Ds, cols, dups, take):
         C, product = side
-        unique = report(D, cols, dups)
-        assert unique == unique_product_count(C, D, product), (C, D)
-        counts.append(unique)
+        unique = report(Ds, cols, dups, take)
+        assert unique == [unique_product_count(C, D, product)
+                          for D in Ds[:take]], C
+        counts.extend(unique)
         return unique
 
     monkeypatch.setattr(structure, "product_columns", columns_of)
@@ -138,12 +146,48 @@ def test_product_report_matches_the_set_count_with_in_column_repeats():
         assert any(len(set(column)) < rows for column in zip(*product))
         sides = [s for n in range(1, 4)
                  for s in itertools.combinations(range(rows), n)]
+        partners = list(subsets_colex(cols, 3))
         for C in sides:
             columns = product_columns(C, product)
-            for size in range(1, 4):
-                for D in itertools.combinations(range(cols), size):
-                    assert (product_report(D, *columns)
-                            == unique_product_count(C, D, product)), (C, D)
+            assert product_report(partners, *columns, len(partners)) == [
+                unique_product_count(C, D, product) for D in partners], C
+
+
+@pytest.mark.parametrize("max_size", [2, 3, 4])
+def test_product_report_matches_the_set_count_at_every_cut(max_size):
+    # every take from 0 to the whole list: 1, each block boundary and each
+    # point inside a top-run among them, over all sides and over the wider
+    # ones a singleton C meets, on a table whose columns repeat ids
+    rng = random.Random(max_size)
+    m = 7
+    product = [[rng.randrange(9) for _ in range(m)] for _ in range(m)]
+    sides = list(subsets_colex(m, max_size))
+    wider = sides[m:]
+    repeats = 0
+    for C in sides[::4]:
+        cols, dups = product_columns(C, product)
+        repeats += any(dups)
+        for Ds in (sides, wider):
+            want = [unique_product_count(C, D, product) for D in Ds]
+            for take in range(len(Ds) + 1):
+                assert product_report(Ds, cols, dups, take) == want[:take], (
+                    C, len(Ds), take)
+    assert repeats > 0
+
+
+def test_product_report_rejects_partners_out_of_colex_order():
+    product = [[4 * i + j for j in range(4)] for i in range(4)]
+    columns = product_columns((0, 1), product)
+    sides = list(subsets_colex(4, 3))
+    assert len(product_report(sides[4:], *columns, 3)) == 3
+    # reversed; starting inside the singletons or the pairs; a side left out
+    for Ds in (sides[::-1], sides[1:], sides[5:], sides[:4] + sides[5:]):
+        with pytest.raises(ValueError, match="colex order"):
+            product_report(Ds, *columns, len(Ds))
+    # sides over five reps, against columns for four
+    more = list(subsets_colex(5, 3))
+    with pytest.raises(ValueError, match="colex order"):
+        product_report(more, *columns, len(more))
 
 
 def test_subsets_colex():
@@ -163,6 +207,15 @@ def test_subsets_colex():
                     for s in sorted(itertools.combinations(range(m), size),
                                     key=lambda s: s[::-1])]
             assert list(subsets_colex(m, max_size)) == want
+    # the walk of `product_report`: the side of size s at position i of the
+    # run with top t is the i-th side of size s - 1 plus t, i < C(t, s - 1)
+    m = 9
+    got = list(subsets_colex(m, 4))
+    blocks = [[()]] + [[side for side in got if len(side) == s]
+                       for s in range(1, 5)]
+    for s in range(1, 5):
+        assert blocks[s] == [blocks[s - 1][i] + (t,) for t in range(m)
+                             for i in range(comb(t, s - 1))]
 
 
 def test_subset_specs_over_counts():
@@ -399,7 +452,7 @@ def _leads(g, reps, C):
 
 def test_orbit_cut_decides_every_partner_of_each_leading_side(
         g2, cfg2, monkeypatch):
-    # the sweep builds C's columns, then counts each partner D of C
+    # the sweep builds C's columns, then counts C's partners in one walk
     reps = _halves(g2)
     columns, report = structure.product_columns, structure.product_report
     side, decided = [], []
@@ -408,9 +461,9 @@ def test_orbit_cut_decides_every_partner_of_each_leading_side(
         side[:] = [C]
         return columns(C, product)
 
-    def recorded(D, cols, dups):
-        decided.append((side[0], D))
-        return report(D, cols, dups)
+    def recorded(Ds, cols, dups, take):
+        decided.extend((side[0], D) for D in Ds[:take])
+        return report(Ds, cols, dups, take)
 
     monkeypatch.setattr(structure, "product_columns", columns_of)
     monkeypatch.setattr(structure, "product_report", recorded)
@@ -467,6 +520,36 @@ def test_orbit_cut_matches_the_plain_sweep_on_planted_tables(
         # each table's first halves are its second halves: 8 reps
         assert failure is None and summary["specs_checked"] == 92 * 92 - 64
         assert summary["specs_decided"] < summary["specs_checked"]
+
+
+def test_run_tup_sweep_stops_its_minimum_at_the_first_failure(g2, cfg2,
+                                                             monkeypatch):
+    # a fake canonical form that merges the products of the letters 1..3
+    # with 1..4 into five classes: the side C = 1,2,3 first fails with
+    # D = 1,2,3, where only 1,2 is unique, and its later partner D = 1,2,3,4
+    # has no unique product at all; the sweep must report the count 1
+    classes = [{(1, 2), (2, 4)}, {(1, 4), (2, 3), (3, 1)}, {(1, 1), (3, 2)},
+               {(2, 2), (3, 3)}, {(1, 3), (2, 1), (3, 4)}]
+    merged = {w: min(cls) for cls in classes for w in cls}
+
+    def canon(w):
+        return merged.get(w, w)
+
+    monkeypatch.setattr(structure, "canonicalizer", lambda g, cfg: canon)
+    monkeypatch.setattr(reference_oracles, "naive_class", lambda w, g: {
+        v for v in merged if canon(v) == canon(w)} | {w})
+    reps = [(1,), (2,), (3,), (4,)]
+    summary, failure = run_tup_sweep(g2, cfg2, reps, 4)
+    assert (failure["C"], failure["D"]) == (["1", "2", "3"], ["1", "2", "3"])
+    assert failure["unique_count"] == summary["min_unique_count"] == 1
+    assert (summary["specs_checked"], summary["min_unique_count"], failure) \
+        == tup_sweep(g2, cfg2, reps, 4)
+    # no relabelling permutes the four letters, so every pair is decided
+    assert summary["relabellings"] == 1
+    assert (summary["specs_decided"], summary["specs_checked"],
+            failure["spec_index"]) == (145, 145, 144)
+    product = [[canon(c + d) for d in reps] for c in reps]
+    assert unique_product_count((0, 1, 2), (0, 1, 2, 3), product) == 0
 
 
 def test_run_tup_sweep_rejects_reps_that_are_not_canonical_and_distinct(
