@@ -24,12 +24,26 @@ from .words import (RewriteConfig, Word, canonicalizer,
 Side = tuple[int, ...]  # a subset of the ground set, as sorted rep indices
 
 
-def product_columns(C: Sequence[int], product: Sequence[Sequence[int]]
-                    ) -> tuple[list[int], list[int]]:
-    """The side C as bitmask columns over product ids, one per rep d:
-    cols[d] has bit product[c][d] set for each c in C, and dups[d] the bits
-    that two members of C hit (c1 d = c2 d, only on a non-cancellative
-    table).  C indexes the reps; product[c][d] interns c d."""
+def product_report(C: Sequence[int], product: Sequence[Sequence[int]],
+                   first: int, take: int) -> list[int]:
+    """The unique counts of the first `take` partners D of the side C: for
+    each D, the number of products c d, c in C and d in D, that no other
+    pair of C x D presents.  C indexes the rows of `product`, whose
+    product[c][d] interns c d; the partners are the sides over its columns
+    in `subsets_colex` order from the first side of size `first`
+    (ValueError when there are fewer than `take`).
+
+    C becomes one bitmask column per d: cols[d] has bit product[c][d] set
+    for each c in C, and dups[d] the bits that two members of C hit
+    (c1 d = c2 d, only on a non-cancellative table).  A product id is
+    repeated when a column hits it twice or two columns of D share it.  In
+    colex order the side of size s at position i of the run with largest
+    member t is the side of size s - 1 at position i plus t, for
+    i < comb(t, s - 1), so each side's (seen, repeated) pair of masks is its
+    parent's folded with one column.  The walk keeps those pairs only for
+    the parents of the sides up to the last partner taken."""
+    if take <= 0:
+        return []
     cols, dups = [], []
     for column in zip(*(product[c] for c in C)):
         col = dup = 0
@@ -39,35 +53,17 @@ def product_columns(C: Sequence[int], product: Sequence[Sequence[int]]
             col |= bit
         cols.append(col)
         dups.append(dup)
-    return cols, dups
-
-
-def product_report(Ds: Sequence[Side], cols: Sequence[int],
-                   dups: Sequence[int], take: int) -> list[int]:
-    """The unique counts of the first `take` partners D in `Ds` of the side
-    C whose `product_columns` are cols and dups: for each D, the number of
-    products c d, c in C and d in D, that no other pair of C x D presents.
-    A product id is repeated when a column hits it twice or two columns of
-    D share it.
-
-    `Ds` runs in `subsets_colex` order over range(len(cols)) from the
-    first side of its smallest size; ValueError unless Ds[0] is that side
-    and Ds[take - 1] is the side the walk ends on.  In that order the side
-    of size s at position i of the run with largest member t is the side of
-    size s - 1 at position i plus t, for i < comb(t, s - 1), so each side's
-    (seen, repeated) pair of masks is its parent's folded with one column.
-    The walk keeps those pairs only for the parents of the sides up to
-    Ds[take - 1]."""
-    if take <= 0:
-        return []
-    m, first, last = len(cols), len(Ds[0]), Ds[take - 1]
-    size, top = len(last), last[-1]
-    # last's position: the sides of the smaller sizes, then its colex rank
-    if not (0 < first <= size and Ds[0] == tuple(range(first)) and take - 1
-            == sum(comb(m, s) for s in range(first, size))
-            + sum(comb(c, j) for j, c in enumerate(last, 1))):
-        raise ValueError("partners must run in colex order from the first "
-                         "side of a size")
+    # the last partner: its size, then the largest member of its colex rank
+    m, size, rank = len(cols), first, take
+    while rank > comb(m, size):
+        if size >= m:
+            raise ValueError(f"{take} partners from size {first}, over "
+                             f"{m} columns")
+        rank -= comb(m, size)
+        size += 1
+    top = size - 1
+    while comb(top + 1, size) < rank:
+        top += 1
     # filled in place: a list grown run by run peaks higher in memory
     counts, done = [0] * take, 0
     states = [(0, 0)]  # the empty side, parent of each singleton
@@ -122,23 +118,17 @@ def subsets_colex(m: int, max_size: int) -> Iterator[Side]:
         smaller = current
 
 
-def subset_specs_over(reps: Sequence[Word], max_size: int,
-                      limit: int | None = None
-                      ) -> Iterator[tuple[Side, list[Side]]]:
+def subset_specs_over(reps: Sequence[Word], max_size: int
+                      ) -> Iterator[tuple[Side, int]]:
     """Subset pairs with |C| + |D| > 2 over indices into `reps`, grouped
-    as (C, Ds): each side C, in the order of `subsets_colex`, with the
-    list of its partner sides D in that order (all sides, or for a
-    singleton C the wider ones).  The lists are shared between groups.
-    With a `limit`, only the first len(reps) + limit + 1 sides are built:
-    when there are more, the first group (C a singleton) keeps over `limit`
-    partners, so a sweep capped at `limit` stops inside it."""
-    bound = None if limit is None else len(reps) + max(limit, 0) + 1
-    sides = list(itertools.islice(subsets_colex(len(reps), max_size), bound))
-    wider = sides[len(reps):]  # sides come by size, the singletons first
-    for C in sides:
-        Ds = sides if len(C) > 1 else wider
-        if Ds:
-            yield C, Ds
+    as (C, first): each side C, in the order of `subsets_colex`, with the
+    size of its first partner D.  C's partners are every side of that size
+    or more in that order: all sides, or for a singleton C the wider ones.
+    Each C is built as the stream reaches it."""
+    for C in subsets_colex(len(reps), max_size):
+        first = 1 if len(C) > 1 else 2
+        if first <= min(max_size, len(reps)):
+            yield C, first
 
 
 def _rep_permutations(g: GroupTable, reps: Sequence[Word],
@@ -159,8 +149,10 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
     """Check every subset pair over `reps`, which must be canonical and
     pairwise distinct (ValueError otherwise); stop at the cap or at the first
     failure.  Returns (summary, failure-or-None); the summary's `capped` is
-    True when the cap stopped the sweep with specs left.  A capped sweep
-    builds only the sides its stream reaches (`subset_specs_over`).
+    True when the cap stopped the sweep with specs left.  The sweep builds
+    each side C as the stream reaches it (`subset_specs_over`) and no list of
+    partners: `product_report` walks C's partners in colex order, and a
+    failing D is read off `subsets_colex` at its position.
 
     Each relabelling of the letters is an automorphism of the monoid
     (`quaternion.relabellings`); when each sends every rep to a rep, it maps
@@ -197,26 +189,27 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
     capped = False
     min_unique: int | None = None
     failure: dict | None = None
-    # uncapped, the call keeps the two-argument form the bench self-test fakes
-    for C, Ds in (subset_specs_over(reps, max_size) if limit is None
-                  else subset_specs_over(reps, max_size, limit)):
-        take = len(Ds)
-        if limit is not None:
-            take = max(0, min(take, limit - checked))
+    m = len(reps)
+    for C, first in subset_specs_over(reps, max_size):
+        total = sum(comb(m, s) for s in range(first, max_size + 1))
+        take = total if limit is None else max(0, min(total, limit - checked))
         # sides of one size compare in colex order by their reversed members
-        first = sorted(C, reverse=True)
-        if all(sorted((sigma[i] for i in C), reverse=True) >= first
+        lead = sorted(C, reverse=True)
+        if all(sorted((sigma[i] for i in C), reverse=True) >= lead
                for sigma in group):
-            counts = product_report(Ds, *product_columns(C, product), take)
+            counts = product_report(C, product, first, take)
             if counts:
                 low = min(counts)
                 if low < 2:  # the first failing pair ends the sweep
                     j = next(j for j, u in enumerate(counts) if u < 2)
                     del counts[j + 1:]
                     low = min(counts)
+                    # C's partners start after the sides smaller than first
+                    D = next(itertools.islice(subsets_colex(m, max_size),
+                                              (first - 1) * m + j, None))
                     failure = {
                         "C": [format_word(reps[i]) for i in C],
-                        "D": [format_word(reps[i]) for i in Ds[j]],
+                        "D": [format_word(reps[i]) for i in D],
                         "unique_count": counts[j],
                         "spec_index": checked + j,
                     }
@@ -230,7 +223,7 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
             tick += 50000
         if failure is not None:
             break
-        if take < len(Ds):
+        if take < total:
             capped = True
             break
     summary = {

@@ -2,6 +2,7 @@
 and every reported counterexample against its table by direct slicing."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -322,12 +323,11 @@ def test_step3_orbit_cut_matches_every_cell(planted):
                 assert r.stats["covered"] == r.stats["family"]
 
 
-@pytest.mark.parametrize("case", ["short", "short-limit", "halves",
-                                  "two_element8", "two_element8-interleaved"])
-def test_tup_sweep_matches_reference(case, cfg2, two_element8):
+def _tup_case(case, cfg2, two_element8):
+    """(table, reps, max_size, limit) of a named tup sweep."""
     g = REAL[2]
     halves = sorted({e[:4] for e in g.elements} | {e[4:] for e in g.elements})
-    table, reps, max_size, limit = {
+    return {
         # 1,944 specs, every product shorter than a window
         "short": (g, canonical_ground_set(g, cfg2, 1), 2, None),
         "short-limit": (g, canonical_ground_set(g, cfg2, 1), 2, 500),
@@ -340,6 +340,12 @@ def test_tup_sweep_matches_reference(case, cfg2, two_element8):
             two_element8, [(3,), (1, 2), (4,), (2, 1), (3, 4, 5, 6, 7, 8)],
             3, None),
     }[case]
+
+
+@pytest.mark.parametrize("case", ["short", "short-limit", "halves",
+                                  "two_element8", "two_element8-interleaved"])
+def test_tup_sweep_matches_reference(case, cfg2, two_element8):
+    table, reps, max_size, limit = _tup_case(case, cfg2, two_element8)
     summary, failure = run_tup_sweep(table, cfg2, reps, max_size, limit=limit)
     assert (summary["specs_checked"], summary["min_unique_count"], failure) \
         == tup_sweep(table, cfg2, reps, max_size, limit=limit)
@@ -348,6 +354,28 @@ def test_tup_sweep_matches_reference(case, cfg2, two_element8):
     assert summary["relabellings"] == (2 if table is two_element8 else 8)
     if case == "two_element8":
         assert failure["spec_index"] == 14
+
+
+@pytest.mark.parametrize("case", ["short", "halves", "two_element8"])
+def test_capped_tup_sweep_matches_reference(case, cfg2, two_element8):
+    table, reps, max_size, _ = _tup_case(case, cfg2, two_element8)
+    m = len(reps)
+    sides = sum(comb(m, s) for s in range(1, max_size + 1))
+    # the first group, C a singleton, pairs it with the wider sides
+    wider, total = sides - m, sides * sides - m * m
+    # the edges of the first group, a point inside the eleventh, one past
+    # the end, and around the failing pair where there is one
+    limits = {0, 1, wider - 1, wider, wider + 1, 10 * wider + wider // 2,
+              total + 1}
+    if case == "two_element8":
+        limits |= {14 + d for d in (-1, 0, 1, 2)}
+    for limit in sorted(limits):
+        summary, failure = run_tup_sweep(table, cfg2, reps, max_size,
+                                         limit=limit)
+        assert (summary["specs_checked"], summary["min_unique_count"],
+                failure) == tup_sweep(table, cfg2, reps, max_size,
+                                      limit=limit), limit
+        assert summary["capped"] is (failure is None and limit < total)
 
 
 def test_sampled_counterexamples_hold_in_original_coordinates(cyclic8, cfg2):

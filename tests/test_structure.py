@@ -8,8 +8,8 @@ from conftest import quiet
 from qsemi import structure, words
 from qsemi.quaternion import QuaternionConfig, generate_group, relabellings
 from qsemi.structure import (canonical_ground_set, cancellation_report,
-                             product_columns, product_report, run_tup_sweep,
-                             subset_specs_over, subsets_colex)
+                             product_report, run_tup_sweep, subset_specs_over,
+                             subsets_colex)
 from qsemi.words import (canonical_form, canonicalizer, class_of,
                          default_config, seeded_word, words_equal)
 import reference_oracles
@@ -35,14 +35,24 @@ def _interned(reps, canon):
 
 
 def _report(C, D, product):
-    """product_report's count for the partner D of the side C, over C's
-    columns built as the sweep builds them: the last count of a walk that
-    ends on D in the colex list of every side up to D's size."""
+    """product_report's count for the partner D of the side C: the last
+    count of a walk that ends on D in the colex order of every side up to
+    D's size."""
     D = tuple(sorted(D))
     sides = list(subsets_colex(len(product[0]), len(D)))
-    counts = product_report(sides, *product_columns(C, product),
-                            sides.index(D) + 1)
-    return counts[-1]
+    return product_report(C, product, 1, sides.index(D) + 1)[-1]
+
+
+def _partners(m, max_size, first):
+    """The partners of a side C as `subset_specs_over` gives them: every
+    side over range(m) of size `first` or more, in colex order."""
+    return [D for D in subsets_colex(m, max_size) if len(D) >= first]
+
+
+def _repeats(C, product):
+    """Whether two members of C hit one id in some column (c1 d = c2 d)."""
+    return any(len(set(column)) < len(C)
+               for column in zip(*(product[c] for c in C)))
 
 
 def test_product_report_hand_example(g2, cfg2):
@@ -62,7 +72,6 @@ def test_product_report_hand_example(g2, cfg2):
     assert _report((0, 1, 2), (0,), [[5], [6], [7]]) == 3
     # a repeat inside one column (c1 d = c2 d) is seen without a second
     # column: C = (0, 1) hits id 3 twice at d = 0
-    assert product_columns((0, 1), [[3, 1], [3, 2]]) == ([8, 6], [8, 0])
     assert _report((0, 1), (0,), [[3, 1], [3, 2]]) == 0
     assert _report((0, 1), (0, 1), [[3, 1], [3, 2]]) == 2
 
@@ -89,10 +98,10 @@ def _all_pairs_agree(product, max_size):
     the rows of `product`; returns the number of pairs compared and the
     number of sides C with a repeat inside some column."""
     pairs = repeats = 0
-    for C, Ds in subset_specs_over(product, max_size):
-        cols, dups = product_columns(C, product)
-        repeats += any(dups)
-        assert product_report(Ds, cols, dups, len(Ds)) == [
+    for C, first in subset_specs_over(product, max_size):
+        Ds = _partners(len(product), max_size, first)
+        repeats += _repeats(C, product)
+        assert product_report(C, product, first, len(Ds)) == [
             unique_product_count(C, D, product) for D in Ds], C
         pairs += len(Ds)
     return pairs, repeats
@@ -100,23 +109,17 @@ def _all_pairs_agree(product, max_size):
 
 def test_product_report_matches_the_set_count_on_every_decided_pair(
         g2, cfg2, monkeypatch):
-    # the sweep builds C's columns, then counts C's partners in one walk
-    columns, report = structure.product_columns, structure.product_report
-    side, counts = [], []
+    # the sweep counts all of a side C's partners in one call
+    report, counts = structure.product_report, []
+    partners = {first: _partners(16, 3, first) for first in (1, 2)}
 
-    def columns_of(C, product):
-        side[:] = [C, product]
-        return columns(C, product)
-
-    def checked(Ds, cols, dups, take):
-        C, product = side
-        unique = report(Ds, cols, dups, take)
+    def checked(C, product, first, take):
+        unique = report(C, product, first, take)
         assert unique == [unique_product_count(C, D, product)
-                          for D in Ds[:take]], C
+                          for D in partners[first][:take]], C
         counts.extend(unique)
         return unique
 
-    monkeypatch.setattr(structure, "product_columns", columns_of)
     monkeypatch.setattr(structure, "product_report", checked)
     summary, failure = run_tup_sweep(g2, cfg2, _halves(g2), 3)
     assert failure is None and summary["products"] == 249
@@ -148,46 +151,45 @@ def test_product_report_matches_the_set_count_with_in_column_repeats():
                  for s in itertools.combinations(range(rows), n)]
         partners = list(subsets_colex(cols, 3))
         for C in sides:
-            columns = product_columns(C, product)
-            assert product_report(partners, *columns, len(partners)) == [
+            assert product_report(C, product, 1, len(partners)) == [
                 unique_product_count(C, D, product) for D in partners], C
 
 
 @pytest.mark.parametrize("max_size", [2, 3, 4])
 def test_product_report_matches_the_set_count_at_every_cut(max_size):
-    # every take from 0 to the whole list: 1, each block boundary and each
-    # point inside a top-run among them, over all sides and over the wider
-    # ones a singleton C meets, on a table whose columns repeat ids
+    # every take from 0 to all partners: 1, each block boundary and each
+    # point inside a top-run among them, over all sides (first = 1) and over
+    # the wider ones a singleton C meets (first = 2), on a table whose
+    # columns repeat ids
     rng = random.Random(max_size)
     m = 7
     product = [[rng.randrange(9) for _ in range(m)] for _ in range(m)]
-    sides = list(subsets_colex(m, max_size))
-    wider = sides[m:]
     repeats = 0
-    for C in sides[::4]:
-        cols, dups = product_columns(C, product)
-        repeats += any(dups)
-        for Ds in (sides, wider):
+    for C in list(subsets_colex(m, max_size))[::4]:
+        repeats += _repeats(C, product)
+        for first in (1, 2):
+            Ds = _partners(m, max_size, first)
             want = [unique_product_count(C, D, product) for D in Ds]
             for take in range(len(Ds) + 1):
-                assert product_report(Ds, cols, dups, take) == want[:take], (
-                    C, len(Ds), take)
+                assert product_report(C, product, first, take) == want[:take], (
+                    C, first, take)
     assert repeats > 0
 
 
-def test_product_report_rejects_partners_out_of_colex_order():
+def test_product_report_rejects_more_partners_than_there_are_sides():
+    # four columns have 15 sides, 11 of them wider than one: a walk past
+    # the last would look for a side of a size that has none
     product = [[4 * i + j for j in range(4)] for i in range(4)]
-    columns = product_columns((0, 1), product)
-    sides = list(subsets_colex(4, 3))
-    assert len(product_report(sides[4:], *columns, 3)) == 3
-    # reversed; starting inside the singletons or the pairs; a side left out
-    for Ds in (sides[::-1], sides[1:], sides[5:], sides[:4] + sides[5:]):
-        with pytest.raises(ValueError, match="colex order"):
-            product_report(Ds, *columns, len(Ds))
-    # sides over five reps, against columns for four
-    more = list(subsets_colex(5, 3))
-    with pytest.raises(ValueError, match="colex order"):
-        product_report(more, *columns, len(more))
+    assert product_report((0, 1), product, 1, 0) == []
+    for first, sides in ((1, 15), (2, 11), (4, 1)):
+        counts = product_report((0, 1), product, first, sides)
+        assert counts == [unique_product_count((0, 1), D, product)
+                          for D in _partners(4, 4, first)]
+        with pytest.raises(ValueError, match="partners from size"):
+            product_report((0, 1), product, first, sides + 1)
+    # no side of five members over four columns
+    with pytest.raises(ValueError, match="partners from size"):
+        product_report((0, 1), product, 5, 1)
 
 
 def test_subsets_colex():
@@ -221,15 +223,19 @@ def test_subsets_colex():
 def test_subset_specs_over_counts():
     reps = [(1,), (2,), (3,), (4,)]
     groups = list(subset_specs_over(reps, 2))
-    specs = [(C, D) for C, Ds in groups for D in Ds]
-    # a singleton's partners are the wider sides, one list for all four
-    assert all(Ds is groups[0][1] for _, Ds in groups[:4])
+    # a singleton's partners are the wider sides, a pair's every side
+    assert groups[:5] == [((0,), 2), ((1,), 2), ((2,), 2), ((3,), 2),
+                          ((0, 1), 1)]
+    specs = [(C, D) for C, first in groups for D in _partners(4, 2, first)]
     # 10 subsets a side, minus the 16 pairs of two singletons
     assert len(specs) == 10 * 10 - 4 * 4
     # sides are index tuples into reps
     assert specs[0] == ((0,), (0, 1))
     assert all(len(C) + len(D) > 2 for C, D in specs)
     assert {i for C, D in specs for i in C + D} == {0, 1, 2, 3}
+    # singletons alone have no partners: no group
+    assert list(subset_specs_over(reps, 1)) == []
+    assert list(subset_specs_over(reps[:1], 3)) == []
 
 
 def test_canonical_ground_set(g2, cfg2):
@@ -291,17 +297,45 @@ def test_run_tup_sweep_canonicalizes_each_product_once(g2, cfg2,
 
 
 def test_run_tup_sweep_counts_the_specs_it_is_given(g2, cfg2, monkeypatch):
-    # the benchmark's self-test drops the last group of specs, a pair C
-    # with its 45 partners, through this module attribute
-    reps = canonical_ground_set(g2, cfg2, 1)
-    summary, _ = run_tup_sweep(g2, cfg2, reps, 2)
+    # the benchmark's self-test drops the last group of specs through this
+    # module attribute, with this fake: the sweep must return normally,
+    # short by that group's partners, not crash.  The last C is a pair with
+    # 45 partners over the letters, and (13, 14, 15) with 16 + 120 + 560
+    # over the halves the benchmark sweeps
+    def skip_last(orig):
+        return lambda reps, max_size: list(orig(reps, max_size))[:-1]
+
     every = structure.subset_specs_over
-    monkeypatch.setattr(structure, "subset_specs_over",
-                        lambda reps, max_size: list(every(reps, max_size))[:-1])
-    fewer, _ = run_tup_sweep(g2, cfg2, reps, 2)
-    assert fewer["specs_checked"] == summary["specs_checked"] - 45 == 1899
+    for reps, max_size, specs, last in (
+            (canonical_ground_set(g2, cfg2, 1), 2, 1944, 45),
+            (_halves(g2), 3, 484160, 696)):
+        summary, _ = run_tup_sweep(g2, cfg2, reps, max_size)
+        assert summary["specs_checked"] == specs
+        with monkeypatch.context() as m:
+            m.setattr(structure, "subset_specs_over", skip_last(every))
+            fewer, failure = run_tup_sweep(g2, cfg2, reps, max_size)
+        assert failure is None and fewer["capped"] is False
+        assert fewer["specs_checked"] == specs - last
 
 
+@pytest.mark.parametrize("max_size, spec_index", [(2, 7), (3, 11)])
+def test_run_tup_sweep_names_a_failing_singleton_side(poisoned8, cfg2,
+                                                      max_size, spec_index):
+    # poisoned8's two windows that start with 2 are the letter 2 times each
+    # tail, so C = 2 meets both tails in one class: no product is unique.
+    # The reps sort the tail 1,3,...,8 first, whose group comes before.
+    reps = [(1, 3, 4, 5, 6, 7, 8), (2,), (3, 4, 1, 6, 7, 8, 5), (5,)]
+    for limit in (None, 3, 30):
+        summary, failure = run_tup_sweep(poisoned8, cfg2, reps, max_size,
+                                         limit=limit)
+        assert (summary["specs_checked"], summary["min_unique_count"],
+                failure) == tup_sweep(poisoned8, cfg2, reps, max_size,
+                                      limit=limit)
+        assert summary["capped"] is (limit == 3)
+        if limit != 3:
+            assert failure == {"C": ["2"],
+                               "D": ["1,3,4,5,6,7,8", "3,4,1,6,7,8,5"],
+                               "unique_count": 0, "spec_index": spec_index}
 
 
 def _cut_and_uncut(monkeypatch, g, cfg, reps, max_size, limit=None):
@@ -353,57 +387,6 @@ def test_run_tup_sweep_passes_on_the_k3_halves(g3, cfg3):
         "products": 565}
 
 
-def _bounded_and_unbounded(monkeypatch, g, cfg, reps, max_size, limit):
-    """The capped sweep as it runs, and with a `subset_specs_over` that
-    builds every side; both must report the same specs, minimum, failure
-    and ticks, and the first builds len(reps) + limit + 1 sides where
-    there are more."""
-    every, colex = structure.subset_specs_over, structure.subsets_colex
-    runs = []
-    for bounded in (True, False):
-        built = []
-
-        def counted(m, max_size):
-            for side in colex(m, max_size):
-                built.append(side)
-                yield side
-        ticks = []
-        with monkeypatch.context() as m:
-            m.setattr(structure, "subsets_colex", counted)
-            if not bounded:
-                m.setattr(structure, "subset_specs_over",
-                          lambda reps, max_size, limit: every(reps, max_size))
-            summary, failure = run_tup_sweep(g, cfg, reps, max_size,
-                                             limit=limit, progress=ticks.append)
-        del summary["elapsed_ms"]
-        runs.append(((summary, failure, ticks), len(built)))
-    (bounded, sides), (unbounded, every_side) = runs
-    assert bounded == unbounded
-    assert sides == min(every_side, len(reps) + limit + 1)
-
-
-@pytest.mark.parametrize("ground", ["halves", "max-len 2", "two_element8"])
-def test_bounded_side_list_matches_the_unbounded_one(ground, g2, cfg2,
-                                                     two_element8,
-                                                     monkeypatch):
-    g, reps, max_size = {
-        "halves": (g2, _halves(g2), 3),
-        "max-len 2": (g2, canonical_ground_set(g2, cfg2, 2), 2),
-        "two_element8": (two_element8, [(1, 2), (2, 1), (3, 4, 5, 6, 7, 8)],
-                         3)}[ground]
-    groups = list(subset_specs_over(reps, max_size))
-    wider, total = len(groups[0][1]), sum(len(Ds) for _, Ds in groups)
-    # the edges of the first group, a point inside the eleventh, one past
-    # the end, and around the failing pair where there is one
-    limits = {0, 1, wider - 1, wider, wider + 1, 10 * wider + wider // 2,
-              total + 1}
-    if ground == "two_element8":
-        _, failure = run_tup_sweep(g, cfg2, reps, max_size)
-        limits |= {failure["spec_index"] + d for d in (-1, 0, 1, 2)}
-    for limit in sorted(limits):
-        _bounded_and_unbounded(monkeypatch, g, cfg2, reps, max_size, limit)
-
-
 def test_orbit_cut_falls_back_to_the_identity(g2, poisoned8, cfg2,
                                               monkeypatch):
     # the letters 1..3 are not closed under relabelling, nor are criterion
@@ -452,26 +435,21 @@ def _leads(g, reps, C):
 
 def test_orbit_cut_decides_every_partner_of_each_leading_side(
         g2, cfg2, monkeypatch):
-    # the sweep builds C's columns, then counts C's partners in one walk
+    # the sweep counts all of a side C's partners in one call
     reps = _halves(g2)
-    columns, report = structure.product_columns, structure.product_report
-    side, decided = [], []
+    report, decided = structure.product_report, []
+    partners = {first: _partners(16, 3, first) for first in (1, 2)}
 
-    def columns_of(C, product):
-        side[:] = [C]
-        return columns(C, product)
+    def recorded(C, product, first, take):
+        decided.extend((C, D) for D in partners[first][:take])
+        return report(C, product, first, take)
 
-    def recorded(Ds, cols, dups, take):
-        decided.extend((side[0], D) for D in Ds[:take])
-        return report(Ds, cols, dups, take)
-
-    monkeypatch.setattr(structure, "product_columns", columns_of)
     monkeypatch.setattr(structure, "product_report", recorded)
     summary, failure = run_tup_sweep(g2, cfg2, reps, 3)
     assert failure is None and summary["specs_checked"] == 484160
     # in stream order, each pair once
-    assert decided == [(C, D) for C, Ds in subset_specs_over(reps, 3)
-                       if _leads(g2, reps, C) for D in Ds]
+    assert decided == [(C, D) for C, first in subset_specs_over(reps, 3)
+                       if _leads(g2, reps, C) for D in partners[first]]
     assert len(set(decided)) == summary["specs_decided"] == 61216
 
 
@@ -485,10 +463,11 @@ def test_orbit_cut_matches_the_plain_sweep_inside_a_group(g2, cfg2, limit,
                                                         leads, monkeypatch):
     reps = canonical_ground_set(g2, cfg2, 2)
     start = 0
-    for C, Ds in subset_specs_over(reps, 2):
-        if start + len(Ds) > limit:
+    for C, first in subset_specs_over(reps, 2):
+        partners = sum(comb(len(reps), s) for s in range(first, 3))
+        if start + partners > limit:
             break
-        start += len(Ds)
+        start += partners
     assert start < limit and _leads(g2, reps, C) is leads
     summary, failure, _ = _cut_and_uncut(monkeypatch, g2, cfg2, reps, 2,
                                          limit=limit)
