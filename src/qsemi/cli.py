@@ -141,7 +141,8 @@ def cmd_gen_group(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
     for r in rows:
         images = ",".join(str(x) for x in r["images"])
         lines.append(f"{r['index']:3d}  {r['label']:<10} {r['cycles']:<40} {images}")
-    return True, {"order": len(g), "elements": rows}, lines
+    return True, {"order": len(g), "elements": rows,
+                  "max_overlap": g.max_overlap}, lines
 
 
 def cmd_verify_lemmas(args, g: GroupTable) -> tuple[bool, dict, list[str]]:

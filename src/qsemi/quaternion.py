@@ -108,6 +108,22 @@ class GroupTable:
         """The first n-1 letters of every image tuple."""
         return frozenset(e[:-1] for e in self.elements)
 
+    @cached_property
+    def suffixes(self) -> frozenset[Perm]:
+        """The last n-1 letters of every image tuple."""
+        return frozenset(e[1:] for e in self.elements)
+
+    @cached_property
+    def max_overlap(self) -> int:
+        """The most letters, 1 to n-1, that a proper suffix of one image
+        tuple shares with a prefix of any image tuple, itself included; 0
+        when no two overlap.  One `occurrences(., 1)` lookup per element
+        and length, longest first."""
+        for size in range(self.n - 1, 0, -1):
+            if any(self.occurrences(e[-size:], 1) for e in self.elements):
+                return size
+        return 0
+
     def occurrences(self, factor: tuple[int, ...],
                     at: int | None = None) -> list[tuple[int, int]]:
         """(element index, 1-based start) of every occurrence of a nonempty

@@ -26,9 +26,13 @@ computed on the first canonical form a table needs and cached per table
 rules up at each call and rewrites with them on certified tables; on any
 other it takes the least member of the class from `class_of`, the one
 class enumerator, which is also the tests' reference, with the bare
-rewrite they keep as `normal_form`.  `words_equal` compares canonical
-forms; on certified tables, whose relations all permute letters, it first
-rejects words whose sorted letters differ.
+rewrite they keep as `normal_form`.  `class_of` writes a class down in
+closed form, {h e' t : e' a window}, when w = h e t holds one window e
+and two lookups show that no e' can chain with h or t; otherwise, and on
+tables whose windows overlap in two letters or more, it runs a
+breadth-first closure, the closed form's reference.  `words_equal`
+compares canonical forms; on certified tables, whose relations all
+permute letters, it first rejects words whose sorted letters differ.
 
 The samplers draw each integer with `draw`, which makes exactly the
 `getrandbits` calls `random.Random.randint` makes, so a seed gives the
@@ -135,24 +139,55 @@ def _check_length(w: Word, cfg: RewriteConfig) -> None:
             f"word of length {len(w)} exceeds the cap {cfg.max_word_length}")
 
 
-def class_of(w: Word, g: GroupTable, cfg: RewriteConfig) -> CongruenceClass:
-    """The full congruence class of w: breadth-first closure under window
-    rewrites.
+def _too_large(w: Word, cfg: RewriteConfig) -> ClassTooLarge:
+    return ClassTooLarge(f"class of {format_word(w)} exceeded "
+                         f"{cfg.max_class_size} members")
 
-    Each window orbit is expanded once: a frontier word carries the
-    1-based position of the rewrite that made it (0 for w), and expanding
-    it skips that position, since its parent's loop there already put every
-    word with the same head and tail in `seen`.  The skip adds and drops no
-    word, so the members, their insertion order and the member count at
-    which the cap trips are those of the plain BFS.
+
+def class_of(w: Word, g: GroupTable, cfg: RewriteConfig) -> CongruenceClass:
+    """The full congruence class of w: in closed form when w holds one
+    window whose orbit gains no other, else by breadth-first closure under
+    window rewrites.
+
+    Closed form: let w = h e t hold its only window e.  A window of
+    h e' t (e' in the table) that is not e' itself lies partly in e',
+    since one inside h or t would be a window of w; being n letters long,
+    it shares a proper prefix or suffix with e'.  When no window's suffix
+    meets another's prefix in more than one letter (`max_overlap` <= 1),
+    that is e'(1), with the last n-1 letters of h before it, or e'(n), with
+    the first n-1 letters of t after it.  So when neither the end of h is
+    in `prefixes` nor the start of t in `suffixes`, every h e' t holds e'
+    alone, and the class is {h e' t}.
+
+    Otherwise the closure runs.  Each window orbit is expanded once: a
+    frontier word carries the 1-based position of the rewrite that made it
+    (0 for w), and expanding it skips that position, since its parent's
+    loop there already put every word with the same head and tail in
+    `seen`.  The skip adds and drops no word, so the members, their
+    insertion order and the member count at which the cap trips are those
+    of the plain BFS.  The closed form adds the same words in the same
+    order, and trips the cap exactly when the closure would.
     """
     n = g.n
     if len(w) < n:
         return CongruenceClass(frozenset((w,)))
     _check_length(w, cfg)
+    factors = find_relation_factors(w, g)
+    if not factors:
+        return CongruenceClass(frozenset((w,)))
     seen: set[Word] = {w}
-    frontier = [(w, 0)]
     elements = g.elements
+    if len(factors) == 1:
+        p0 = factors[0][0] - 1
+        if (g.max_overlap <= 1
+                and w[max(p0 - n + 1, 0):p0] not in g.prefixes
+                and w[p0 + n:p0 + 2 * n - 1] not in g.suffixes):
+            head, tail = w[:p0], w[p0 + n:]
+            seen.update(head + e + tail for e in elements)
+            if len(seen) > cfg.max_class_size:
+                raise _too_large(w, cfg)
+            return CongruenceClass(frozenset(seen))
+    frontier = [(w, 0)]
     while frontier:
         nxt = []
         for word, made_at in frontier:
@@ -168,9 +203,7 @@ def class_of(w: Word, g: GroupTable, cfg: RewriteConfig) -> CongruenceClass:
                         continue
                     seen.add(new)
                     if len(seen) > cfg.max_class_size:
-                        raise ClassTooLarge(
-                            f"class of {format_word(w)} exceeded "
-                            f"{cfg.max_class_size} members")
+                        raise _too_large(w, cfg)
                     nxt.append((new, pos))
         frontier = nxt
     return CongruenceClass(frozenset(seen))

@@ -41,6 +41,9 @@ def test_gen_group_json(capsys):
     assert payload["k"] == 2
     assert payload["passed"] is True
     assert payload["details"]["order"] == 8
+    # windows overlap in one letter at most, which lets `class_of` take
+    # one-window classes in closed form
+    assert payload["details"]["max_overlap"] == 1
     rows = payload["details"]["elements"]
     assert rows[0]["label"] == "e"
     assert [r["images"] for r in rows if r["label"] == "t"] == [K2_T]
@@ -368,6 +371,26 @@ def test_verify_lemmas_replays_recorded_stepss_seeds(capsys):
                   if r["lemma_id"] == "Stepss")
     assert stepss["stats"] == {"classes": 38, "pairs": 2324,
                                "condition_counts": [2128, 98, 98]}
+
+
+@pytest.mark.parametrize("argv, stepss, step3", [
+    (["--k", "3"], (54, 7612, [7128, 242, 242]), (3300, 3300, 3300)),
+    (["--k", "8"], (134, 136772, [132928, 1922, 1922]), (64480, 64480, 64480)),
+    (["--k", "8", "--step3-samples", "1"],
+     (134, 136772, [132928, 1922, 1922]), (64480, 992, 992))])
+def test_verify_lemmas_replays_recorded_class_stats(capsys, argv, stepss,
+                                                    step3):
+    # Stepss and Step3 read every member of their seeds' classes, so these
+    # counts pin the classes whichever way `class_of` enumerates them
+    code, payload = run_json(capsys, ["verify-lemmas", *argv])
+    assert code == 0
+    stats = {r["lemma_id"]: r["stats"] for r in payload["details"]["lemmas"]}
+    classes, pairs, counts = stepss
+    assert stats["Stepss"] == {"classes": classes, "pairs": pairs,
+                               "condition_counts": counts}
+    family, covered, members = step3
+    assert stats["Step3"] == {"family": family, "covered": covered,
+                              "members_checked": members}
 
 
 def test_sampling_commands_are_seed_deterministic(capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -141,6 +142,80 @@ def test_class_matches_naive_closure(g2, g3, cfg2, cfg3):
     assert max(sizes) > 100
 
 
+def chained_at_one_end(rng, g, end):
+    """A word holding one window e, with the first n-1 letters of a window
+    f just before it (end "head") or the last n-1 just after it ("tail"),
+    where f(n) != e(1), or f(1) != e(n): the orbit of e makes a second
+    window that shares one letter with it, so the closed form declines."""
+    n, els = g.n, g.elements
+    f = els[rng.randrange(len(els))]
+    if end == "head":
+        e = rng.choice([e for e in els if e[0] != f[-1]])
+        return random_word(rng, n, rng.randint(0, 2)) + f[:-1] + e
+    e = rng.choice([e for e in els if e[-1] != f[0]])
+    return e + f[1:] + random_word(rng, n, rng.randint(0, 2))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_closed_form_classes_match_naive_closure(k):
+    g = generate_group(QuaternionConfig(k))
+    n, cfg = g.n, default_config(g.n)
+    assert g.max_overlap == 1
+    rng = random.Random(k)
+    sizes = set()
+    for length in range(n, 2 * n + 5):
+        for _ in range(6):
+            w = seeded_word(rng, g, length)
+            members = class_of(w, g, cfg).members
+            assert members == frozenset(naive_class(w, g)), w
+            sizes.add(len(members))
+    assert {1, n} <= sizes
+    for end in ("head", "tail"):
+        for _ in range(8):
+            w = chained_at_one_end(rng, g, end)
+            assert len(find_relation_factors(w, g)) == 1
+            members = class_of(w, g, cfg).members
+            assert members == frozenset(naive_class(w, g)), (end, w)
+            assert len(members) > n
+
+
+@pytest.mark.parametrize("table, overlap", [
+    ("cyclic8", 7), ("dihedral8", 6), ("poisoned8", 2), ("two_element8", 0)])
+def test_closed_form_rests_on_the_largest_overlap(request, table, overlap,
+                                                  cfg2):
+    # the closed form declines wherever windows overlap in two letters or
+    # more; with no overlap at all it applies, and must still be exact
+    g = request.getfixturevalue(table)
+    n, els = g.n, g.elements
+    assert g.max_overlap == overlap
+    rng = random.Random(7)
+    cases = [seeded_word(rng, g, length)
+             for length in range(n, 2 * n + 5) for _ in range(4)]
+    # f[:n-m] e' holds e' alone, and rewriting e' to a window e with
+    # e[:m] = f[n-m:] makes f: a chain the head and tail lookups miss
+    chained = [f[:n - overlap] + e for f in els for e in els
+               if overlap and e[:overlap] != f[n - overlap:]
+               and any(d[:overlap] == f[n - overlap:] for d in els)]
+    assert bool(chained) == bool(overlap)
+    for w in cases + chained:
+        assert class_of(w, g, cfg2).members == frozenset(naive_class(w, g))
+    for w in chained:
+        assert len(find_relation_factors(w, g)) == 1
+        assert len(class_of(w, g, cfg2).members) > len(els)
+
+
+@pytest.mark.parametrize("table, w", [
+    ("g2", (3,) + tuple(range(1, 9)) + (4, 4)),  # closed form
+    ("poisoned8", tuple(range(1, 9)))])  # declined: overlap 2
+def test_closed_form_trips_the_cap_as_the_closure_does(request, table, w):
+    g = request.getfixturevalue(table)
+    assert len(find_relation_factors(w, g)) == 1
+    assert len(class_of(w, g, RewriteConfig(8, len(w))).members) == 8
+    with pytest.raises(ClassTooLarge, match=re.escape(
+            f"class of {format_word(w)} exceeded 7 members")):
+        class_of(w, g, RewriteConfig(7, len(w)))
+
+
 PLANTED = ["cyclic8", "dihedral8", "poisoned8", "two_element8"]
 
 
@@ -217,7 +292,9 @@ def test_closure_expands_each_window_orbit_once(k, m, size, loops):
     # already, so the closure loops over the table once per orbit
     g = generate_group(QuaternionConfig(k))
     counted = dataclasses.replace(g, elements=CountingTuple(g.elements))
-    counted.index, counted.follow  # build the indexes before counting
+    # build the indexes, and the facts the closed form reads, before counting
+    counted.index, counted.follow, counted.pair_index
+    counted.prefixes, counted.suffixes, counted.max_overlap
     CountingTuple.loops = 0
     w = tuple(range(1, g.n + 1)) * m
     assert len(class_of(w, counted, default_config(g.n)).members) == size
