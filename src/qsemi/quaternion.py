@@ -117,12 +117,12 @@ class GroupTable:
     def max_overlap(self) -> int:
         """The most letters, 1 to n-1, that a proper suffix of one image
         tuple shares with a prefix of any image tuple, itself included; 0
-        when no two overlap.  One `occurrences(., 1)` lookup per element
-        and length, longest first."""
-        for size in range(self.n - 1, 0, -1):
-            if any(self.occurrences(e[-size:], 1) for e in self.elements):
-                return size
-        return 0
+        when no two overlap: a set of suffixes and one of prefixes per
+        length, longest first, of the tuples spelled as strings (whose
+        slices, unlike tuples', fit a few memory size classes)."""
+        els = ["".join(map(chr, e)) for e in self.elements]
+        return next((s for s in range(self.n - 1, 0, -1)
+                     if {e[-s:] for e in els} & {e[:s] for e in els}), 0)
 
     def occurrences(self, factor: tuple[int, ...],
                     at: int | None = None) -> list[tuple[int, int]]:

@@ -40,8 +40,9 @@ def product_report(C: Sequence[int], product: Sequence[Sequence[int]],
     colex order the side of size s at position i of the run with largest
     member t is the side of size s - 1 at position i plus t, for
     i < comb(t, s - 1), so each side's (seen, repeated) pair of masks is its
-    parent's folded with one column.  The walk keeps those pairs only for
-    the parents of the sides up to the last partner taken."""
+    parent's folded with one column.  Each size's runs are counted up to
+    the cut, and the next size's parents grown only as far as the sides the
+    cut still needs."""
     if take <= 0:
         return []
     cols, dups = [], []
@@ -53,39 +54,33 @@ def product_report(C: Sequence[int], product: Sequence[Sequence[int]],
             col |= bit
         cols.append(col)
         dups.append(dup)
-    # the last partner: its size, then the largest member of its colex rank
-    m, size, rank = len(cols), first, take
-    while rank > comb(m, size):
-        if size >= m:
-            raise ValueError(f"{take} partners from size {first}, over "
-                             f"{m} columns")
-        rank -= comb(m, size)
-        size += 1
-    top = size - 1
-    while comb(top + 1, size) < rank:
-        top += 1
+    m = len(cols)
     # filled in place: a list grown run by run peaks higher in memory
     counts, done = [0] * take, 0
     states = [(0, 0)]  # the empty side, parent of each singleton
-    for s in range(1, size + 1):
-        # the sides the next size extends: the runs with top below `ends`
-        ends = top if s == size - 1 else m - 1 if s < size else 0
-        grown: list[tuple[int, int]] = []
-        for t in range(s - 1, m if s < size else top + 1):
-            run = comb(t, s - 1) if s < size or t < top else take - done
-            parents = states[:run]
+    for s in range(1, m + 1):
+        # the runs of size s, if partners have that size, up to the cut
+        for t in range(s - 1, m) if s >= first else ():
+            run = comb(t, s - 1)
+            if run > take - done:  # the last run taken
+                run = take - done
             col, dup = cols[t], dups[t]
-            if s >= first:
-                # unique: seen by exactly one of the parent and the column,
-                # and repeated by neither
-                counts[done:done + run] = [
-                    (((a ^ col) | (rep := b | dup)) ^ rep).bit_count()
-                    for a, b in parents]
-                done += run
-            if t < ends:
-                grown += [(a | col, b | (a & col) | dup) for a, b in parents]
-        states = grown
-    return counts
+            # unique: seen by exactly one of the parent and the column, and
+            # repeated by neither
+            counts[done:done + run] = [
+                (((a ^ col) | (rep := b | dup)) ^ rep).bit_count()
+                for a, b in states[:run]]
+            done += run
+            if done == take:
+                return counts
+        # the runs whose sides parent the next size's up to the cut
+        top = s
+        while top < m - 1 and comb(top + 1, s + 1) < take - done:
+            top += 1
+        states = [(a | cols[t], b | (a & cols[t]) | dups[t])
+                  for t in range(s - 1, top)
+                  for a, b in states[:comb(t, s - 1)]]
+    raise ValueError(f"{take} partners from size {first}, over {m} columns")
 
 
 def canonical_ground_set(g: GroupTable, cfg: RewriteConfig,
@@ -203,7 +198,7 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
                 if low < 2:  # the first failing pair ends the sweep
                     j = next(j for j, u in enumerate(counts) if u < 2)
                     del counts[j + 1:]
-                    low = min(counts)
+                    low = counts[j]
                     # C's partners start after the sides smaller than first
                     D = next(itertools.islice(subsets_colex(m, max_size),
                                               (first - 1) * m + j, None))

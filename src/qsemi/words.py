@@ -57,7 +57,10 @@ Canon = Callable[[Word], Word]  # word -> canonical form of its class
 @dataclass(frozen=True)
 class RewriteConfig:
     """Hard caps: members of an enumerated class, and letters of a word
-    that is enumerated, canonicalized or compared."""
+    that is enumerated, canonicalized or compared.  The word cap binds
+    words of n letters or more: a shorter word is alone in its class, so
+    `class_of` and `canonical_form` return it with nothing enumerated or
+    rewritten, whatever the cap."""
 
     max_class_size: int
     max_word_length: int

@@ -4,9 +4,11 @@
   of Stepss and of Step3 over every cell: the slow reference for the
   pair-index, counting and orbit-cut oracles in `qsemi.lemmas`.
 - `relation_factors`, the windows of a word by slicing at every position,
-  the reference for `words.find_relation_factors`, and
+  the reference for `words.find_relation_factors`;
   `factor_occurrences`, the starts of a factor by slicing every image tuple
-  at every position, the reference for `GroupTable.occurrences`.
+  at every position, the reference for `GroupTable.occurrences`; and
+  `max_overlap`, every window's proper suffixes sliced against every
+  window's prefixes, the reference for `GroupTable.max_overlap`.
 - `naive_class`, congruence classes by brute slice comparison, the
   reference for `words.class_of`, and `tup_sweep`, the two unique products
   sweep by pairwise class membership, the reference for
@@ -179,6 +181,14 @@ def factor_occurrences(g, factor, at=None):
     return [(idx, p) for idx, e in enumerate(g.elements)
             for p in range(1, len(e) - m + 2)
             if e[p - 1:p - 1 + m] == factor and at in (None, p)]
+
+
+def max_overlap(g):
+    """The longest proper suffix, 1 to n-1 letters, of an image tuple that
+    is a prefix of an image tuple, the same one included; 0 if none."""
+    n = g.n
+    return max((j for s in g.elements for t in g.elements
+                for j in range(1, n) if s[n - j:] == t[:j]), default=0)
 
 
 def naive_class(w, g, rounds=50):

@@ -4,8 +4,9 @@ is used by the package or the benchmark; each defaulted parameter of a
 package function is set by some call in the package or the benchmark and
 left out by another; the package draws no random integer through
 `randint` or `randrange`; no module of the package but `__main__.py`
-tests `__name__ == "__main__"`; and every code name the README or a
-docstring or comment of the package cites still exists."""
+tests `__name__ == "__main__"`; every module of the package parses at
+the Python floor that `pyproject.toml` declares; and every code name the
+README or a docstring or comment of the package cites still exists."""
 
 import ast
 import io
@@ -253,6 +254,31 @@ def test_only_dunder_main_runs_as_a_script():
     guarded = {path.name: main_guards(path.read_text()) for path in PACKAGE
                if path.name != "__main__.py"}
     assert {name: lines for name, lines in guarded.items() if lines} == {}
+
+
+def python_floor() -> tuple[int, int]:
+    """The (major, minor) of `requires-python = ">=X.Y"` in pyproject.toml."""
+    found = re.search(r'^requires-python\s*=\s*">=(\d+)\.(\d+)"$',
+                      (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    return int(found[1]), int(found[2])
+
+
+def test_floor_parse_rejects_newer_syntax():
+    # the running interpreter may be newer than the floor, so the parse
+    # pins its grammar to the floor's: `match` came in 3.10, `except*` in
+    # 3.11
+    assert python_floor() == (3, 10)
+    ast.parse("match x:\n    case 1:\n        pass\n",
+              feature_version=python_floor())
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=python_floor())
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_package_parses_at_the_declared_floor(path):
+    ast.parse(path.read_text(), feature_version=python_floor())
 
 
 # `name`, `module.name` or `name(args)`, all lowercase

@@ -15,9 +15,9 @@ from qsemi.structure import canonical_ground_set, run_tup_sweep
 from qsemi.words import (class_of, default_config, find_relation_factors,
                          parse_word, random_word)
 from reference_oracles import (EXHAUSTIVE, FORWARD, factor_occurrences,
-                               randint_seeded_word, relation_factors,
-                               reversed_table, step3_every_cell, stepss,
-                               tup_sweep)
+                               max_overlap, randint_seeded_word,
+                               relation_factors, reversed_table,
+                               step3_every_cell, stepss, tup_sweep)
 
 SYM = {"SymNotPossible": "NotPossible", "SymMaxOne": "MaxOne",
        "SymOverlapp": "Overlapp"}
@@ -164,6 +164,30 @@ def test_prefixes_match_occurrences_at_the_first_position(planted):
                     g.elements, f)
                 seen.add(f in g.prefixes)
     assert seen == {True, False}
+
+
+def _planted_overlaps(k: int) -> list:
+    """For each length j from 1 to n-1, the identity and the window made
+    of its last j letters followed by the others in decreasing order: their
+    one overlap of j letters is the largest."""
+    n = 4 * k
+    ident = tuple(range(1, n + 1))
+    return [bare_table(k, [ident, ident[n - j:] + ident[n - j - 1::-1]])
+            for j in range(1, n)]
+
+
+def test_max_overlap_matches_reference(planted):
+    real = [REAL.get(k) or generate_group(QuaternionConfig(k))
+            for k in range(2, 9)]
+    assert [g.max_overlap for g in real] == [1] * 7
+    assert [g.max_overlap for g in planted] == [7, 6, 2, 0]
+    chained = _planted_overlaps(2) + _planted_overlaps(3)
+    assert [g.max_overlap for g in chained] == [*range(1, 8), *range(1, 12)]
+    seen = set()
+    for g in real + planted + RANDOM + chained:
+        assert g.max_overlap == max_overlap(g), g.elements
+        seen.add(g.max_overlap)
+    assert set(range(12)) <= seen
 
 
 @pytest.mark.parametrize("case", ["k2", "k3", "k8", "cyclic8", "dihedral8",

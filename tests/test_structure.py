@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -190,6 +191,29 @@ def test_product_report_rejects_more_partners_than_there_are_sides():
     # no side of five members over four columns
     with pytest.raises(ValueError, match="partners from size"):
         product_report((0, 1), product, 5, 1)
+
+
+@pytest.mark.parametrize("C", [(0,), (0, 1)])
+def test_product_report_grows_only_the_parents_its_cut_needs(C):
+    # 400 columns of distinct ids, cut 10 sides into size 3: the walk keeps
+    # the counts and the parents of those 10 sides, not the 79,800 pairs
+    # (a walk that grows every pair peaks at 11-15 MB)
+    m, first = 400, 1 if len(C) > 1 else 2
+    product = [[m * c + d for d in range(m)] for c in C]
+    take = sum(comb(m, s) for s in range(first, 3)) + 10
+    tracemalloc.start()
+    try:
+        counts = product_report(C, product, first, take)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak
+    assert len(counts) == take
+    sampled = {*range(5), *range(0, take, 997), *range(take - 15, take)}
+    partners = itertools.islice(subsets_colex(m, 3), (first - 1) * m, None)
+    for i, D in enumerate(itertools.islice(partners, take)):
+        if i in sampled:
+            assert counts[i] == unique_product_count(C, D, product), (i, D)
 
 
 def test_subsets_colex():
