@@ -1,10 +1,11 @@
 """Sparse elements of the monoid algebra over a prime field F_p.
 
 Elements are dictionaries from canonical word forms to nonzero coefficients
-mod p.  Multiplication concatenates supports pairwise and re-canonicalizes,
-so coefficients of equivalent products merge (and may cancel mod p).  The
-zero-divisor search draws random nonzero elements looking for a vanishing
-product.
+mod p.  Multiplication concatenates supports pairwise and hands the pairs to
+`element_from_pairs`, which builds sampled elements too: it canonicalizes
+each word, so coefficients of equivalent products merge (and may cancel
+mod p).  The zero-divisor search draws random nonzero elements looking for
+a vanishing product.
 
 The relations of the monoid preserve length, so the products of x's and
 y's longest support words are the only terms of x*y of the greatest
@@ -99,17 +100,8 @@ def mul_with_canon(x: AlgebraElement, y: AlgebraElement,
                    canon: Canon) -> AlgebraElement:
     if x.p != y.p:
         raise ValueError("mixed moduli")
-    p = x.p
-    terms: dict[Word, int] = {}
-    for w1, c1 in x.terms.items():
-        for w2, c2 in y.terms.items():
-            key = canon(w1 + w2)
-            s = (terms.get(key, 0) + c1 * c2) % p
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-    return AlgebraElement(p, terms)
+    return element_from_pairs(((w1 + w2, c1 * c2) for w1, c1 in x.terms.items()
+                               for w2, c2 in y.terms.items()), x.p, canon)
 
 
 def random_element(rng: random.Random, p: int, canon: Canon,

@@ -176,9 +176,9 @@ def cmd_word_eq(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
     cfg = _caps(args, g.n)
     w1 = parse_word(args.w1, g.n)
     w2 = parse_word(args.w2, g.n)
-    equal = words_equal(w1, w2, g, cfg)
-    c1 = format_word(canonical_form(w1, g, cfg))
-    c2 = c1 if equal else format_word(canonical_form(w2, g, cfg))
+    f1, f2 = canonical_form(w1, g, cfg), canonical_form(w2, g, cfg)
+    equal = words_equal(f1, f2, g, cfg)
+    c1, c2 = format_word(f1), format_word(f2)
     lines = [f"equal: {'yes' if equal else 'no'}",
              f"canonical w1: {c1}", f"canonical w2: {c2}"]
     return equal, {"equal": equal, "canonical_w1": c1, "canonical_w2": c2}, lines

@@ -31,8 +31,9 @@ closed form, {h e' t : e' a window}, when w = h e t holds one window e
 and two lookups show that no e' can chain with h or t; otherwise, and on
 tables whose windows overlap in two letters or more, it runs a
 breadth-first closure, the closed form's reference.  `words_equal`
-compares canonical forms; on certified tables, whose relations all
-permute letters, it first rejects words whose sorted letters differ.
+compares canonical forms, under the same word-length cap; on certified
+tables, whose relations all permute letters, it first rejects words whose
+sorted letters differ.
 
 The samplers draw each integer with `draw`, which makes exactly the
 `getrandbits` calls `random.Random.randint` makes, so a seed gives the
@@ -379,8 +380,14 @@ def words_equal(w1: Word, w2: Word, g: GroupTable, cfg: RewriteConfig) -> bool:
     of one length are equal exactly when their canonical forms are.  On a
     certified table every window is a permutation of 1..n, so relations
     also preserve the letters counted with multiplicity, and words whose
-    sorted letters differ are unequal with no rewrite (and no check of
-    the word-length cap)."""
+    sorted letters differ are unequal with no rewrite.  The word-length
+    cap binds each word as it binds `canonical_form`, before any of these
+    shortcuts."""
+    cap = cfg.max_word_length  # one comparison per word when both fit
+    if len(w1) > cap or len(w2) > cap:
+        for w in (w1, w2):
+            if len(w) >= g.n:
+                _check_length(w, cfg)
     return len(w1) == len(w2) and (w1 == w2 or (
         (_certify(g) is None or sorted(w1) == sorted(w2))
         and canonical_form(w1, g, cfg) == canonical_form(w2, g, cfg)))

@@ -13,7 +13,7 @@ from qsemi.errors import QsemiError
 from qsemi.lemmas import LemmaId, LemmaReport
 from qsemi.quaternion import QuaternionConfig, generate_group
 from qsemi.words import (RewriteConfig, default_config, format_word,
-                         words_equal)
+                         parse_word, words_equal)
 
 K2_T = [2, 3, 4, 1, 6, 7, 8, 5]
 K2_U = [5, 8, 7, 6, 3, 2, 1, 4]
@@ -79,25 +79,44 @@ def test_word_eq_not_equal(capsys):
                                   "canonical_w2": "2,1"}
 
 
-@pytest.mark.parametrize("w2, forms", [
-    (",".join(map(str, K2_U)), 1), ("1,2,3,4,5,6,8,7", 2)],
+@pytest.mark.parametrize("w2, rewrites", [
+    (",".join(map(str, K2_U)), 2), ("1,2,3,4,5,6,8,7", 4)],
     ids=["equal", "unequal"])
-def test_word_eq_canonicalizes_w2_only_when_the_words_differ(
-        monkeypatch, capsys, w2, forms):
-    calls = []
+def test_word_eq_canonicalizes_each_word_once(monkeypatch, capsys, w2,
+                                              rewrites):
+    # each word's form is taken once and words_equal decides on the two
+    # forms: identical forms need no further rewrite, and distinct forms
+    # with the same letters are rewritten once more each
+    # certify the table first, so that its critical pairs' rewrites are
+    # not counted with the query's
+    words._certify(generate_group(QuaternionConfig(2)))
+    forms, compared, rewritten = [], [], []
 
-    def counting(w, g, cfg, orig=cli.canonical_form):
-        calls.append(w)
+    def canonical(w, g, cfg, orig=cli.canonical_form):
+        forms.append(w)
         return orig(w, g, cfg)
 
-    monkeypatch.setattr(cli, "canonical_form", counting)
+    def equal(w1, w2, g, cfg, orig=cli.words_equal):
+        compared.append((w1, w2))
+        return orig(w1, w2, g, cfg)
+
+    def rewrite(self, w, orig=words._Rules.rewrite):
+        rewritten.append(w)
+        return orig(self, w)
+
+    monkeypatch.setattr(cli, "canonical_form", canonical)
+    monkeypatch.setattr(cli, "words_equal", equal)
+    monkeypatch.setattr(words._Rules, "rewrite", rewrite)
     code, payload = run_json(capsys, ["word-eq", "--k", "2",
                                       "1,2,3,4,5,6,7,8", w2])
-    assert len(calls) == forms
-    assert code == (0 if forms == 1 else 1)
+    ident = (1, 2, 3, 4, 5, 6, 7, 8)
+    assert forms == [ident, parse_word(w2, 8)]
+    canon_w2 = ident if rewrites == 2 else parse_word(w2, 8)
+    assert compared == [(ident, canon_w2)]
+    assert len(rewritten) == rewrites
+    assert code == (0 if rewrites == 2 else 1)
     assert payload["details"]["canonical_w1"] == "1,2,3,4,5,6,7,8"
-    assert payload["details"]["canonical_w2"] == (
-        "1,2,3,4,5,6,7,8" if forms == 1 else w2)
+    assert payload["details"]["canonical_w2"] == format_word(canon_w2)
 
 
 def test_word_eq_rejects_bad_letters(capsys):
@@ -110,6 +129,24 @@ def test_word_eq_respects_length_cap(capsys):
     assert main(["word-eq", "--k", "2", "--max-word-length", "8",
                  word, word[::-1]]) == 2
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("w1, w2", [
+    ("1,2,3,4,5,6,7,8", "1,2,3,4,5,6,7,8"),
+    ("1,2,3,4,5,6,7,8", "1,2,3,4,5,6,7,8,1"),
+    ("1,2,3,4,5,6,7,8", "1,1,1,1,1,1,1,1")],
+    ids=["identical", "longer-w2", "letters-differ"])
+def test_word_eq_caps_every_word_of_n_letters_or_more(capsys, w1, w2):
+    # no shortcut of words_equal gets round the cap
+    assert main(["word-eq", "--k", "2", "--max-word-length", "7",
+                 w1, w2]) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_word_eq_leaves_words_below_n_uncapped(capsys):
+    assert main(["word-eq", "--k", "2", "--max-word-length", "3",
+                 "1,2,3,4", "1,2,3,4"]) == 0
+    assert "equal: yes" in capsys.readouterr().out
 
 
 def test_verify_lemmas(capsys):

@@ -5,9 +5,12 @@ package function is set by some call in the package or the benchmark and
 left out by another; the package draws no random integer through
 `randint` or `randrange`; no module of the package but `__main__.py`
 tests `__name__ == "__main__"`; every module of the package parses at
-the Python floor that `pyproject.toml` declares; and every code name the
-README or a docstring or comment of the package cites still exists."""
+the Python floor that `pyproject.toml` declares; every code name the
+README or a docstring or comment of the package cites still exists; and
+the README's CLI section cites exactly the flags the subcommands
+register."""
 
+import argparse
 import ast
 import io
 import re
@@ -15,6 +18,8 @@ import tokenize
 from pathlib import Path
 
 import pytest
+
+from qsemi import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "qsemi").glob("*.py"))
@@ -338,3 +343,39 @@ def test_readme_cites_only_live_names():
 def test_package_prose_cites_only_live_names():
     assert stale_in("\n".join(prose(path.read_text())
                               for path in PACKAGE)) == []
+
+
+# a `--flag` not preceded by a letter, digit or dash
+FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def flag_drift(text: str, parser: argparse.ArgumentParser) -> list[str]:
+    """Each option string a subcommand of parser registers (`-h`/`--help`
+    left out) that text never cites, and each `--flag` text cites that no
+    subcommand registers."""
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    registered = {flag for sub in subs.choices.values()
+                  for action in sub._actions
+                  for flag in action.option_strings} - {"-h", "--help"}
+    cited = set(FLAG.findall(text))
+    return sorted([f"{flag}: not cited" for flag in registered - cited]
+                  + [f"{flag}: not registered" for flag in cited - registered])
+
+
+def test_detects_flag_drift():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers().add_parser("run")
+    sub.add_argument("--kept")
+    sub.add_argument("--quiet", action="store_true")
+    sub.add_argument("word")
+    assert flag_drift("`--kept`, --gone and x--y or `--help`", parser) == [
+        "--gone: not registered", "--help: not registered",
+        "--quiet: not cited"]
+    assert flag_drift("--kept --quiet", parser) == []
+
+
+def test_readme_cli_section_cites_every_registered_flag():
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    assert flag_drift(section, cli._build_parser()) == []

@@ -345,6 +345,19 @@ def test_words_equal(g2, cfg2):
     assert words_equal(g2.t + (1,), g2.u + (1,), g2, cfg2)
 
 
+def test_words_equal_binds_the_word_length_cap(g2):
+    # each word of n letters or more is checked before any shortcut: the
+    # identical pair, the sorted-letters test and the length test
+    cfg = RewriteConfig(max_class_size=100, max_word_length=7)
+    eight = tuple(range(1, 9))
+    for w1, w2 in [(eight, eight), (eight, (1,) * 8), (eight, eight + (1,))]:
+        with pytest.raises(ValueError, match="exceeds the cap 7"):
+            words_equal(w1, w2, g2, cfg)
+    # words shorter than n are alone in their class, whatever the cap
+    assert words_equal((1, 2, 3, 4), (1, 2, 3, 4), g2,
+                       RewriteConfig(max_class_size=100, max_word_length=3))
+
+
 def _counting_canonical_form(monkeypatch):
     """Record the words words_equal hands to canonical_form."""
     calls, orig = [], words.canonical_form
