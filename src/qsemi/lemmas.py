@@ -206,9 +206,9 @@ def default_stepss_seeds(g: GroupTable, max_extra: int,
     """Seed words: an image tuple with a random tail, four per length,
     plus chained seeds where a second window overlaps the first in exactly
     one letter (those classes mix rewrites at both ends, so the two words of
-    a pair can break their windows at letter n in different ways)."""
+    a pair can break their windows at letter n in different ways): the
+    second is the last window in `GroupTable.starting[e(n)]`, if any."""
     n = g.n
-    pin1 = {e[0]: e for e in g.elements}
     seeds = []
     for extra in range(max_extra + 1):
         for _ in range(4):
@@ -216,10 +216,10 @@ def default_stepss_seeds(g: GroupTable, max_extra: int,
             seeds.append(e + random_word(rng, n, extra))
         if extra >= n - 1:
             e = g.elements[draw(rng, 0, len(g.elements) - 1)]
-            nxt = pin1.get(e[n - 1])
-            if nxt is not None:
+            nxt = g.starting[e[n - 1]]
+            if nxt:
                 pad = random_word(rng, n, extra - (n - 1))
-                seeds.append(e + nxt[1:] + pad)
+                seeds.append(e + nxt[-1][1:] + pad)
     return seeds
 
 
@@ -285,12 +285,13 @@ def _stepss_failure(g: GroupTable, members: list[Word], classes: int,
 
 
 def _step3_tails(g: GroupTable, t: Perm) -> list[Word]:
-    """lambda(2..n) x for each window lambda with lambda(1) = t(n) and each x
-    of at most one letter, then every window: the only tails v up to length
-    n that let t(i+1..n) v hold a window, as MaxOne bars longer overlaps."""
+    """lambda(2..n) x for each window lambda in `GroupTable.starting[t(n)]`
+    and each x of at most one letter, then every window: the only tails v
+    up to length n that let t(i+1..n) v hold a window, as MaxOne bars
+    longer overlaps."""
     xs = [()] + [(a,) for a in range(1, g.n + 1)]
-    return list(dict.fromkeys([g.elements[li][1:] + x for li, _ in
-                               g.occurrences(t[-1:], 1) for x in xs] + list(g.elements)))
+    return list(dict.fromkeys([lam[1:] + x for lam in g.starting[t[-1]]
+                               for x in xs] + list(g.elements)))
 
 
 def verify_step3(g: GroupTable, cfg: RewriteConfig, samples: int,

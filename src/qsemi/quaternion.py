@@ -89,14 +89,13 @@ class GroupTable:
         return index
 
     @cached_property
-    def follow(self) -> tuple[frozenset[int], ...]:
-        """`follow[x]`: the letters y such that some image tuple starts
-        x y.  A scan for windows slices a factor only where its first two
-        letters are such a pair."""
-        follow: list[set[int]] = [set() for _ in range(self.n + 1)]
+    def starting(self) -> tuple[tuple[Perm, ...], ...]:
+        """`starting[x]`: the image tuples whose first letter is x, in
+        element order; `starting[0]` is empty."""
+        starting: list[list[Perm]] = [[] for _ in range(self.n + 1)]
         for e in self.elements:
-            follow[e[0]].add(e[1])
-        return tuple(map(frozenset, follow))
+            starting[e[0]].append(e)
+        return tuple(map(tuple, starting))
 
     @cached_property
     def mirrored(self) -> GroupTable:

@@ -114,12 +114,12 @@ def format_word(w: Word) -> str:
 
 def find_relation_factors(w: Word, g: GroupTable) -> list[tuple[int, Perm]]:
     """All (position, element) pairs where a length-n window of w spells out
-    a table element's image tuple.  Positions are 1-based.  Only the
-    positions whose two letters start some window (`GroupTable.follow`)
-    are sliced and looked up."""
-    n, index, follow = g.n, g.index, g.follow
-    return [(p0 + 1, win) for p0 in range(len(w) - n + 1)
-            if w[p0 + 1] in follow[w[p0]] and (win := w[p0:p0 + n]) in index]
+    a table element's image tuple.  Positions are 1-based.  A factor is
+    sliced only against the windows that start with its first letter
+    (`GroupTable.starting`) and share its second."""
+    n, starting = g.n, g.starting
+    return [(p0 + 1, e) for p0 in range(len(w) - n + 1)
+            for e in starting[w[p0]] if e[1] == w[p0 + 1] and w[p0:p0 + n] == e]
 
 
 def rewrite_step(w: Word, position: int, src: Perm, dst: Perm, g: GroupTable) -> Word:
@@ -280,17 +280,14 @@ def _rule_table(g: GroupTable) -> _Rules | None:
     are permutations of 1..n and each letter starts exactly one of them."""
     n = g.n
     ident = tuple(range(1, n + 1))
-    if ident not in g.index or any(tuple(sorted(e)) != ident
-                                   for e in g.elements):
+    if (ident not in g.index
+            or any(tuple(sorted(e)) != ident for e in g.elements)
+            or any(len(s) != 1 for s in g.starting[1:])):
         return None
-    by_first = {e[0]: e for e in g.elements}
-    if len(by_first) != n:
-        return None
-    starts = (None,) + tuple(None if x == 1 else by_first[x]
-                             for x in range(1, n + 1))
+    starts = (None, None) + tuple(s for s, in g.starting[2:])
     heads = tuple(None if s is None or s[-1] == 1
-                  else ident + by_first[s[-1]][1:] for s in starts)
-    return _Rules(n, starts, heads, by_first[n][1:])
+                  else ident + g.starting[s[-1]][0][1:] for s in starts)
+    return _Rules(n, starts, heads, g.starting[n][0][1:])
 
 
 def _rule_list(rules: _Rules, max_m: int) -> list[tuple[Word, Word]]:

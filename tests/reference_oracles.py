@@ -3,6 +3,8 @@
 - Brute-force scans of the four forward window lemmas, of the overlap bound,
   of Stepss and of Step3 over every cell: the slow reference for the
   pair-index, counting and orbit-cut oracles in `qsemi.lemmas`.
+- `dict_stepss_seeds`, the Stepss seeds drawn through a first-letter dict
+  of their own, the reference for `lemmas.default_stepss_seeds`.
 - `relation_factors`, the windows of a word by slicing at every position,
   the reference for `words.find_relation_factors`;
   `factor_occurrences`, the starts of a factor by slicing every image tuple
@@ -37,6 +39,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 from qsemi import algebra, words
 from qsemi.algebra import AlgebraElement, SearchResult
@@ -45,7 +48,7 @@ from qsemi.lemmas import (default_stepss_seeds, verify_big, verify_max_one,
                           verify_sym_max_one, verify_sym_not_possible,
                           verify_sym_overlapp)
 from qsemi.quaternion import GroupTable, Label
-from qsemi.words import class_of, format_word
+from qsemi.words import Word, class_of, draw, format_word, random_word
 
 # the oracles that scan their whole quantifier range, in suite order
 EXHAUSTIVE = (verify_not_possible, verify_max_one, verify_big,
@@ -163,6 +166,28 @@ def stepss(g, cfg, max_extra, rng):
                     return False, pairs, counts
                 counts[0 if c1 and c2 else 1 if c1 else 2] += 1
     return True, pairs, counts
+
+
+def dict_stepss_seeds(g: GroupTable, max_extra: int,
+                      rng: random.Random) -> list[Word]:
+    """`lemmas.default_stepss_seeds` as it read with a first-letter dict of
+    its own, where the last window listed with a letter wins: the reference
+    for the seeds, and the generator state, drawn through
+    `GroupTable.starting`."""
+    n = g.n
+    pin1 = {e[0]: e for e in g.elements}
+    seeds = []
+    for extra in range(max_extra + 1):
+        for _ in range(4):
+            e = g.elements[draw(rng, 0, len(g.elements) - 1)]
+            seeds.append(e + random_word(rng, n, extra))
+        if extra >= n - 1:
+            e = g.elements[draw(rng, 0, len(g.elements) - 1)]
+            nxt = pin1.get(e[n - 1])
+            if nxt is not None:
+                pad = random_word(rng, n, extra - (n - 1))
+                seeds.append(e + nxt[1:] + pad)
+    return seeds
 
 
 def relation_factors(w, g):

@@ -14,8 +14,9 @@ from qsemi.quaternion import QuaternionConfig, generate_group
 from qsemi.structure import canonical_ground_set, run_tup_sweep
 from qsemi.words import (class_of, default_config, find_relation_factors,
                          parse_word, random_word)
-from reference_oracles import (EXHAUSTIVE, FORWARD, factor_occurrences,
-                               max_overlap, randint_seeded_word,
+from reference_oracles import (EXHAUSTIVE, FORWARD, dict_stepss_seeds,
+                               factor_occurrences, max_overlap,
+                               randint_seeded_word,
                                relation_factors, reversed_table,
                                step3_every_cell, stepss, tup_sweep)
 
@@ -149,12 +150,18 @@ def test_occurrences_match_a_scan_of_the_elements(planted):
 
 def test_prefixes_match_occurrences_at_the_first_position(planted):
     # every (n-1)-letter factor of seeded words, which hold windows at
-    # random offsets, so both answers occur
+    # random offsets, so both answers occur; and the windows each letter
+    # starts, which a letter of a planted or random table may start twice
+    # or not at all
     g8 = generate_group(QuaternionConfig(8))
     rng = random.Random(13)
-    seen = set()
-    for g in [*REAL.values(), g8, *planted]:
+    seen, starts = set(), set()
+    for g in [*REAL.values(), g8, *planted, *RANDOM]:
         n = g.n
+        for x in range(n + 1):
+            assert g.starting[x] == tuple(
+                g.elements[idx] for idx, _ in factor_occurrences(g, (x,), 1))
+            starts.add(len(g.starting[x]))
         for _ in range(60):
             w = randint_seeded_word(rng, g, rng.randint(n - 1, 2 * n),
                                     p_window=0.8)
@@ -163,7 +170,7 @@ def test_prefixes_match_occurrences_at_the_first_position(planted):
                 assert (f in g.prefixes) == bool(g.occurrences(f, 1)), (
                     g.elements, f)
                 seen.add(f in g.prefixes)
-    assert seen == {True, False}
+    assert seen == {True, False} and {0, 1, 2} <= starts
 
 
 def _planted_overlaps(k: int) -> list:
@@ -298,6 +305,32 @@ def test_counterexamples_hold_in_original_coordinates(planted):
             seen.add(name)
     assert seen == {"NotPossible", "MaxOne", "Big", "Overlapp",
                     "SymNotPossible", "SymMaxOne", "SymOverlapp"}
+
+
+def test_first_letter_reads_match_the_scans_where_letters_repeat(planted):
+    # where a letter starts two windows (poisoned8's 2) or none, the Stepss
+    # seeds chain the last window the letter starts, and draw the same bits,
+    # and Step3's tails list each window the letter starts in element order
+    doubled = 0
+    for g in planted + RANDOM:
+        for table in (g, g.mirrored):
+            n = table.n
+            xs = [()] + [(a,) for a in range(1, n + 1)]
+            for seed in range(10):
+                rng, ref = random.Random(seed), random.Random(seed)
+                seeds = lemmas.default_stepss_seeds(table, n, rng)
+                assert seeds == dict_stepss_seeds(table, n, ref)
+                assert rng.getstate() == ref.getstate()
+                doubled += sum(
+                    len(table.starting[s[n - 1]]) > 1
+                    and s[n:2 * n - 1] == table.starting[s[n - 1]][-1][1:]
+                    for s in seeds)
+            for t in table.elements:
+                assert lemmas._step3_tails(table, t) == list(dict.fromkeys(
+                    [table.elements[idx][1:] + x for idx, _ in
+                     factor_occurrences(table, t[-1:], 1) for x in xs]
+                    + list(table.elements)))
+    assert doubled
 
 
 def test_stepss_matches_reference(planted, cfg2):

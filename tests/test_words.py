@@ -293,7 +293,7 @@ def test_closure_expands_each_window_orbit_once(k, m, size, loops):
     g = generate_group(QuaternionConfig(k))
     counted = dataclasses.replace(g, elements=CountingTuple(g.elements))
     # build the indexes, and the facts the closed form reads, before counting
-    counted.index, counted.follow, counted.pair_index
+    counted.index, counted.starting, counted.pair_index
     counted.prefixes, counted.suffixes, counted.max_overlap
     CountingTuple.loops = 0
     w = tuple(range(1, g.n + 1)) * m
@@ -661,6 +661,24 @@ def test_certificate_fails_the_planted_tables(cyclic8, dihedral8, poisoned8,
             normal_form(w, g)
         # canonical forms there still come from the class enumeration
         assert canonical_form(w, g, cfg2) == min(class_of(w, g, cfg2).members)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_certificate_fails_where_a_letter_starts_two_windows(k):
+    # the real table plus the window 2,1,3,...,n, listed first or last: the
+    # letter 2 starts two windows, so neither order is certified, and the
+    # added window is equal to the identity
+    g = generate_group(QuaternionConfig(k))
+    n, cfg = g.n, default_config(g.n)
+    ident = tuple(range(1, n + 1))
+    extra = (2, 1) + ident[2:]
+    for els in ([extra, *g.elements], [*g.elements, extra]):
+        table = bare_table(k, els)
+        assert words._rule_table(table) is None
+        assert words._certify(table) is None
+        assert canonical_form(extra, table, cfg) == ident == min(
+            class_of(extra, table, cfg).members)
+        assert words_equal(extra, ident, table, cfg)
 
 
 def test_critical_pairs_include_a_left_side_inside_another():
