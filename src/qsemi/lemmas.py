@@ -5,8 +5,9 @@ range and confirms that short factors of defining windows cannot collide
 except in the trivial ways (NotPossible, MaxOne, Big, Overlapp).  They are
 queries on the table's index of single letters and adjacent letter pairs
 (`GroupTable.occurrences`): image tuples are permutations, so the first two
-letters of a factor locate every window that contains it.
-`stats["instances"]` is the size of the range decided.
+letters of a factor locate every window that contains it.  Where
+`quaternion.relabellings` applies, t0's rows decide the range (`_rows`);
+`stats["instances"]` still counts all of it.
 
 The second group (Stepss, Step3) is empirical: it enumerates members of
 actual congruence classes and confirms the forced prefix shapes of
@@ -85,11 +86,17 @@ def _failed(g: GroupTable, lemma_id: LemmaId, si: int, ti: int,
         "sigma": g.label_name(si), "tau": g.label_name(ti), **cx})
 
 
+def _rows(g: GroupTable) -> enumerate[Perm]:
+    """(index, image tuple) of the rows that decide g: t0's alone where each
+    s o t0^-1 in `relabellings` carries them, violations too, onto s's."""
+    return enumerate(g.elements[:1] if relabellings(g) is not None else g.elements)
+
+
 def verify_not_possible(g: GroupTable) -> LemmaReport:
     """Adjacent pairs from the lower-half positions of one window never match
     adjacent pairs from the upper-half positions of another."""
     half = g.n // 2
-    for si, s in enumerate(g.elements):
+    for si, s in _rows(g):
         for p in range(1, half):                        # 1 <= p <= n/2 - 1
             for ti, q in g.occurrences(s[p - 1:p + 1]):
                 if q > half:                            # n/2 < q <= n - 1
@@ -104,7 +111,7 @@ def verify_max_one(g: GroupTable) -> LemmaReport:
     1 <= i < n/2 - 1, only trivially: the factor has length 1, or it is the
     whole tail of the same element."""
     n, half = g.n, g.n // 2
-    for si, s in enumerate(g.elements):
+    for si, s in _rows(g):
         for r in range(1, n):                           # suffix s(r..n)
             for ti, i in g.occurrences(s[r - 1:]):
                 j = i + n - r
@@ -119,7 +126,7 @@ def verify_big(g: GroupTable) -> LemmaReport:
     """Windows of length n/2 + 1 inside defining words determine both the
     element and the offset."""
     half = g.n // 2
-    for si, s in enumerate(g.elements):
+    for si, s in _rows(g):
         for j in range(1, half + 1):
             for ti, i in g.occurrences(s[j - 1:j + half]):
                 if not (i == j and ti == si):
@@ -140,7 +147,7 @@ def verify_overlapp(g: GroupTable) -> LemmaReport:
     (s, t, m, l, j, i), and `unsatisfiable` those needing positions past n.
     """
     n, els = g.n, g.elements
-    for li, lam in enumerate(els):
+    for li, lam in _rows(g):
         for i in (1, 2):
             for si, s in enumerate(els):
                 j = s.index(lam[i - 1]) + 1
@@ -301,12 +308,10 @@ def verify_step3(g: GroupTable, cfg: RewriteConfig, samples: int,
     (element, i) cell takes `samples` of its `_step3_tails`, all if they fit.
     The relabelling by s o t0^-1 (t0 the first element) carries the cell
     (t0, i), its tails, classes and checks onto (s, i); so where
-    `relabellings` applies, t0's cells alone run, and count for their
-    orbits."""
-    pis = relabellings(g)
-    orbit = len(pis) if pis is not None else 1
-    cells = [(ti, t, _step3_tails(g, t))
-             for ti, t in enumerate(g.elements[:1] if orbit > 1 else g.elements)]
+    `relabellings` applies, `_rows` gives t0's cells alone, each counting
+    for its orbit."""
+    cells = [(ti, t, _step3_tails(g, t)) for ti, t in _rows(g)]
+    orbit = len(g) // len(cells)
     stats = {"family": orbit * (g.n - 1) * sum(len(c[2]) for c in cells),
              "covered": 0, "members_checked": 0}
     for ti, t, tails in cells:

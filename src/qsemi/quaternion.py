@@ -145,6 +145,9 @@ def relabellings(g: GroupTable) -> tuple[Perm, ...] | None:
     Each then carries the window of t0 onto that of s and is an automorphism
     of the monoid, and together they form a group of order len(g): s o t0^-1
     composed with s' o t0^-1 sends t0 to a window, so it is one of the maps.
+    `lemmas._rows` uses them to decide the exhaustive window oracles and
+    Step3 on t0's rows alone; `structure.run_tup_sweep` to decide only the
+    sides that lead their orbit.
     """
     if not all(sorted(e) == list(range(1, g.n + 1)) for e in g.elements):
         return None

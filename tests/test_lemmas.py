@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import bare_table, bench_module
+from qsemi import lemmas
 from qsemi.lemmas import (LemmaId, LemmaReport, _SYM_STEP3_REASONS,
                           _step3_member_check, _step3_tails,
                           default_stepss_seeds, run_lemma_suite,
@@ -12,8 +13,8 @@ from qsemi.lemmas import (LemmaId, LemmaReport, _SYM_STEP3_REASONS,
                           verify_sym_max_one, verify_sym_not_possible,
                           verify_sym_overlapp, verify_sym_step3)
 from qsemi.perms import compose
-from qsemi.quaternion import (QuaternionConfig, generate_group, relabellings,
-                              self_dual)
+from qsemi.quaternion import (GroupTable, QuaternionConfig, generate_group,
+                              relabellings, self_dual)
 from qsemi.words import class_of, default_config, random_word
 from reference_oracles import (EXHAUSTIVE, collapse_canon, stepss,
                                ungraded_zero_divisor_search)
@@ -138,6 +139,29 @@ def test_sampled_coverage_at_k8():
                               "members_checked": 992}
     assert stats["SymStep3"] == {"family": 64480, "covered": 992,
                                  "members_checked": 992}
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_exhaustive_oracles_query_t0s_rows_alone(k, monkeypatch):
+    # a relabelling keeps each row's number of queries, so deciding t0's
+    # rows alone makes exactly 1/n of the full scan's occurrences calls
+    g = generate_group(QuaternionConfig(k))
+    calls = []
+    occurrences = GroupTable.occurrences
+    monkeypatch.setattr(GroupTable, "occurrences",
+                        lambda *a: calls.append(1) or occurrences(*a))
+
+    def count(oracle):
+        calls.clear()
+        assert oracle(g).passed
+        return len(calls)
+
+    forward = (verify_not_possible, verify_max_one, verify_big,
+               verify_overlapp)
+    cut = [count(oracle) for oracle in forward]
+    assert all(cut)
+    monkeypatch.setattr(lemmas, "relabellings", lambda g: None)
+    assert [count(oracle) for oracle in forward] == [g.n * c for c in cut]
 
 
 def test_symmetric_analogs_order_and_pass(g3, cfg3):
@@ -299,7 +323,6 @@ def test_traced_suite_reaches_every_forward_oracle(g2, cfg2):
 def test_traced_suite_reaches_every_oracle(g2, cfg2, monkeypatch):
     # with duality off every Sym* oracle runs too, each through its module
     # attribute (the Sym* oracles reaching a forward one do not count)
-    from qsemi import lemmas
     spans = bench_module("spans")
     monkeypatch.setattr(lemmas, "self_dual", lambda g: False)
     calls, called = _traced_suite(g2, cfg2)

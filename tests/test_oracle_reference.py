@@ -10,7 +10,7 @@ from conftest import bare_table, bench_module
 from qsemi import lemmas
 from qsemi.lemmas import (run_lemma_suite, verify_step3, verify_stepss,
                           verify_sym_step3)
-from qsemi.quaternion import QuaternionConfig, generate_group
+from qsemi.quaternion import QuaternionConfig, generate_group, relabellings
 from qsemi.structure import canonical_ground_set, run_tup_sweep
 from qsemi.words import (class_of, default_config, find_relation_factors,
                          parse_word, random_word)
@@ -305,6 +305,25 @@ def test_counterexamples_hold_in_original_coordinates(planted):
             seen.add(name)
     assert seen == {"NotPossible", "MaxOne", "Big", "Overlapp",
                     "SymNotPossible", "SymMaxOne", "SymOverlapp"}
+
+
+def test_exhaustive_orbit_cut_changes_no_report(planted, monkeypatch):
+    # a relabelling carries any violation onto one in t0's rows, which the
+    # full scan visits first: deciding those rows alone changes no verdict,
+    # counterexample or count, on the tables here and their mirrors
+    tables = [REAL[2], REAL[3], REAL[4], generate_group(QuaternionConfig(8)),
+              *planted, *RANDOM]
+    tables += [reversed_table(g) for g in tables]
+    cut = [[oracle(g).to_json() for oracle in EXHAUSTIVE] for g in tables]
+    monkeypatch.setattr(lemmas, "relabellings", lambda g: None)
+    assert cut == [[oracle(g).to_json() for oracle in EXHAUSTIVE]
+                   for g in tables]
+    # cyclic8, dihedral8 and two_element8 take the cut and still fail;
+    # poisoned8 has no relabellings
+    assert relabellings(planted[2]) is None
+    for i in (0, 1, 3):
+        assert relabellings(planted[i]) is not None
+        assert not all(r["passed"] for r in cut[4 + i])
 
 
 def test_first_letter_reads_match_the_scans_where_letters_repeat(planted):
