@@ -3,9 +3,8 @@
 The first group of oracles is exhaustive: each decides its whole quantifier
 range and confirms that short factors of defining windows cannot collide
 except in the trivial ways (NotPossible, MaxOne, Big, Overlapp).  They are
-queries on the table's index of single letters and adjacent letter pairs
-(`GroupTable.occurrences`): image tuples are permutations, so the first two
-letters of a factor locate every window that contains it.  Where
+queries for where a factor starts in the windows, answered by string search
+over the table's one spelling of them (`GroupTable.occurrences`).  Where
 `quaternion.relabellings` applies, t0's rows decide the range (`_rows`);
 `stats["instances"]` still counts all of it.
 

@@ -13,7 +13,7 @@ def identity(n: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """(p o q)(x) = p(q(x)): q acts first."""
-    return tuple(p[q[x] - 1] for x in range(len(p)))
+    return tuple([p[x - 1] for x in q])
 
 
 def inverse(p: Perm) -> Perm:

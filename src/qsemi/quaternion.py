@@ -76,19 +76,6 @@ class GroupTable:
         return {e: i for i, e in enumerate(self.elements)}
 
     @cached_property
-    def pair_index(self) -> dict[tuple[int, ...], list[tuple[int, int]]]:
-        """Single letter or adjacent letter pair -> (element index, position
-        of its first letter) for every occurrence in an image tuple, in
-        element order: n^2 + n(n-1) entries."""
-        index: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for idx, e in enumerate(self.elements):
-            for p in range(1, self.n + 1):
-                index.setdefault(e[p - 1:p], []).append((idx, p))
-                if p < self.n:
-                    index.setdefault(e[p - 1:p + 1], []).append((idx, p))
-        return index
-
-    @cached_property
     def starting(self) -> tuple[tuple[Perm, ...], ...]:
         """`starting[x]`: the image tuples whose first letter is x, in
         element order; `starting[0]` is empty."""
@@ -113,27 +100,39 @@ class GroupTable:
         return frozenset(e[1:] for e in self.elements)
 
     @cached_property
+    def spelled(self) -> tuple[str, ...]:
+        """Each image tuple as a string of chr(letter): string positions are
+        tuple positions, and slices, unlike tuples', fit a few memory size
+        classes."""
+        return tuple("".join(map(chr, e)) for e in self.elements)
+
+    @cached_property
     def max_overlap(self) -> int:
         """The most letters, 1 to n-1, that a proper suffix of one image
         tuple shares with a prefix of any image tuple, itself included; 0
         when no two overlap: a set of suffixes and one of prefixes per
-        length, longest first, of the tuples spelled as strings (whose
-        slices, unlike tuples', fit a few memory size classes)."""
-        els = ["".join(map(chr, e)) for e in self.elements]
+        length, longest first, of the `spelled` tuples."""
+        els = self.spelled
         return next((s for s in range(self.n - 1, 0, -1)
                      if {e[-s:] for e in els} & {e[:s] for e in els}), 0)
 
     def occurrences(self, factor: tuple[int, ...],
                     at: int | None = None) -> list[tuple[int, int]]:
         """(element index, 1-based start) of every occurrence of a nonempty
-        factor in an image tuple, in element order; with `at`, only those
-        that start at position `at`.  Image tuples are permutations, so the
-        factor's first two letters, or its one letter, locate every
-        candidate."""
-        elements, end = self.elements, len(factor) - 1
-        return [(idx, p) for idx, p in self.pair_index.get(factor[:2], ())
-                if (at is None or p == at)
-                and elements[idx][p - 1:p + end] == factor]
+        factor in a `spelled` tuple, in element order, then start order; with
+        `at`, only those that start at position `at`.  A search resumes past
+        each hit, so a tuple that repeats letters reports every start."""
+        f = "".join(map(chr, factor))
+        if at is not None:
+            return [(idx, at) for idx, e in enumerate(self.spelled)
+                    if at > 0 and e.startswith(f, at - 1)]
+        found = []
+        for idx, e in enumerate(self.spelled):
+            p = e.find(f)
+            while p >= 0:
+                found.append((idx, p + 1))
+                p = e.find(f, p + 1)
+        return found
 
 
 @cache

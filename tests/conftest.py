@@ -42,6 +42,16 @@ def bench_module(name):
     return module
 
 
+class CountingTuple(tuple):
+    """A tuple that counts the loops run over it."""
+
+    loops = 0
+
+    def __iter__(self):
+        CountingTuple.loops += 1
+        return super().__iter__()
+
+
 def bare_table(k, perms, t=None, u=None):
     """Table stub for planted-violation tests: arbitrary perms, no labels."""
     elements = tuple(perms)

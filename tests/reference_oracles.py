@@ -2,7 +2,7 @@
 
 - Brute-force scans of the four forward window lemmas, of the overlap bound,
   of Stepss and of Step3 over every cell: the slow reference for the
-  pair-index, counting and orbit-cut oracles in `qsemi.lemmas`.
+  searching, counting and orbit-cut oracles in `qsemi.lemmas`.
 - `dict_stepss_seeds`, the Stepss seeds drawn through a first-letter dict
   of their own, the reference for `lemmas.default_stepss_seeds`.
 - `relation_factors`, the windows of a word by slicing at every position,

@@ -22,15 +22,23 @@ from conftest import bench_module
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.mark.parametrize("name", bench_module("workloads").WORKLOADS)
-def test_tiny_round_is_correct(name, monkeypatch):
+# a traced round wraps every name in `spans.BOUNDARIES` and
+# `spans.CANONICALIZERS`, so renaming one breaks these cases; the untraced
+# ones keep the bare workload name as their id
+@pytest.mark.parametrize("name, mode", [
+    pytest.param(name, mode, id=name if mode == "run" else f"{name}-traced")
+    for mode in ("run", "trace") for name in bench_module("workloads").WORKLOADS])
+def test_tiny_round_is_correct(name, mode, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
     child = importlib.import_module("child")
     plan = workloads.make_plan(name, seed=3, scale="tiny")
-    result = child.run_round(plan, perf_counter(), "run")
+    result = child.run_round(plan, perf_counter(), mode)
     assert len(result["ops"]) == len(plan["jobs"])
     assert all(workloads.check_round(plan, result, None)), result["ops"]
+    if mode == "trace":
+        top = "structure.run_tup_sweep" if "tup" in plan else "cli.main"
+        assert result["trace"]["spans"][top]["calls"], result["trace"]
 
 
 def test_planted_wrong_answers_raise_fail_ratio(monkeypatch):

@@ -1,4 +1,4 @@
-"""The pair-index window oracles against the brute-force reference scans,
+"""The window oracles against the brute-force reference scans,
 and every reported counterexample against its table by direct slicing."""
 
 import random
@@ -126,20 +126,26 @@ def test_find_relation_factors_matches_slice_scan(planted):
 
 def test_occurrences_match_a_scan_of_the_elements(planted):
     # every factor of every window and random factors, which repeat letters
-    # or occur nowhere, with no start and with each start 1..n, on the
+    # or occur nowhere, with no start and with each start 0..n+1, on the
     # tables the forward oracles query and on the mirrored ones the Sym*
-    # oracles query
+    # oracles query; one table's first window repeats its first letter, so a
+    # factor can start twice in one window; and a seeded sample of those
+    # factors on each random table and its mirror
     rng = random.Random(17)
+    repeated = list(REAL[2].elements)
+    repeated[0] = repeated[0][:1] * 2 + repeated[0][2:]
     hits = misses = 0
-    for g in [REAL[2], REAL[3], *planted]:
+    for g in [REAL[2], REAL[3], *planted, bare_table(2, repeated), *RANDOM]:
         for table in (g, g.mirrored):
             n = table.n
             factors = {e[p:q] for e in table.elements
                        for p in range(n) for q in range(p + 1, n + 1)}
             factors |= {random_word(rng, n, rng.randint(1, n))
                         for _ in range(200)}
+            if g in RANDOM:
+                factors = rng.sample(sorted(factors), 20)
             for f in factors:
-                for at in (None, *range(1, n + 1)):
+                for at in (None, *range(n + 2)):
                     expected = factor_occurrences(table, f, at)
                     assert table.occurrences(f, at) == expected, (
                         table.elements, f, at)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import qsemi.quaternion
@@ -7,7 +9,9 @@ from qsemi.perms import compose, cycles, from_cycles, identity, inverse, power
 from qsemi.quaternion import (QuaternionConfig, check_disjoi, check_other,
                               check_stabilizer_free, describe_elements,
                               format_label, generate_group, group_checks)
-from reference_oracles import label_mul, label_of_point, point_of_label
+from conftest import CountingTuple
+from reference_oracles import (factor_occurrences, label_mul, label_of_point,
+                               point_of_label)
 
 K2_T = (2, 3, 4, 1, 6, 7, 8, 5)
 K2_U = (5, 8, 7, 6, 3, 2, 1, 4)
@@ -173,3 +177,18 @@ def test_repeated_cli_calls_build_the_table_once(monkeypatch, capsys):
     assert codes == [0, 0, 1]
     assert capsys.readouterr().out.count("equal: ") == 3
     assert built == [2]
+
+
+def test_windows_are_spelled_once():
+    # max_overlap and every factor query, with and without a start, read
+    # one spelling of the windows, made in one pass over the elements
+    g = generate_group(QuaternionConfig(3))
+    counted = dataclasses.replace(g, elements=CountingTuple(g.elements))
+    CountingTuple.loops = 0
+    assert counted.max_overlap == 1
+    for e in g.elements:
+        for p in range(1, g.n):
+            for f, at in ((e[p - 1:p + 1], None), (e[p - 1:], p), (e[:p], 1)):
+                assert (counted.occurrences(f, at)
+                        == factor_occurrences(g, f, at)), (f, at)
+    assert CountingTuple.loops == 1

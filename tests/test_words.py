@@ -16,7 +16,7 @@ from qsemi.words import (RewriteConfig, canonical_form, canonicalizer,
                          find_relation_factors, format_word, parse_word,
                          random_member, random_word, rewrite_step,
                          seeded_word, words_equal)
-from conftest import bare_table
+from conftest import CountingTuple, bare_table
 from reference_oracles import (naive_class, normal_form, overlap_bound,
                                randint_member, randint_seeded_word,
                                randint_word)
@@ -271,16 +271,6 @@ def test_words_equal_matches_naive_closure_on_the_planted_tables(request,
         words_equal(w1, w2, g, RewriteConfig(cap, 24))
 
 
-class CountingTuple(tuple):
-    """A tuple that counts the loops run over it."""
-
-    loops = 0
-
-    def __iter__(self):
-        CountingTuple.loops += 1
-        return super().__iter__()
-
-
 # (k, m, size, orbit expansions): the class of m identity windows in a row,
 # each a window orbit of its own, so the class has n^m members
 DISJOINT_WINDOWS = [(8, 1, 32, 1), (3, 2, 144, 145), (2, 3, 512, 1025)]
@@ -292,8 +282,9 @@ def test_closure_expands_each_window_orbit_once(k, m, size, loops):
     # already, so the closure loops over the table once per orbit
     g = generate_group(QuaternionConfig(k))
     counted = dataclasses.replace(g, elements=CountingTuple(g.elements))
-    # build the indexes, and the facts the closed form reads, before counting
-    counted.index, counted.starting, counted.pair_index
+    # build the window lookups, and the facts the closed form reads, before
+    # counting
+    counted.index, counted.starting
     counted.prefixes, counted.suffixes, counted.max_overlap
     CountingTuple.loops = 0
     w = tuple(range(1, g.n + 1)) * m
