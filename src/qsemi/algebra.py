@@ -61,8 +61,8 @@ class AlgebraElement:
         return not self.terms
 
     def top_words(self) -> list[Word]:
-        """The support words of the greatest length."""
-        top = max(map(len, self.terms))
+        """The support words of the greatest length; none on zero."""
+        top = max(map(len, self.terms), default=0)
         return [w for w in self.terms if len(w) == top]
 
     def __eq__(self, other) -> bool:
@@ -88,12 +88,20 @@ class AlgebraElement:
 
 def element_from_pairs(pairs: Iterable[tuple[Word, int]], p: int,
                        canon: Canon) -> AlgebraElement:
-    """Build an element, canonicalizing words and merging coefficients."""
+    """Build an element, canonicalizing words and merging coefficients.
+    ValueError if p is not prime.  The merged coefficients are reduced
+    and nonzero by construction, so they skip `__init__`'s checks."""
+    if not _is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
     terms: dict[Word, int] = {}
     for w, c in pairs:
-        key = canon(tuple(w))
+        key = canon(w)
         terms[key] = (terms.get(key, 0) + c) % p
-    return AlgebraElement(p, {w: c for w, c in terms.items() if c})
+    if 0 in terms.values():
+        terms = {w: c for w, c in terms.items() if c}
+    x = AlgebraElement.__new__(AlgebraElement)
+    x.p, x.terms = p, terms
+    return x
 
 
 def mul_with_canon(x: AlgebraElement, y: AlgebraElement,

@@ -214,6 +214,8 @@ def cmd_cancel_sample(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
     lines = [
         f"trials: {report['trials']}",
         f"antecedent hits: {report['antecedent_hits']}",
+        "trials with a != b and the same letters: "
+        f"{report['unequal_same_letters']}",
         f"violations: {len(report['violations'])}",
         f"cancel-sample: {'PASS' if report['passed'] else 'FAIL'}",
     ]

@@ -90,6 +90,13 @@ class GroupTable:
         return replace(self, elements=tuple(e[::-1] for e in self.elements))
 
     @cached_property
+    def permutes(self) -> bool:
+        """Whether every image tuple is a permutation of 1..n, so that each
+        relation keeps the letters counted with multiplicity."""
+        ident = list(range(1, self.n + 1))
+        return all(sorted(e) == ident for e in self.elements)
+
+    @cached_property
     def prefixes(self) -> frozenset[Perm]:
         """The first n-1 letters of every image tuple."""
         return frozenset(e[:-1] for e in self.elements)
@@ -148,7 +155,7 @@ def relabellings(g: GroupTable) -> tuple[Perm, ...] | None:
     Step3 on t0's rows alone; `structure.run_tup_sweep` to decide only the
     sides that lead their orbit.
     """
-    if not all(sorted(e) == list(range(1, g.n + 1)) for e in g.elements):
+    if not g.permutes:
         return None
     t0_inv = inverse(g.elements[0])
     pis = tuple(compose(s, t0_inv) for s in g.elements)

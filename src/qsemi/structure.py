@@ -257,33 +257,53 @@ def cancellation_report(g: GroupTable, cfg: RewriteConfig, trials: int,
     """Sampled test of both cancellation laws: ac = bc implies a = b, and
     ca = cb implies a = b.  Each violation names its 0-based trial, so the
     same seed run for trial + 1 trials ends on it.  ValueError if
-    2 * max_len exceeds the cap.
+    2 * max_len exceeds the cap, or if a window of g is not a permutation
+    of 1..n.
+
+    Each trial decides a = b first.  When it holds, ac = bc and ca = cb
+    follow by congruence: both antecedents count as hits, nothing can
+    fail, and no product is compared.  The windows permute 1..n, so the
+    relations keep the letters counted with multiplicity: when a != b and
+    their letters differ, neither ac = bc nor ca = cb can hold.  Only the
+    trials with a != b and the same letters, counted as
+    `unequal_same_letters`, compare the two sides, right then left, and
+    only they can fail.
+
+    The sample is blind where it matters.  Those trials are few (26 of
+    12,000 at k=2 and 3 of 12,000 at k=3, seed 0), every antecedent hit
+    comes from a pair equal by construction, and at 2,000 trials with
+    seeds 0-2 the sample flags neither non-cancellative planted table of
+    the tests (the k=2 table with one window made a transposition, and
+    the two-element table).  A pass is a smoke test; the route to a proof
+    is Adjan's theorem on the left and right graphs of the windows.
     """
     check_product_length(max_len, cfg)
+    if not g.permutes:
+        raise ValueError("a window is not a permutation of 1..n")
     triples = _sampled_triples(g, cfg, trials, max_len, rng)
     violations: list[dict] = []
-    antecedent_hits = 0
+    antecedent_hits = unequal_same_letters = 0
     for trial, (a, b, c) in enumerate(triples):
-        ab_equal: bool | None = None
-        for side, x, y in (("right", a + c, b + c), ("left", c + a, c + b)):
-            if not words_equal(x, y, g, cfg):
-                continue
-            antecedent_hits += 1
-            if ab_equal is None:
-                ab_equal = words_equal(a, b, g, cfg)
-            if not ab_equal:
-                violations.append({
-                    "trial": trial, "side": side,
-                    "a": format_word(a), "b": format_word(b),
-                    "c": format_word(c),
-                })
+        if words_equal(a, b, g, cfg):
+            antecedent_hits += 2
+        elif sorted(a) == sorted(b):
+            unequal_same_letters += 1
+            for side, x, y in (("right", a + c, b + c),
+                               ("left", c + a, c + b)):
+                if words_equal(x, y, g, cfg):
+                    antecedent_hits += 1
+                    violations.append({
+                        "trial": trial, "side": side,
+                        "a": format_word(a), "b": format_word(b),
+                        "c": format_word(c),
+                    })
         if (trial + 1) % 1000 == 0:
             progress(trial + 1)
     return {
         "trials": trials,
         "max_len": max_len,
         "antecedent_hits": antecedent_hits,
+        "unequal_same_letters": unequal_same_letters,
         "violations": violations,
         "passed": not violations,
     }
-

@@ -280,8 +280,7 @@ def _rule_table(g: GroupTable) -> _Rules | None:
     are permutations of 1..n and each letter starts exactly one of them."""
     n = g.n
     ident = tuple(range(1, n + 1))
-    if (ident not in g.index
-            or any(tuple(sorted(e)) != ident for e in g.elements)
+    if (ident not in g.index or not g.permutes
             or any(len(s) != 1 for s in g.starting[1:])):
         return None
     starts = (None, None) + tuple(s for s, in g.starting[2:])
@@ -430,9 +429,9 @@ def seeded_word(rng: random.Random, g: GroupTable, length: int) -> Word:
     if length >= n and rng.random() < 0.5:
         e = g.elements[draw(rng, 0, len(g.elements) - 1)]
         off = draw(rng, 0, length - n)
-        head = random_word(rng, n, off)
-        tail = random_word(rng, n, length - n - off)
-        return head + e + tail
+        # one draw of head and tail: the same letters as two in a row
+        pad = random_word(rng, n, length - n)
+        return pad[:off] + e + pad[off:]
     return random_word(rng, n, length)
 
 

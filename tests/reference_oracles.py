@@ -28,6 +28,10 @@
   under any canonicalizer, the reference for the graded
   `algebra.zero_divisor_search`; and `collapse_canon`, the degenerate
   quotient that the ungraded search must find a hit in, its control.
+- `compared_cancellation_report`, the sampled cancellation check that
+  compares ac with bc and ca with cb on every trial and decides a = b
+  only after an antecedent hit: the reference for
+  `structure.cancellation_report`, which settles a = b first.
 - `normal_form`, one rewrite under a table's certified rules, which
   `words.canonical_form` inlines; and the word samplers as they were
   drawn through `randint` and `randrange`, the stream that `words.draw`
@@ -41,14 +45,15 @@ from __future__ import annotations
 import itertools
 import random
 
-from qsemi import algebra, words
+from qsemi import algebra, structure, words
 from qsemi.algebra import AlgebraElement, SearchResult
 from qsemi.lemmas import (default_stepss_seeds, verify_big, verify_max_one,
                           verify_not_possible, verify_overlapp,
                           verify_sym_max_one, verify_sym_not_possible,
                           verify_sym_overlapp)
 from qsemi.quaternion import GroupTable, Label
-from qsemi.words import Word, class_of, draw, format_word, random_word
+from qsemi.words import (Word, check_product_length, class_of, draw,
+                         format_word, random_word, words_equal)
 
 # the oracles that scan their whole quantifier range, in suite order
 EXHAUSTIVE = (verify_not_possible, verify_max_one, verify_big,
@@ -391,6 +396,38 @@ def ungraded_zero_divisor_search(canon, word_sampler, p, trials, max_support,
         if algebra.mul_with_canon(x, y, canon).is_zero():
             return SearchResult((x, y), trial, 0, trial + 1)
     return SearchResult(None, None, 0, trials)
+
+
+def compared_cancellation_report(g, cfg, trials, max_len, rng):
+    """The cancellation report with both sides of every trial compared,
+    and a = b decided at the first antecedent hit.  It draws its triples
+    through the module attribute `structure._sampled_triples`, so a test
+    that patches the stream patches this reference too."""
+    check_product_length(max_len, cfg)
+    triples = structure._sampled_triples(g, cfg, trials, max_len, rng)
+    violations: list[dict] = []
+    antecedent_hits = 0
+    for trial, (a, b, c) in enumerate(triples):
+        ab_equal: bool | None = None
+        for side, x, y in (("right", a + c, b + c), ("left", c + a, c + b)):
+            if not words_equal(x, y, g, cfg):
+                continue
+            antecedent_hits += 1
+            if ab_equal is None:
+                ab_equal = words_equal(a, b, g, cfg)
+            if not ab_equal:
+                violations.append({
+                    "trial": trial, "side": side,
+                    "a": format_word(a), "b": format_word(b),
+                    "c": format_word(c),
+                })
+    return {
+        "trials": trials,
+        "max_len": max_len,
+        "antecedent_hits": antecedent_hits,
+        "violations": violations,
+        "passed": not violations,
+    }
 
 
 def normal_form(w, g):

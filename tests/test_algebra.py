@@ -28,6 +28,14 @@ def test_validation():
     assert not x.is_zero()
     assert support_lengths(x) == {1, 2}
     assert AlgebraElement(5, {}).is_zero()
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        element_from_pairs([((1,), 1)], 4, lambda w: w)
+
+
+def test_top_words_of_zero_are_none():
+    assert AlgebraElement(3, {}).top_words() == []
+    x = AlgebraElement(3, {(1,): 2, (1, 2): 1, (2, 1): 2})
+    assert x.top_words() == [(1, 2), (2, 1)]
 
 
 def test_element_from_pairs_merges_equivalent_words(g2, cfg2):

@@ -392,13 +392,41 @@ def test_rng_digest_is_taken_once_per_command(monkeypatch, capsys):
                                          (2, 1, 2060)])
 def test_cancel_sample_replays_recorded_seed(capsys, k, seed, hits):
     digest = {(2, 5): "101c9063", (3, 5): "3f1daddf", (2, 1): "aba796a5"}
+    unequal_same_letters = {(2, 5): 5, (3, 5): 0, (2, 1): 4}
     code, payload = run_json(capsys, ["cancel-sample", "--k", str(k),
                                       "--trials", "2000", "--seed", str(seed)])
     assert code == 0
     assert payload["details"] == {"trials": 2000, "max_len": 12,
-                                  "antecedent_hits": hits, "violations": [],
+                                  "antecedent_hits": hits,
+                                  "unequal_same_letters":
+                                      unequal_same_letters[k, seed],
+                                  "violations": [],
                                   "passed": True,
                                   "rng_digest": digest[k, seed]}
+
+
+# the algebra-sampling jobs of the benchmark at seed 0, as they read before
+# cancel-sample settled a = b ahead of the products and seeded_word drew
+# its head and tail in one call: the same stream, the same verdicts
+@pytest.mark.parametrize("argv, pinned", [
+    (["zero-divisor", "--k", "2", "--trials", "6000"],
+     {"rng_digest": "861b3cea", "certified_by_unique_top": 6000,
+      "multiplied_in_full": 0}),
+    (["zero-divisor", "--k", "3", "--trials", "4000", "--max-len", "16"],
+     {"rng_digest": "6709c83d", "certified_by_unique_top": 4000,
+      "multiplied_in_full": 0}),
+    (["cancel-sample", "--k", "2", "--trials", "12000"],
+     {"rng_digest": "1118d901", "antecedent_hits": 12436,
+      "unequal_same_letters": 26, "violations": []}),
+    (["cancel-sample", "--k", "3", "--trials", "12000"],
+     {"rng_digest": "74ed8748", "antecedent_hits": 12356,
+      "unequal_same_letters": 3, "violations": []})],
+    ids=["zero-divisor-k2", "zero-divisor-k3", "cancel-sample-k2",
+         "cancel-sample-k3"])
+def test_bench_sampling_jobs_replay_seed_zero(capsys, argv, pinned):
+    code, payload = run_json(capsys, argv + ["--seed", "0"])
+    assert code == 0
+    assert {key: payload["details"][key] for key in pinned} == pinned
 
 
 def test_verify_lemmas_replays_recorded_stepss_seeds(capsys):
@@ -523,7 +551,8 @@ def test_json_params_are_the_subcommands_own_flags(capsys, argv, params):
       {"C": ["1"], "D": ["1", "2"], "unique_count": 1, "spec_index": 0}),
      "tup-check: FAIL"),
     (["cancel-sample"], "cancellation_report",
-     {"trials": 1, "max_len": 12, "antecedent_hits": 1, "passed": False,
+     {"trials": 1, "max_len": 12, "antecedent_hits": 1,
+      "unequal_same_letters": 1, "passed": False,
       "violations": [{"side": "right", "a": "1", "b": "2", "c": "3"}]},
      "cancel-sample: FAIL"),
     (["zero-divisor"], "zero_divisor_search",

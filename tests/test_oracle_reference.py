@@ -6,15 +6,17 @@ from math import comb
 
 import pytest
 
-from conftest import bare_table, bench_module
-from qsemi import lemmas
+from conftest import bare_table, bench_module, quiet
+from qsemi import lemmas, structure
 from qsemi.lemmas import (run_lemma_suite, verify_step3, verify_stepss,
                           verify_sym_step3)
 from qsemi.quaternion import QuaternionConfig, generate_group, relabellings
-from qsemi.structure import canonical_ground_set, run_tup_sweep
+from qsemi.structure import (cancellation_report, canonical_ground_set,
+                             run_tup_sweep)
 from qsemi.words import (class_of, default_config, find_relation_factors,
-                         parse_word, random_word)
-from reference_oracles import (EXHAUSTIVE, FORWARD, dict_stepss_seeds,
+                         parse_word, random_word, words_equal)
+from reference_oracles import (EXHAUSTIVE, FORWARD,
+                               compared_cancellation_report, dict_stepss_seeds,
                                factor_occurrences, max_overlap,
                                randint_seeded_word,
                                relation_factors, reversed_table,
@@ -494,3 +496,81 @@ def test_sampled_counterexamples_hold_in_original_coordinates(cyclic8, cfg2):
                       "no window prefix after t(i+1..n-1)": not is_prefix(
                           w1[head:head + n - 1])}
         assert broken[c["reason"]], c
+
+
+def _cancellation_matches_reference(g, cfg, trials, max_len, seed,
+                                    monkeypatch) -> dict:
+    """Run `cancellation_report` and the reference that compares both
+    sides of every trial from one seed, on the stream that
+    `structure._sampled_triples` draws at the time; check that the reports
+    and the generator states after them agree, and that
+    `unequal_same_letters` counts the trials with a != b and the same
+    letters.  Returns the report."""
+    drawn, triples = structure._sampled_triples, []
+
+    def recorded(*args):
+        for triple in drawn(*args):
+            triples.append(triple)
+            yield triple
+
+    monkeypatch.setattr(structure, "_sampled_triples", recorded)
+    ours, ref = random.Random(seed), random.Random(seed)
+    report = cancellation_report(g, cfg, trials, max_len, ours, quiet)
+    same_letters = sum(sorted(a) == sorted(b)
+                       and not words_equal(a, b, g, cfg)
+                       for a, b, _ in triples)
+    monkeypatch.setattr(structure, "_sampled_triples", drawn)
+    expected = compared_cancellation_report(g, cfg, trials, max_len, ref)
+    assert report.pop("unequal_same_letters") == same_letters
+    assert report == expected, (g.elements, seed)
+    assert ours.getstate() == ref.getstate()
+    return report
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["table", "mirror"])
+@pytest.mark.parametrize("case", ["k2", "k3", "k4", "cyclic8", "dihedral8",
+                                  "poisoned8", "two_element8"])
+def test_cancellation_report_matches_the_compared_reference(case, mirror,
+                                                            request,
+                                                            monkeypatch):
+    # the real tables draw words with windows up to n + 4 letters; the
+    # planted ones, whose classes grow fast, stop at 10
+    if case.startswith("k"):
+        g = REAL[int(case[1:])]
+        max_len = g.n + 4
+    else:
+        g, max_len = request.getfixturevalue(case), 10
+    g = g.mirrored if mirror else g
+    cfg = default_config(g.n)
+    for seed in range(10):
+        _cancellation_matches_reference(g, cfg, 80, max_len, seed,
+                                        monkeypatch)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_cancellation_report_matches_the_reference_on_planted_collisions(
+        side, two_element8, cfg2, monkeypatch):
+    # two_element8's windows 1,2,3..8 and 2,1,3..8 end alike, so
+    # 1,2 . 3..8 = 2,1 . 3..8 breaks right cancellation; read right to
+    # left, its windows start alike and 8..3 . 2,1 = 8..3 . 1,2 breaks left
+    # cancellation.  Every fourth trial is that collision, and the others
+    # are a pair a = a, a pair a and a reversed (same letters, equal or
+    # not) and the drawn triple, so every path of a trial runs.
+    if side == "right":
+        g, collision = two_element8, ((1, 2), (2, 1), (3, 4, 5, 6, 7, 8))
+    else:
+        g = two_element8.mirrored
+        collision = ((2, 1), (1, 2), (8, 7, 6, 5, 4, 3))
+    drawn = structure._sampled_triples
+
+    def mixed(*args):
+        for i, (a, b, c) in enumerate(drawn(*args)):
+            yield (collision, (a, a, c), (a, a[::-1], c), (a, b, c))[i % 4]
+
+    monkeypatch.setattr(structure, "_sampled_triples", mixed)
+    for seed in range(10):
+        report = _cancellation_matches_reference(g, cfg2, 40, 10, seed,
+                                                 monkeypatch)
+        assert [v["trial"] for v in report["violations"]] == list(
+            range(0, 40, 4))
+        assert {v["side"] for v in report["violations"]} == {side}

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from conftest import quiet
+from conftest import bare_table, quiet
 from qsemi import structure, words
 from qsemi.quaternion import QuaternionConfig, generate_group, relabellings
 from qsemi.structure import (canonical_ground_set, cancellation_report,
@@ -617,6 +617,42 @@ def test_cancellation_violations_replay_from_their_trial(two_element8, cfg2,
     for v in found:
         assert violations(v["trial"] + 1)[-1] == v
         assert v not in violations(v["trial"])
+
+
+def test_cancellation_report_settles_a_equals_b_before_the_products(
+        g2, cfg2, monkeypatch):
+    # any two windows are equal in S, so each of the first five trials
+    # has a = b and both antecedents by congruence: one comparison and two
+    # hits.  The sixth pair's letters differ, so neither product can match
+    # and none is compared; the seventh, 1,2 against 2,1, has the same
+    # letters and compares both sides.
+    a, b = g2.elements[1], g2.elements[2]
+    triples = [(a, b, (3,))] * 5 + [((1, 2), (2, 3), (4,)),
+                                    ((1, 2), (2, 1), (4,))]
+    monkeypatch.setattr(structure, "_sampled_triples",
+                        lambda g, cfg, trials, max_len, rng: iter(triples))
+    compared = []
+
+    def counted(w1, w2, g, cfg):
+        compared.append((w1, w2))
+        return words_equal(w1, w2, g, cfg)
+
+    monkeypatch.setattr(structure, "words_equal", counted)
+    report = cancellation_report(g2, cfg2, 7, 10, random.Random(0), quiet)
+    assert compared == [(a, b)] * 5 + [((1, 2), (2, 3)), ((1, 2), (2, 1)),
+                                       ((1, 2, 4), (2, 1, 4)),
+                                       ((4, 1, 2), (4, 2, 1))]
+    assert (report["antecedent_hits"], report["unequal_same_letters"],
+            report["passed"]) == (10, 1, True)
+
+
+def test_cancellation_report_needs_windows_that_permute_the_letters(cfg2):
+    # a pair whose letters differ is rejected unseen, which holds only
+    # when every relation keeps the letters
+    g = bare_table(2, [tuple(range(1, 9)), (1, 1, 3, 4, 5, 6, 7, 8)])
+    assert not g.permutes
+    with pytest.raises(ValueError, match="not a permutation"):
+        cancellation_report(g, cfg2, 1, 10, random.Random(0), quiet)
 
 
 def test_cancellation_antecedent_via_classes(g2, cfg2):
