@@ -7,15 +7,15 @@ each word, so coefficients of equivalent products merge (and may cancel
 mod p).  The zero-divisor search draws random nonzero elements looking for
 a vanishing product.
 
-The relations of the monoid preserve length, so the products of x's and
-y's longest support words are the only terms of x*y of the greatest
-length.  If one of them is equal to no other (`unique_top_product`), its
-coefficient is the product of two nonzero coefficients and x*y != 0 over
-every field.  The search decides each such trial by that rule alone and
-multiplies in full only the trials it leaves open.  Its control, the same
-search multiplying every trial over a degenerate quotient that shortens
-words, lives with the tests as their slow reference
-(`tests/reference_oracles.py`).
+The relations of the monoid keep each word's `words.grade`, so the
+products of x's and y's support words of the top grade are the only terms
+of x*y of the top grade.  If one of them is equal to no other
+(`unique_top_product`), its coefficient is the product of two nonzero
+coefficients and x*y != 0 over every field.  The search decides each such
+trial by that rule alone and multiplies in full only the trials it leaves
+open.  Its control, the same search multiplying every trial over a
+degenerate quotient that shortens words, lives with the tests as their
+slow reference (`tests/reference_oracles.py`).
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from typing import Callable, Iterable, NamedTuple
 
 from .quaternion import GroupTable
 from .words import (Canon, RewriteConfig, Word, canonicalizer,
-                    check_product_length, draw, format_word, seeded_word)
+                    check_product_length, draw, format_word, grade,
+                    seeded_word)
 
 
 @functools.cache
@@ -129,8 +130,8 @@ def unique_top_product(x_top: list[Word], y_top: list[Word],
                        canon: Canon) -> bool:
     """True when some product u + v, u in x_top and v in y_top, has a
     canonical form that no other such pair gives; with one word on each
-    side that holds without a rewrite.  For the longest support words of x
-    and y under a length-preserving canon, True means x*y != 0."""
+    side that holds without a rewrite.  For x's and y's support words of
+    the top grade, under a canon that keeps grades, True means x*y != 0."""
     if len(x_top) == 1 and len(y_top) == 1:
         return True
     counts = Counter(canon(u + v) for u in x_top for v in y_top)
@@ -140,7 +141,7 @@ def unique_top_product(x_top: list[Word], y_top: list[Word],
 class SearchResult(NamedTuple):
     """The first vanishing product (x, y) and its 0-based trial, or None
     and None; and the trials run, split into those certified by a unique
-    top-length product and those multiplied in full."""
+    top-grade product and those multiplied in full."""
 
     found: tuple[AlgebraElement, AlgebraElement] | None
     trial: int | None
@@ -155,7 +156,7 @@ def zero_divisor_search(g: GroupTable, cfg: RewriteConfig, p: int,
     """Random search of the monoid algebra for x, y != 0 with x*y = 0;
     stops at the first hit.  Support words are biased to contain defining
     windows so products actually merge terms.  A trial with a unique
-    top-length product is certified without the multiplication; the rule
+    top-grade product is certified without the multiplication; the rule
     draws nothing, so the stream of trials is that of multiplying every
     one.  ValueError if 2 * max_len exceeds the word-length cap, or else if
     p is not prime."""
@@ -167,11 +168,19 @@ def zero_divisor_search(g: GroupTable, cfg: RewriteConfig, p: int,
     def sampler(r: random.Random) -> Word:
         return seeded_word(r, g, draw(r, 1, max_len))
 
+    def top(x: AlgebraElement) -> list[Word]:
+        # graded only on a tie: grading every word costs more than it saves
+        words = x.top_words()
+        if len(words) > 1:
+            least = min(grade(w, g) for w in words)
+            words = [w for w in words if grade(w, g) == least]
+        return words
+
     certified = multiplied = 0
     for trial in range(trials):
         x = random_element(rng, p, canon, sampler, max_support)
         y = random_element(rng, p, canon, sampler, max_support)
-        if unique_top_product(x.top_words(), y.top_words(), canon):
+        if unique_top_product(top(x), top(y), canon):
             certified += 1
         else:
             multiplied += 1

@@ -74,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify-lemmas",
                         parents=[common, word_cap, class_cap, seed],
                         help="run every lemma oracle")
-    p.add_argument("--stepss-extra", type=_int_at_least(-1), default=-1,
-                   help="extra length above n for seed words; -1 means n")
     p.add_argument("--step3-samples", type=_positive, default=1000,
                    help="tails per (element, position) cell; all 2n+1 when they fit")
     p.set_defaults(run=cmd_verify_lemmas)
@@ -147,9 +145,7 @@ def cmd_gen_group(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
 
 def cmd_verify_lemmas(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
     rng = random.Random(args.seed)
-    stepss_extra = g.n if args.stepss_extra < 0 else args.stepss_extra
-    reports = run_lemma_suite(g, _caps(args, g.n), stepss_extra=stepss_extra,
-                              step3_samples=args.step3_samples, rng=rng)
+    reports = run_lemma_suite(g, _caps(args, g.n), args.step3_samples, rng)
     checks = group_checks(g)
     ok = all(r.passed for r in reports) and all(checks.values())
     lines = []
@@ -233,7 +229,7 @@ def cmd_zero_divisor(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
                "rng_digest": _rng_digest(rng),
                "certified_by_unique_top": result.certified,
                "multiplied_in_full": result.multiplied}
-    counts = (f"certified by a unique top-length product: {result.certified}"
+    counts = (f"certified by a unique top-grade product: {result.certified}"
               f", multiplied in full: {result.multiplied}")
     if result.found is None:
         lines = [f"no vanishing product in {args.trials} trials", counts,

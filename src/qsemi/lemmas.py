@@ -207,16 +207,15 @@ def verify_sym_overlapp(g: GroupTable) -> LemmaReport:
         "end": n + 1 - c["i"], "word": c["word"][::-1]})
 
 
-def default_stepss_seeds(g: GroupTable, max_extra: int,
-                         rng: random.Random) -> list[Word]:
-    """Seed words: an image tuple with a random tail, four per length,
-    plus chained seeds where a second window overlaps the first in exactly
-    one letter (those classes mix rewrites at both ends, so the two words of
-    a pair can break their windows at letter n in different ways): the
-    second is the last window in `GroupTable.starting[e(n)]`, if any."""
+def default_stepss_seeds(g: GroupTable, rng: random.Random) -> list[Word]:
+    """Seed words: an image tuple with a random tail, four per tail length
+    0..n, plus chained seeds where a second window overlaps the first in
+    exactly one letter (those classes mix rewrites at both ends, so the two
+    words of a pair can break their windows at letter n in different ways):
+    the second is the last window in `GroupTable.starting[e(n)]`, if any."""
     n = g.n
     seeds = []
-    for extra in range(max_extra + 1):
+    for extra in range(n + 1):
         for _ in range(4):
             e = g.elements[draw(rng, 0, len(g.elements) - 1)]
             seeds.append(e + random_word(rng, n, extra))
@@ -229,25 +228,24 @@ def default_stepss_seeds(g: GroupTable, max_extra: int,
     return seeds
 
 
-def verify_stepss(g: GroupTable, cfg: RewriteConfig, max_extra: int,
+def verify_stepss(g: GroupTable, cfg: RewriteConfig,
                   rng: random.Random) -> LemmaReport:
     """Equivalent words of equal length whose first letters differ must each
     start with the first n-1 letters of some window, and at most one of the
     two may break the window at its n-th letter.
 
-    The pairs come from the congruence classes of seed words of length up to
-    n + max_extra, so this covers a radius rather than proving the claim.
-    The pair condition is a conjunction of single-word properties, so each
-    class is decided by tallying its members by first letter: K_a keep the
-    window at letter n, B_a break it.  `pairs` and `condition_counts` count
-    every ordered pair with first letters a != b: both keep sum K_a K_b,
-    only the first keeps sum K_a B_b, and only the second as many.
+    The pairs come from the congruence classes of seed words of up to 2n
+    letters, so this covers a radius rather than proving the claim.  The
+    pair condition is a conjunction of single-word properties, so each class
+    is decided by tallying its members by first letter: K_a keep the window
+    at letter n, B_a break it.  `pairs` and `condition_counts` count every
+    ordered pair with first letters a != b: both keep sum K_a K_b, only the
+    first keeps sum K_a B_b, and only the second as many.
     """
     n = g.n
-    seeds = default_stepss_seeds(g, max_extra, rng)
     pairs = classes = 0
     cond_counts = [0, 0, 0]  # both letters match / only first / only second
-    for seed in seeds:
+    for seed in default_stepss_seeds(g, rng):
         members = class_of(seed, g, cfg).members
         classes += 1
         keep: dict[int, int] = {}
@@ -370,8 +368,7 @@ def _reversed_word(text: str) -> str:
     return ",".join(reversed(text.split(",")))
 
 
-def run_lemma_suite(g: GroupTable, cfg: RewriteConfig, stepss_extra: int,
-                    step3_samples: int,
+def run_lemma_suite(g: GroupTable, cfg: RewriteConfig, step3_samples: int,
                     rng: random.Random) -> list[LemmaReport]:
     """All ten oracles, deterministic order.  On a `self_dual` table a
     passing forward report is carried over to its mirror lemma, stats
@@ -383,7 +380,7 @@ def run_lemma_suite(g: GroupTable, cfg: RewriteConfig, stepss_extra: int,
         verify_max_one(g),
         verify_big(g),
         verify_overlapp(g),
-        verify_stepss(g, cfg, max_extra=stepss_extra, rng=rng),
+        verify_stepss(g, cfg, rng=rng),
         verify_step3(g, cfg, samples=step3_samples, rng=rng),
     ]
     not_possible, max_one, _, overlapp, _, step3 = forward

@@ -91,8 +91,7 @@ class GroupTable:
 
     @cached_property
     def permutes(self) -> bool:
-        """Whether every image tuple is a permutation of 1..n, so that each
-        relation keeps the letters counted with multiplicity."""
+        """Whether every image tuple is a permutation of 1..n."""
         ident = list(range(1, self.n + 1))
         return all(sorted(e) == ident for e in self.elements)
 

@@ -1,6 +1,6 @@
 """Finite-subset product bookkeeping: counting how many products of two
 subsets have a unique presentation, sweeping subset pairs exhaustively, and
-sampling the cancellation laws.
+sampling the cancellation laws, where only pairs of one `words.grade` fail.
 
 The sweep interns every rep product to a small int id once; a side C
 becomes one bitmask column per rep d (the ids of c d, c in C), and all of
@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Sequence
 from .quaternion import GroupTable, relabellings
 from .words import (RewriteConfig, Word, canonicalizer,
                     check_product_length, class_of, draw, format_word,
-                    random_member, seeded_word, words_equal)
+                    grade, random_member, seeded_word, words_equal)
 
 Side = tuple[int, ...]  # a subset of the ground set, as sorted rep indices
 
@@ -257,17 +257,15 @@ def cancellation_report(g: GroupTable, cfg: RewriteConfig, trials: int,
     """Sampled test of both cancellation laws: ac = bc implies a = b, and
     ca = cb implies a = b.  Each violation names its 0-based trial, so the
     same seed run for trial + 1 trials ends on it.  ValueError if
-    2 * max_len exceeds the cap, or if a window of g is not a permutation
-    of 1..n.
+    2 * max_len exceeds the cap.
 
     Each trial decides a = b first.  When it holds, ac = bc and ca = cb
     follow by congruence: both antecedents count as hits, nothing can
-    fail, and no product is compared.  The windows permute 1..n, so the
-    relations keep the letters counted with multiplicity: when a != b and
-    their letters differ, neither ac = bc nor ca = cb can hold.  Only the
-    trials with a != b and the same letters, counted as
-    `unequal_same_letters`, compare the two sides, right then left, and
-    only they can fail.
+    fail, and no product is compared.  When a != b and their grades
+    (`words.grade`) differ, so do those of ac and bc and of ca and cb, and
+    neither antecedent can hold.  Only the trials with a != b and one grade,
+    counted as `unequal_same_letters`, compare the two sides, right then
+    left, and only they can fail.
 
     The sample is blind where it matters.  Those trials are few (26 of
     12,000 at k=2 and 3 of 12,000 at k=3, seed 0), every antecedent hit
@@ -278,15 +276,13 @@ def cancellation_report(g: GroupTable, cfg: RewriteConfig, trials: int,
     is Adjan's theorem on the left and right graphs of the windows.
     """
     check_product_length(max_len, cfg)
-    if not g.permutes:
-        raise ValueError("a window is not a permutation of 1..n")
     triples = _sampled_triples(g, cfg, trials, max_len, rng)
     violations: list[dict] = []
     antecedent_hits = unequal_same_letters = 0
     for trial, (a, b, c) in enumerate(triples):
         if words_equal(a, b, g, cfg):
             antecedent_hits += 2
-        elif sorted(a) == sorted(b):
+        elif grade(a, g) == grade(b, g):
             unequal_same_letters += 1
             for side, x, y in (("right", a + c, b + c),
                                ("left", c + a, c + b)):

@@ -30,10 +30,8 @@ rewrite they keep as `normal_form`.  `class_of` writes a class down in
 closed form, {h e' t : e' a window}, when w = h e t holds one window e
 and two lookups show that no e' can chain with h or t; otherwise, and on
 tables whose windows overlap in two letters or more, it runs a
-breadth-first closure, the closed form's reference.  `words_equal`
-compares canonical forms, under the same word-length cap; on certified
-tables, whose relations all permute letters, it first rejects words whose
-sorted letters differ.
+breadth-first closure, the closed form's reference.  `words_equal` compares
+the canonical forms of words of one `grade`, under the same word-length cap.
 
 The samplers draw each integer with `draw`, which makes exactly the
 `getrandbits` calls `random.Random.randint` makes, so a seed gives the
@@ -371,22 +369,27 @@ def canonical_form(w: Word, g: GroupTable, cfg: RewriteConfig) -> Word:
     return rules.rewrite(w)
 
 
+def grade(w: Word, g: GroupTable) -> list[int] | int:
+    """w's sorted letters where every window of g permutes 1..n, else its
+    length: each relation keeps it, so equal words have one grade.  Grades
+    are ordered by length, then by least sorted letters (the lexicographic
+    order on letter counts), an order that a common factor on either side
+    keeps: only the top grades of C and D multiply into that of C D."""
+    return sorted(w) if g.permutes else len(w)
+
+
 def words_equal(w1: Word, w2: Word, g: GroupTable, cfg: RewriteConfig) -> bool:
-    """Decide w1 = w2 in the monoid: relations preserve length, and words
-    of one length are equal exactly when their canonical forms are.  On a
-    certified table every window is a permutation of 1..n, so relations
-    also preserve the letters counted with multiplicity, and words whose
-    sorted letters differ are unequal with no rewrite.  The word-length
-    cap binds each word as it binds `canonical_form`, before any of these
-    shortcuts."""
+    """Decide w1 = w2 in the monoid: words of one grade are equal exactly
+    when their canonical forms are, and others never, with no rewrite.  The
+    word-length cap binds each word as it binds `canonical_form`, first."""
     cap = cfg.max_word_length  # one comparison per word when both fit
     if len(w1) > cap or len(w2) > cap:
         for w in (w1, w2):
             if len(w) >= g.n:
                 _check_length(w, cfg)
-    return len(w1) == len(w2) and (w1 == w2 or (
-        (_certify(g) is None or sorted(w1) == sorted(w2))
-        and canonical_form(w1, g, cfg) == canonical_form(w2, g, cfg)))
+    return w1 == w2 or (
+        grade(w1, g) == grade(w2, g)
+        and canonical_form(w1, g, cfg) == canonical_form(w2, g, cfg))
 
 
 def canonicalizer(g: GroupTable, cfg: RewriteConfig) -> Canon:

@@ -147,14 +147,14 @@ def overlap_bound(g):
                    for j in range(2, n + 1))
 
 
-def stepss(g, cfg, max_extra, rng):
+def stepss(g, cfg, rng):
     """Every ordered pair of members with distinct first letters, in every
     class of the default Stepss seeds: `(holds, pairs, condition_counts)`,
     the counts being both / only the first / only the second word keeping
     its window at letter n.  Stops at the first pair, in sorted order, that
     breaks Stepss."""
     n = g.n
-    seeds = default_stepss_seeds(g, max_extra, rng)
+    seeds = default_stepss_seeds(g, rng)
     prefixes = {e[:n - 1] for e in g.elements}
     pairs, counts = 0, [0, 0, 0]
     for seed in seeds:
@@ -173,8 +173,7 @@ def stepss(g, cfg, max_extra, rng):
     return True, pairs, counts
 
 
-def dict_stepss_seeds(g: GroupTable, max_extra: int,
-                      rng: random.Random) -> list[Word]:
+def dict_stepss_seeds(g: GroupTable, rng: random.Random) -> list[Word]:
     """`lemmas.default_stepss_seeds` as it read with a first-letter dict of
     its own, where the last window listed with a letter wins: the reference
     for the seeds, and the generator state, drawn through
@@ -182,7 +181,7 @@ def dict_stepss_seeds(g: GroupTable, max_extra: int,
     n = g.n
     pin1 = {e[0]: e for e in g.elements}
     seeds = []
-    for extra in range(max_extra + 1):
+    for extra in range(n + 1):
         for _ in range(4):
             e = g.elements[draw(rng, 0, len(g.elements) - 1)]
             seeds.append(e + random_word(rng, n, extra))

@@ -167,7 +167,7 @@ def test_criterion_7_prefix_shape_oracles():
     g = generate_group(QuaternionConfig(2))
     cfg = default_config(g.n)
     rng = random.Random(0)
-    r1 = verify_stepss(g, cfg, max_extra=g.n, rng=rng)  # seeds up to 2n
+    r1 = verify_stepss(g, cfg, rng=rng)  # seeds up to 2n
     r2 = verify_step3(g, cfg, samples=1000, rng=rng)
     r3 = verify_sym_step3(g, cfg, samples=1000, rng=rng)
     ok = r1.passed and r2.passed and r3.passed

@@ -8,8 +8,8 @@ from qsemi.algebra import (AlgebraElement, element_from_pairs,
                            mul_with_canon, random_element, unique_top_product,
                            zero_divisor_search)
 from qsemi.quaternion import QuaternionConfig, generate_group
-from qsemi.words import (canonicalizer, default_config, draw, random_word,
-                         seeded_word)
+from qsemi.words import (canonicalizer, default_config, draw, grade,
+                         random_word, seeded_word)
 from conftest import quiet
 from reference_oracles import (algebra_add, collapse_canon, support_lengths,
                                ungraded_zero_divisor_search)
@@ -204,6 +204,95 @@ def test_unique_top_product_is_exact_on_the_two_element_table(two_element8,
     assert mul_with_canon(x, y, canon).is_zero()
     assert unique_top_product(x.top_words(), [(3, 4, 5, 6, 7)], canon)
     assert unique_top_product([(1, 2)], [(2, 1)], lambda w: 1 / 0)
+
+
+def _top_grade(side, g):
+    """The words of `side` of the top grade: the longest, and of those the
+    least grade."""
+    longest = [w for w in side if len(w) == max(map(len, side))]
+    least = min(grade(w, g) for w in longest)
+    return [w for w in longest if grade(w, g) == least]
+
+
+def _graded_sides(g, rng):
+    """Sides whose top grades collide: half the time C holds the prefixes
+    of one length j of windows whose prefixes share their letters and D
+    their suffixes, else C holds windows followed by one tail, which are
+    equal; each side also holds other words, of its length or one
+    shorter, most of other grades."""
+    n = g.n
+    if rng.random() < 0.5:
+        j = rng.randint(1, n - 1)
+        groups = {}
+        for e in g.elements:
+            groups.setdefault(tuple(sorted(e[:j])), []).append(e)
+        shared = [es for es in groups.values() if len(es) > 1]
+        es = rng.choice(shared or list(groups.values()))[:3]
+        C, D = {e[:j] for e in es}, {e[j:] for e in es}
+    else:
+        tail = random_word(rng, n, rng.randint(0, 2))
+        C = {e + tail for e in rng.sample(g.elements, 2)}
+        D = {random_word(rng, n, rng.randint(1, 3))}
+    for side in (C, D):
+        length = len(next(iter(side)))
+        for _ in range(rng.randint(1, 3)):
+            side.add(random_word(rng, n, rng.randint(max(1, length - 1),
+                                                     length)))
+    return sorted(C), sorted(D)
+
+
+@pytest.mark.parametrize("table", ["k2", "k3", "cyclic8", "dihedral8",
+                                   "poisoned8", "two_element8"])
+def test_a_top_grade_product_is_unique_exactly_among_the_top_factors(
+        request, table):
+    # brute force: the products of C x D of the greatest (length, letter
+    # counts) are those of C_top x D_top, and each is equal to no other
+    # pair's product in C x D exactly when it is equal to no other pair's
+    # in C_top x D_top; the sides make windows collide at the top grade
+    if table.startswith("k"):
+        g = generate_group(QuaternionConfig(int(table[1:])))
+    else:
+        g = request.getfixturevalue(table)
+    n, canon = g.n, canonicalizer(g, default_config(g.n))
+    rng = random.Random(0)
+    cases = [_graded_sides(g, rng) for _ in range(60)]
+    if table == "two_element8":  # 12 . 345678 = 21 . 345678
+        cases.append(([(1, 2), (2, 1), (3, 3)], [(3, 4, 5, 6, 7, 8)]))
+
+    def content(w):
+        return len(w), [w.count(x) for x in range(1, n + 1)]
+
+    seen = set()
+    for C, D in cases:
+        forms = {(c, d): canon(c + d) for c in C for d in D}
+        top = max(content(c + d) for c, d in forms)
+        top_pairs = [cd for cd in forms if content(cd[0] + cd[1]) == top]
+        C_top, D_top = _top_grade(C, g), _top_grade(D, g)
+        assert sorted(top_pairs) == [(c, d) for c in C_top for d in D_top]
+        for c, d in top_pairs:
+            everywhere = list(forms.values()).count(forms[c, d])
+            among_top = [forms[cd] for cd in top_pairs].count(forms[c, d])
+            assert (everywhere == 1) == (among_top == 1), (C, D, c, d)
+            seen.add(everywhere == 1)
+    assert seen == {True, False}
+
+
+def test_the_top_grade_rule_rewrites_almost_nothing_at_the_bench_setting(
+        g2, cfg2, monkeypatch):
+    # zero-divisor --k 2 --trials 6000 --seed 0 at its defaults: grading
+    # by length alone canonicalizes 1,857 products here; by content almost
+    # every side has one word of the top grade, which needs no rewrite
+    rewritten = []
+    rule = algebra.unique_top_product
+
+    def counted(x_top, y_top, canon):
+        return rule(x_top, y_top, lambda w: rewritten.append(w) or canon(w))
+
+    monkeypatch.setattr(algebra, "unique_top_product", counted)
+    result = zero_divisor_search(g2, cfg2, 2, 6000, 3, 10, random.Random(0),
+                                 quiet)
+    assert (result.found, result.certified) == (None, 6000)
+    assert len(rewritten) <= 10
 
 
 @pytest.mark.parametrize("p, max_len", [(2, 10), (3, 6), (5, 4)])

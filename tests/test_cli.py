@@ -328,7 +328,7 @@ def test_zero_divisor(capsys):
                  "6"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "no vanishing product in 30 trials",
-        "certified by a unique top-length product: 30, multiplied in full: 0",
+        "certified by a unique top-grade product: 30, multiplied in full: 0",
         "zero-divisor: PASS"]
 
 
@@ -469,22 +469,6 @@ def test_sampling_commands_are_seed_deterministic(capsys):
     assert outs[0] == outs[1]
 
 
-def test_stepss_extra_minus_one_means_n(capsys):
-    # the command line resolves the sentinel once; the lemmas see only n
-    _, by_sentinel = run_json(capsys, ["verify-lemmas", "--k", "2",
-                                       "--stepss-extra", "-1"])
-    _, by_n = run_json(capsys, ["verify-lemmas", "--k", "2",
-                                "--stepss-extra", "8"])
-    assert by_sentinel["details"] == by_n["details"]
-    assert by_sentinel["params"]["stepss_extra"] == -1
-
-
-def test_rejects_stepss_extra_below_minus_one():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify-lemmas", "--k", "2", "--stepss-extra", "-2"])
-    assert exc.value.code == 2
-
-
 @pytest.mark.parametrize("flag, value", [("--max-size", "1"),
                                          ("--max-len", "0")])
 def test_tup_check_rejects_sweeps_over_nothing(flag, value):
@@ -522,9 +506,9 @@ def test_rejects_flags_the_subcommand_does_not_read(argv):
 
 @pytest.mark.parametrize("argv, params", [
     (["gen-group"], {}),
-    (["verify-lemmas", "--seed", "4", "--stepss-extra", "0",
-      "--step3-samples", "2", "--max-class-size", "5000"],
-     {"seed": 4, "stepss_extra": 0, "step3_samples": 2}),
+    (["verify-lemmas", "--seed", "4", "--step3-samples", "2",
+      "--max-class-size", "5000"],
+     {"seed": 4, "step3_samples": 2}),
     (["word-eq", "--max-word-length", "20", "1,2", "2,1"],
      {"w1": "1,2", "w2": "2,1"}),
     (["tup-check", "--max-len", "1", "--max-size", "2", "--limit", "7"],

@@ -38,7 +38,7 @@ def test_report_invariant():
 
 
 def test_full_suite_passes_k2(g2, cfg2):
-    reports = run_lemma_suite(g2, cfg2, stepss_extra=g2.n, step3_samples=200,
+    reports = run_lemma_suite(g2, cfg2, step3_samples=200,
                               rng=random.Random(0))
     assert [r.lemma_id.value for r in reports] == SUITE_ORDER
     for r in reports:
@@ -62,16 +62,16 @@ def test_stepss_exercises_all_three_conditions(k):
     # brute-force reference counts them
     g = generate_group(QuaternionConfig(k))
     cfg = default_config(g.n)
-    r = verify_stepss(g, cfg, max_extra=g.n, rng=random.Random(0))
+    r = verify_stepss(g, cfg, rng=random.Random(0))
     assert r.passed
     both, first_only, second_only = r.stats["condition_counts"]
     assert both > 0 and first_only > 0 and second_only > 0
-    assert stepss(g, cfg, g.n, random.Random(0)) == (
+    assert stepss(g, cfg, random.Random(0)) == (
         True, r.stats["pairs"], r.stats["condition_counts"])
 
 
 def test_stepss_seed_words_cover_chained_windows(g2):
-    seeds = default_stepss_seeds(g2, g2.n, random.Random(0))
+    seeds = default_stepss_seeds(g2, random.Random(0))
     lengths = {len(s) for s in seeds}
     assert lengths == set(range(8, 17))
     # some seed must carry two windows overlapping in one letter
@@ -130,7 +130,7 @@ def test_sampled_coverage_at_k8():
     # the classes the k=8 suite enumerates, pinned: a faster class closure
     # must visit the same members
     g = generate_group(QuaternionConfig(8))
-    reports = run_lemma_suite(g, default_config(g.n), stepss_extra=g.n,
+    reports = run_lemma_suite(g, default_config(g.n),
                               step3_samples=1, rng=random.Random(0))
     stats = {r.lemma_id.value: r.stats for r in reports}
     assert stats["Stepss"] == {"classes": 134, "pairs": 136772,
@@ -165,7 +165,7 @@ def test_exhaustive_oracles_query_t0s_rows_alone(k, monkeypatch):
 
 
 def test_symmetric_analogs_order_and_pass(g3, cfg3):
-    reports = run_lemma_suite(g3, cfg3, stepss_extra=g3.n, step3_samples=50,
+    reports = run_lemma_suite(g3, cfg3, step3_samples=50,
                               rng=random.Random(3))[6:]
     assert [r.lemma_id for r in reports] == [
         LemmaId.SYM_NOT_POSSIBLE, LemmaId.SYM_MAX_ONE, LemmaId.SYM_STEP3,
@@ -199,7 +199,7 @@ def test_cyclic_table_still_satisfies_overlapp(cyclic8):
 
 
 def test_cyclic_table_breaks_stepss(cyclic8, cfg2):
-    r = verify_stepss(cyclic8, cfg2, max_extra=8, rng=random.Random(0))
+    r = verify_stepss(cyclic8, cfg2, rng=random.Random(0))
     assert not r.passed
     assert r.counterexample["reason"] == "first n-1 letters are not a window prefix"
 
@@ -290,8 +290,7 @@ def _traced_suite(g, cfg):
     tracer = spans.Tracer()
     tracer.install()
     try:
-        cli.run_lemma_suite(g, cfg, stepss_extra=1, step3_samples=2,
-                            rng=random.Random(0))
+        cli.run_lemma_suite(g, cfg, step3_samples=2, rng=random.Random(0))
     finally:
         tracer.uninstall()
     calls = {name: row["calls"]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import random
@@ -13,9 +14,9 @@ from qsemi.errors import BadFactor, ClassTooLarge
 from qsemi.quaternion import QuaternionConfig, generate_group
 from qsemi.words import (RewriteConfig, canonical_form, canonicalizer,
                          check_word, class_of, default_config, draw,
-                         find_relation_factors, format_word, parse_word,
-                         random_member, random_word, rewrite_step,
-                         seeded_word, words_equal)
+                         find_relation_factors, format_word, grade,
+                         parse_word, random_member, random_word,
+                         rewrite_step, seeded_word, words_equal)
 from conftest import CountingTuple, bare_table
 from reference_oracles import (naive_class, normal_form, overlap_bound,
                                randint_member, randint_seeded_word,
@@ -237,14 +238,18 @@ def test_class_matches_naive_closure_on_the_planted_tables(request, table,
 
 
 @pytest.mark.parametrize("table", PLANTED)
-def test_words_equal_matches_naive_closure_on_the_planted_tables(request,
-                                                                 table, cfg2):
+def test_words_equal_matches_naive_closure_on_the_planted_tables(
+        request, monkeypatch, table, cfg2):
     # uncertified, so canonical_form reads the whole class from class_of,
-    # and the class-size cap binds all of it; words_equal compares the
-    # canonical forms of w1 and w2, so the cap binds both classes
+    # and the class-size cap binds all of it.  Every window still permutes
+    # 1..n, so a pair whose letters differ is unequal with no canonical
+    # form; words_equal compares the canonical forms of a pair with one
+    # grade, so the cap binds both classes
     g = request.getfixturevalue(table)
+    assert g.permutes
     rng = random.Random(6)
-    verdicts, capped = set(), 0
+    calls = _counting_canonical_form(monkeypatch)
+    verdicts, capped, other_letters = set(), 0, 0
     for _ in range(40):
         w1 = randint_seeded_word(rng, g, rng.randint(8, 12), p_window=1.0)
         naive = naive_class(w1, g)
@@ -252,20 +257,31 @@ def test_words_equal_matches_naive_closure_on_the_planted_tables(request,
         v = list(w1)
         i = rng.randrange(len(v) - 1)
         v[i], v[i + 1] = v[i + 1], v[i]
-        for w2 in (tuple(v), random_member(rng, class_of(w1, g, cfg2))):
+        for w2 in (tuple(v), random_member(rng, class_of(w1, g, cfg2)),
+                   randint_word(rng, g.n, len(w1))):
+            calls.clear()
             equal = words_equal(w1, w2, g, cfg2)
             assert equal == (w2 in naive)
             verdicts.add(equal)
-            if equal and w2 != w1:
+            if sorted(w1) != sorted(w2):
+                assert calls == []
+                other_letters += 1
+            elif equal and w2 != w1:
                 with pytest.raises(ClassTooLarge):
                     words_equal(w1, w2, g, RewriteConfig(len(naive) - 1, 24))
                 capped += 1
     assert verdicts == {True, False}
-    assert capped
-    # w1's class fits under the cap and w2's does not: the cap trips
-    w1, w2 = (1,) * 9, g.elements[0] + (1,)
-    cap = len(naive_class(w1, g))
-    assert len(naive_class(w2, g)) > cap
+    assert capped and other_letters
+    # other letters: unequal with no class read, under any class cap
+    w2 = g.elements[0] + (1,)
+    calls.clear()
+    assert not words_equal((1,) * 9, w2, g, RewriteConfig(1, 24))
+    assert calls == []
+    # w1 has w2's letters, and its class fits under the cap where w2's
+    # does not: the cap trips
+    cap = len(naive_class(w2, g)) - 1
+    w1 = next(w for w in itertools.permutations(w2)
+              if len(naive_class(w, g)) <= cap)
     assert not words_equal(w1, w2, g, cfg2)
     with pytest.raises(ClassTooLarge):
         words_equal(w1, w2, g, RewriteConfig(cap, 24))
@@ -325,6 +341,54 @@ def test_word_length_cap(g2):
         class_of((1,) * 10, g2, cfg)
     # below the relation length nothing is enumerated, so no cap applies
     assert class_of((1,) * 7, g2, cfg).members == {(1,) * 7}
+
+
+def _graded_above(u, v, g):
+    """u's grade is above v's: u is longer, or as long with lesser sorted
+    letters."""
+    return len(u) > len(v) or (len(u) == len(v) and grade(u, g) < grade(v, g))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_grade_order_is_total_and_translation_invariant(k):
+    # words spelled from random letter counts at n = 8 and 12: two grades
+    # are equal exactly when the counts are, else one is above the other;
+    # at one length that is the lexicographic order on the counts,
+    # greatest above; and a common factor on either side keeps the order
+    g = generate_group(QuaternionConfig(k))
+    n, rng = g.n, random.Random(k)
+
+    def spelled(counts):
+        w = [x for x, c in enumerate(counts, 1) for _ in range(c)]
+        rng.shuffle(w)
+        return tuple(w)
+
+    kinds = set()
+    for _ in range(3000):
+        a, b, c = ([rng.randint(0, 2) for _ in range(n)] for _ in range(3))
+        if rng.random() < 0.5:  # b: a, or a with one letter replaced
+            b = list(a)
+            i, j = rng.sample(range(n), 2)
+            if b[i] and rng.random() < 0.8:
+                b[i], b[j] = b[i] - 1, b[j] + 1
+        u, v, w = spelled(a), spelled(b), spelled(c)
+        above, below = _graded_above(u, v, g), _graded_above(v, u, g)
+        assert (grade(u, g) == grade(v, g)) == (a == b)
+        assert above + below + (a == b) == 1
+        if len(u) == len(v) and a != b:
+            assert above == (a > b)
+        for x, y in ((u + w, v + w), (w + u, w + v)):
+            assert (grade(x, g) == grade(y, g)) == (a == b)
+            assert (_graded_above(x, y, g), _graded_above(y, x, g)) == (
+                above, below)
+        kinds.add((a == b, len(u) == len(v)))
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def test_grade_is_the_length_where_a_window_repeats_a_letter(g2):
+    table = bare_table(2, [tuple(range(1, 9)), (1, 1, 3, 4, 5, 6, 7, 8)])
+    assert grade((2, 1, 1), table) == grade((3, 3, 3), table) == 3
+    assert grade((2, 1, 1), g2) == [1, 1, 2] != grade((3, 3, 3), g2)
 
 
 def test_words_equal(g2, cfg2):
@@ -401,7 +465,8 @@ def test_words_equal_rejects_other_letters_without_a_rewrite(monkeypatch, k):
 def test_words_equal_on_the_planted_tables_compares_canonical_forms(
         request, monkeypatch, table, cfg2):
     # uncertified tables keep the class_of path for every pair of one
-    # length, whatever its letters
+    # length and the same letters; a pair whose letters differ reads no
+    # class, since every window permutes 1..n
     g = request.getfixturevalue(table)
     pairs = _same_length_pairs(random.Random(8), g, cfg2, 30, (8, 12))
     expected = [w1 == w2 or canonical_form(w1, g, cfg2)
@@ -411,8 +476,9 @@ def test_words_equal_on_the_planted_tables_compares_canonical_forms(
     for (w1, w2), equal in zip(pairs, expected):
         calls.clear()
         assert words_equal(w1, w2, g, cfg2) == equal
-        assert calls == ([] if w1 == w2 else [w1, w2])
-        other_letters += sorted(w1) != sorted(w2)
+        same_letters = sorted(w1) == sorted(w2)
+        assert calls == ([w1, w2] if same_letters and w1 != w2 else [])
+        other_letters += not same_letters
     assert other_letters and set(expected) == {True, False}
 
 
