@@ -9,10 +9,11 @@ over the table's one spelling of them (`GroupTable.occurrences`).  Where
 `stats["instances"]` still counts all of it.
 
 The second group (Stepss, Step3) is empirical: it enumerates members of
-actual congruence classes and confirms the forced prefix shapes of
-equivalent words within a radius, so it is evidence, not proof.  Stepss
-decides every pair of the classes it builds; Step3 an exact tail family.
-Both look window prefixes of n-1 letters up in `GroupTable.prefixes`.
+congruence classes built on the windows that chain onto a window
+(`_chain_tails`) and confirms the forced prefix shapes of equivalent words
+in them, so it is evidence, not proof.  Stepss decides every pair of its
+classes; Step3 an exact tail family.  Both look window prefixes of n-1
+letters up in `GroupTable.prefixes`.
 
 The mirror-image oracles (SymNotPossible, SymMaxOne, SymOverlapp, SymStep3)
 state the same lemmas read right to left.  Each runs its forward oracle on
@@ -40,8 +41,7 @@ from typing import Callable
 
 from .perms import Perm
 from .quaternion import GroupTable, relabellings, self_dual
-from .words import (RewriteConfig, Word, class_of, draw, format_word,
-                    random_word)
+from .words import RewriteConfig, Word, class_of, format_word
 
 
 class LemmaId(str, Enum):
@@ -207,47 +207,44 @@ def verify_sym_overlapp(g: GroupTable) -> LemmaReport:
         "end": n + 1 - c["i"], "word": c["word"][::-1]})
 
 
-def default_stepss_seeds(g: GroupTable, rng: random.Random) -> list[Word]:
-    """Seed words: an image tuple with a random tail, four per tail length
-    0..n, plus chained seeds where a second window overlaps the first in
-    exactly one letter (those classes mix rewrites at both ends, so the two
-    words of a pair can break their windows at letter n in different ways):
-    the second is the last window in `GroupTable.starting[e(n)]`, if any."""
-    n = g.n
-    seeds = []
-    for extra in range(n + 1):
-        for _ in range(4):
-            e = g.elements[draw(rng, 0, len(g.elements) - 1)]
-            seeds.append(e + random_word(rng, n, extra))
-        if extra >= n - 1:
-            e = g.elements[draw(rng, 0, len(g.elements) - 1)]
-            nxt = g.starting[e[n - 1]]
-            if nxt:
-                pad = random_word(rng, n, extra - (n - 1))
-                seeds.append(e + nxt[-1][1:] + pad)
-    return seeds
+def _chain_tails(g: GroupTable, t: Perm) -> list[Word]:
+    """f(s+1..n) for each window f whose first s letters are t's last s,
+    s = 1..`GroupTable.max_overlap`, in s order then element order: the
+    tails v for which t v holds a second window that overlaps t."""
+    return [g.elements[fi][s:] for s in range(1, g.max_overlap + 1)
+            for fi, _ in g.occurrences(t[-s:], 1)]
 
 
-def verify_stepss(g: GroupTable, cfg: RewriteConfig,
-                  rng: random.Random) -> LemmaReport:
+def verify_stepss(g: GroupTable, cfg: RewriteConfig) -> LemmaReport:
     """Equivalent words of equal length whose first letters differ must each
     start with the first n-1 letters of some window, and at most one of the
     two may break the window at its n-th letter.
 
-    The pairs come from the congruence classes of seed words of up to 2n
-    letters, so this covers a radius rather than proving the claim.  The
-    pair condition is a conjunction of single-word properties, so each class
-    is decided by tallying its members by first letter: K_a keep the window
-    at letter n, B_a break it.  `pairs` and `condition_counts` count every
-    ordered pair with first letters a != b: both keep sum K_a K_b, only the
-    first keeps sum K_a B_b, and only the second as many.
+    The pairs come from the classes of each window t and of each chain t v
+    (v in `_chain_tails`); a chain mixes rewrites at both ends, so the two
+    words of a pair can break their windows at letter n in different ways.
+    Tails after a window or chain are left out: where `max_overlap` <= 1, a
+    letter after a chain cannot start a window that reaches back into it, so
+    the letter multiplies members without changing any member's first n
+    letters.  Chains of three windows are left out as a measured radius:
+    the tests' every-row reference takes them, and those tails, and gives
+    the same verdicts.
+
+    The pair condition is a conjunction of single-word properties, so each
+    class is decided by tallying its members by first letter: K_a keep the
+    window at letter n, B_a break it.  `pairs` and `condition_counts` count
+    every ordered pair with first letters a != b: both keep sum K_a K_b,
+    only the first keeps sum K_a B_b, and only the second as many.  As in
+    `verify_step3`, each of t0's classes counts for its orbit.
     """
     n = g.n
+    rows = [t for _, t in _rows(g)]
+    orbit = len(g) // len(rows)
     pairs = classes = 0
     cond_counts = [0, 0, 0]  # both letters match / only first / only second
-    for seed in default_stepss_seeds(g, rng):
+    for seed in [t + v for t in rows for v in [()] + _chain_tails(g, t)]:
         members = class_of(seed, g, cfg).members
-        classes += 1
+        classes += orbit
         keep: dict[int, int] = {}
         brk: dict[int, int] = {}
         for w in members:
@@ -258,8 +255,8 @@ def verify_stepss(g: GroupTable, cfg: RewriteConfig,
         if len(brk) > 1 or not all(w[:n - 1] in g.prefixes for w in members):
             return _stepss_failure(g, sorted(members), classes, pairs)
         nk, nb = sum(keep.values()), sum(brk.values())
-        both = nk * nk - sum(v * v for v in keep.values())
-        one = sum(v * (nb - brk.get(a, 0)) for a, v in keep.items())
+        both = orbit * (nk * nk - sum(v * v for v in keep.values()))
+        one = orbit * sum(v * (nb - brk.get(a, 0)) for a, v in keep.items())
         pairs += both + 2 * one
         cond_counts = [c + d for c, d in zip(cond_counts, (both, one, one))]
     return LemmaReport(LemmaId.STEPSS, g.k, True,
@@ -289,13 +286,12 @@ def _stepss_failure(g: GroupTable, members: list[Word], classes: int,
 
 
 def _step3_tails(g: GroupTable, t: Perm) -> list[Word]:
-    """lambda(2..n) x for each window lambda in `GroupTable.starting[t(n)]`
-    and each x of at most one letter, then every window: the only tails v
-    up to length n that let t(i+1..n) v hold a window, as MaxOne bars
-    longer overlaps."""
+    """v x for each v in `_chain_tails` and each x of at most one letter,
+    then every window: the only tails up to length n that let t(i+1..n) v
+    hold a window, as MaxOne bars longer overlaps."""
     xs = [()] + [(a,) for a in range(1, g.n + 1)]
-    return list(dict.fromkeys([lam[1:] + x for lam in g.starting[t[-1]]
-                               for x in xs] + list(g.elements)))
+    return list(dict.fromkeys([v + x for v in _chain_tails(g, t) for x in xs]
+                              + list(g.elements)))
 
 
 def verify_step3(g: GroupTable, cfg: RewriteConfig, samples: int,
@@ -374,13 +370,14 @@ def run_lemma_suite(g: GroupTable, cfg: RewriteConfig, step3_samples: int,
     passing forward report is carried over to its mirror lemma, stats
     included: delta carries each instance or sampled tail of it onto one
     of the mirror lemma, so no mirror oracle runs and nothing is drawn
-    from rng for it.  Otherwise the mirror oracle runs."""
+    from rng for it.  Otherwise the mirror oracle runs.  Only Step3 and
+    SymStep3 draw, and only where `step3_samples` cuts their tails."""
     forward = [
         verify_not_possible(g),
         verify_max_one(g),
         verify_big(g),
         verify_overlapp(g),
-        verify_stepss(g, cfg, rng=rng),
+        verify_stepss(g, cfg),
         verify_step3(g, cfg, samples=step3_samples, rng=rng),
     ]
     not_possible, max_one, _, overlapp, _, step3 = forward

@@ -3,8 +3,12 @@
 - Brute-force scans of the four forward window lemmas, of the overlap bound,
   of Stepss and of Step3 over every cell: the slow reference for the
   searching, counting and orbit-cut oracles in `qsemi.lemmas`.
-- `dict_stepss_seeds`, the Stepss seeds drawn through a first-letter dict
-  of their own, the reference for `lemmas.default_stepss_seeds`.
+- `chain_tails`, the tails that chain a second window onto a window, by
+  slicing every image tuple at every overlap, the reference for
+  `lemmas._chain_tails`; `stepss_seeds` builds on it the classes Stepss
+  decides on every row, and with `wide` also chains of three windows and
+  tails of up to one letter, the radius that `lemmas.verify_stepss` argues
+  adds nothing.
 - `relation_factors`, the windows of a word by slicing at every position,
   the reference for `words.find_relation_factors`;
   `factor_occurrences`, the starts of a factor by slicing every image tuple
@@ -43,17 +47,15 @@
 from __future__ import annotations
 
 import itertools
-import random
 
 from qsemi import algebra, structure, words
 from qsemi.algebra import AlgebraElement, SearchResult
-from qsemi.lemmas import (default_stepss_seeds, verify_big, verify_max_one,
-                          verify_not_possible, verify_overlapp,
-                          verify_sym_max_one, verify_sym_not_possible,
-                          verify_sym_overlapp)
+from qsemi.lemmas import (verify_big, verify_max_one, verify_not_possible,
+                          verify_overlapp, verify_sym_max_one,
+                          verify_sym_not_possible, verify_sym_overlapp)
 from qsemi.quaternion import GroupTable, Label
-from qsemi.words import (Word, check_product_length, class_of, draw,
-                         format_word, random_word, words_equal)
+from qsemi.words import (check_product_length, class_of, format_word,
+                         words_equal)
 
 # the oracles that scan their whole quantifier range, in suite order
 EXHAUSTIVE = (verify_not_possible, verify_max_one, verify_big,
@@ -147,51 +149,62 @@ def overlap_bound(g):
                    for j in range(2, n + 1))
 
 
-def stepss(g, cfg, rng):
+def chain_tails(g, t):
+    """f(s+1..n) for every window f and every s from 1 to n-1 where f's
+    first s letters are t's last s, in s order then element order, by
+    `factor_occurrences`: the reference for `lemmas._chain_tails`, which
+    stops at `max_overlap`."""
+    return [g.elements[idx][s:] for s in range(1, g.n)
+            for idx, _ in factor_occurrences(g, t[-s:], 1)]
+
+
+def stepss_seeds(g, wide=False):
+    """Each window t, then each chain t v (v in `chain_tails`), for every
+    row in element order, no orbit cut: the classes `lemmas.verify_stepss`
+    decides.  With `wide`, also each chain of three windows t v v', and
+    each chain followed by every tail of at most one letter."""
+    tails = [()] + ([(a,) for a in range(1, g.n + 1)] if wide else [])
+    seeds = []
+    for t in g.elements:
+        chains = [t] + [t + v for v in chain_tails(g, t)]
+        if wide:
+            chains += [c + v for c in chains[1:]
+                       for v in chain_tails(g, c[-g.n:])]
+        seeds += [c + x for c in chains for x in tails]
+    return seeds
+
+
+def stepss(g, cfg, wide=False):
     """Every ordered pair of members with distinct first letters, in every
-    class of the default Stepss seeds: `(holds, pairs, condition_counts)`,
-    the counts being both / only the first / only the second word keeping
-    its window at letter n.  Stops at the first pair, in sorted order, that
-    breaks Stepss."""
+    class of `stepss_seeds(g, wide)`: `(holds, pairs, condition_counts,
+    counterexample)`, the counts being both / only the first / only the
+    second word keeping its window at letter n.  Stops at the first pair,
+    in sorted order, that breaks Stepss; the counterexample is that pair
+    and its reason in the report's keys, None where Stepss holds."""
     n = g.n
-    seeds = default_stepss_seeds(g, rng)
     prefixes = {e[:n - 1] for e in g.elements}
     pairs, counts = 0, [0, 0, 0]
-    for seed in seeds:
+    for seed in stepss_seeds(g, wide):
         members = sorted(class_of(seed, g, cfg).members)
-        for w1 in members:
-            for w2 in members:
-                if w1[0] == w2[0]:
+        # (word, first letter, window prefix?, window kept?) per member
+        marked = [(w, w[0], w[:n - 1] in prefixes, w[:n] in g.index)
+                  for w in members]
+        for w1, a1, p1, c1 in marked:
+            for w2, a2, p2, c2 in marked:
+                if a1 == a2:
                     continue
                 pairs += 1
-                if w1[:n - 1] not in prefixes or w2[:n - 1] not in prefixes:
-                    return False, pairs, counts
-                c1, c2 = w1[:n] in g.index, w2[:n] in g.index
-                if not (c1 or c2):
-                    return False, pairs, counts
-                counts[0 if c1 and c2 else 1 if c1 else 2] += 1
-    return True, pairs, counts
-
-
-def dict_stepss_seeds(g: GroupTable, rng: random.Random) -> list[Word]:
-    """`lemmas.default_stepss_seeds` as it read with a first-letter dict of
-    its own, where the last window listed with a letter wins: the reference
-    for the seeds, and the generator state, drawn through
-    `GroupTable.starting`."""
-    n = g.n
-    pin1 = {e[0]: e for e in g.elements}
-    seeds = []
-    for extra in range(n + 1):
-        for _ in range(4):
-            e = g.elements[draw(rng, 0, len(g.elements) - 1)]
-            seeds.append(e + random_word(rng, n, extra))
-        if extra >= n - 1:
-            e = g.elements[draw(rng, 0, len(g.elements) - 1)]
-            nxt = pin1.get(e[n - 1])
-            if nxt is not None:
-                pad = random_word(rng, n, extra - (n - 1))
-                seeds.append(e + nxt[1:] + pad)
-    return seeds
+                if not (p1 and p2):
+                    reason = "first n-1 letters are not a window prefix"
+                elif not (c1 or c2):
+                    reason = "both words break their window at letter n"
+                else:
+                    counts[0 if c1 and c2 else 1 if c1 else 2] += 1
+                    continue
+                return False, pairs, counts, {
+                    "w1": format_word(w1), "w2": format_word(w2),
+                    "reason": reason}
+    return True, pairs, counts, None
 
 
 def relation_factors(w, g):
@@ -297,7 +310,7 @@ def unique_product_count(C, D, product):
 
 def step3_every_cell(g):
     """Step3 over every element t, every i and every tail v of the family
-    (lambda(2..n) x for lambda(1) = t(n) and |x| <= 1, and every window),
+    (v x for v in `chain_tails` and |x| <= 1, and every window),
     with no orbit cut: `(holds, members)`, members counting every class
     member checked.  Stops at the first member of t(i+1..n) v that neither
     keeps t(i+1..n) nor reads t(i+1..n-1) and then a window prefix."""
@@ -305,7 +318,7 @@ def step3_every_cell(g):
     prefixes = {e[:n - 1] for e in g.elements}
     members = 0
     for t in g.elements:
-        tails = {lam[1:] + x for lam in g.elements if lam[0] == t[-1]
+        tails = {v + x for v in chain_tails(g, t)
                  for x in [()] + [(a,) for a in range(1, n + 1)]}
         for i in range(1, n):
             for v in tails | set(g.elements):

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -434,15 +435,43 @@ def test_verify_lemmas_replays_recorded_stepss_seeds(capsys):
     assert code == 0
     stepss = next(r for r in payload["details"]["lemmas"]
                   if r["lemma_id"] == "Stepss")
-    assert stepss["stats"] == {"classes": 38, "pairs": 2324,
-                               "condition_counts": [2128, 98, 98]}
+    assert stepss["stats"] == {"classes": 16, "pairs": 1680,
+                               "condition_counts": [896, 392, 392]}
+
+
+class _NoDraws(random.Random):
+    """A generator that fails the test on any draw."""
+
+    def getrandbits(self, k):
+        raise AssertionError(f"drew {k} bits")
+
+
+def test_verify_lemmas_draws_nothing_where_the_family_fits(capsys):
+    # Stepss decides a family fixed by the table, and Step3 and SymStep3
+    # draw only where --step3-samples cuts their 2n+1 tails: the default
+    # run gives the same details at every seed, and a cut run the same
+    # Stepss
+    g = generate_group(QuaternionConfig(2))
+    lemmas.run_lemma_suite(g, default_config(g.n), 2 * g.n + 1, _NoDraws(0))
+    with pytest.raises(AssertionError, match="drew"):
+        lemmas.run_lemma_suite(g, default_config(g.n), 2 * g.n, _NoDraws(0))
+
+    def details(*argv):
+        return [run_json(capsys, ["verify-lemmas", "--k", "2", "--seed", seed,
+                                  *argv])[1]["details"] for seed in ("0", "7")]
+
+    at_0, at_7 = details()
+    assert at_0 == at_7
+    at_0, at_7 = ([r for r in d["lemmas"] if r["lemma_id"] == "Stepss"]
+                  for d in details("--step3-samples", "5"))
+    assert at_0 == at_7
 
 
 @pytest.mark.parametrize("argv, stepss, step3", [
-    (["--k", "3"], (54, 7612, [7128, 242, 242]), (3300, 3300, 3300)),
-    (["--k", "8"], (134, 136772, [132928, 1922, 1922]), (64480, 64480, 64480)),
+    (["--k", "3"], (24, 6072, [3168, 1452, 1452]), (3300, 3300, 3300)),
+    (["--k", "8"], (64, 124992, [63488, 30752, 30752]), (64480, 64480, 64480)),
     (["--k", "8", "--step3-samples", "1"],
-     (134, 136772, [132928, 1922, 1922]), (64480, 992, 992))])
+     (64, 124992, [63488, 30752, 30752]), (64480, 992, 992))])
 def test_verify_lemmas_replays_recorded_class_stats(capsys, argv, stepss,
                                                     step3):
     # Stepss and Step3 read every member of their seeds' classes, so these

@@ -2,7 +2,8 @@
 function or class of the package, and every public method of its classes,
 is used by the package or the benchmark; each defaulted parameter of a
 package function is set by some call in the package or the benchmark and
-left out by another; the package draws no random integer through
+left out by another; no function of the package takes a parameter it
+never reads, but the `cmd_*` handlers' `(args, g)`; the package draws no random integer through
 `randint` or `randrange`; no module of the package but `__main__.py`
 tests `__name__ == "__main__"`; every module of the package parses at
 the Python floor that `pyproject.toml` declares; every code name the
@@ -202,6 +203,44 @@ def test_every_default_is_both_set_and_left_out():
     # parameters, and tests pass theirs in full
     defining = {path.stem: path.read_text() for path in PACKAGE}
     assert idle_defaults(defining, [path.read_text() for path in USERS]) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """`function(parameter)` for each parameter of each function and method
+    of a module that its body never reads, but `args` and `g` of the
+    `cmd_*` handlers, which the CLI calls all alike as handler(args, g).
+    A parameter threaded through but no longer read (a generator nothing
+    draws from) shows here."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, FUNCS):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *filter(None, [a.vararg]),
+                  *a.kwonlyargs, *filter(None, [a.kwarg])]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        exempt = {"args", "g"} if node.name.startswith("cmd_") else set()
+        found += [(node.lineno, f"{node.name}({p.arg}) (line {node.lineno})")
+                  for p in params if p.arg not in read | exempt]
+    return [text for _, text in sorted(found, key=lambda hit: hit[0])]
+
+
+def test_detects_an_unread_parameter():
+    source = ("def f(a, b, *rest, c=1, **opts):\n    return a + len(opts)\n"
+              "def g(rng):\n    return lambda: rng.random()\n"
+              "class K:\n    def m(self, x):\n        return x\n"
+              "def cmd_show(args, g):\n    return True\n"
+              "def cmd_seed(args, g, rng):\n    return args\n")
+    assert unread_parameters(source) == [
+        "f(b) (line 1)", "f(rest) (line 1)", "f(c) (line 1)",
+        "m(self) (line 6)", "cmd_seed(rng) (line 10)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_package_reads_every_parameter(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 SLOW_DRAWS = {"randint", "randrange"}

@@ -6,8 +6,8 @@ import pytest
 from conftest import bare_table, bench_module
 from qsemi import lemmas
 from qsemi.lemmas import (LemmaId, LemmaReport, _SYM_STEP3_REASONS,
-                          _step3_member_check, _step3_tails,
-                          default_stepss_seeds, run_lemma_suite,
+                          _chain_tails, _step3_member_check, _step3_tails,
+                          run_lemma_suite,
                           verify_big, verify_max_one, verify_not_possible,
                           verify_overlapp, verify_step3, verify_stepss,
                           verify_sym_max_one, verify_sym_not_possible,
@@ -15,9 +15,9 @@ from qsemi.lemmas import (LemmaId, LemmaReport, _SYM_STEP3_REASONS,
 from qsemi.perms import compose
 from qsemi.quaternion import (GroupTable, QuaternionConfig, generate_group,
                               relabellings, self_dual)
-from qsemi.words import class_of, default_config, random_word
-from reference_oracles import (EXHAUSTIVE, collapse_canon, stepss,
-                               ungraded_zero_divisor_search)
+from qsemi.words import class_of, default_config, parse_word, random_word
+from reference_oracles import (EXHAUSTIVE, collapse_canon, naive_class,
+                               stepss, ungraded_zero_divisor_search)
 
 SUITE_ORDER = ["NotPossible", "MaxOne", "Big", "Overlapp", "Stepss", "Step3",
                "SymNotPossible", "SymMaxOne", "SymStep3", "SymOverlapp"]
@@ -62,22 +62,25 @@ def test_stepss_exercises_all_three_conditions(k):
     # brute-force reference counts them
     g = generate_group(QuaternionConfig(k))
     cfg = default_config(g.n)
-    r = verify_stepss(g, cfg, rng=random.Random(0))
+    r = verify_stepss(g, cfg)
     assert r.passed
     both, first_only, second_only = r.stats["condition_counts"]
     assert both > 0 and first_only > 0 and second_only > 0
-    assert stepss(g, cfg, random.Random(0)) == (
-        True, r.stats["pairs"], r.stats["condition_counts"])
+    assert stepss(g, cfg) == (
+        True, r.stats["pairs"], r.stats["condition_counts"], None)
+    # t0's window and its one chain, each class counting for its orbit
+    assert r.stats["classes"] == 2 * len(g)
 
 
 def test_stepss_seed_words_cover_chained_windows(g2):
-    seeds = default_stepss_seeds(g2, random.Random(0))
-    lengths = {len(s) for s in seeds}
-    assert lengths == set(range(8, 17))
-    # some seed must carry two windows overlapping in one letter
-    assert any(len(s) >= 2 * g2.n - 1 and
-               s[:g2.n] in g2.index and s[g2.n - 1:2 * g2.n - 1] in g2.index
-               for s in seeds)
+    # each letter starts one window, so each window t chains onto exactly
+    # one: t v holds two windows that share letter n
+    n = g2.n
+    for t in g2.elements:
+        tails = _chain_tails(g2, t)
+        assert [len(v) for v in tails] == [n - 1]
+        chain = t + tails[0]
+        assert chain[:n] in g2.index and chain[n - 1:] in g2.index
 
 
 def test_step3_enumerates_nontrivial_classes(g2, cfg2):
@@ -133,8 +136,8 @@ def test_sampled_coverage_at_k8():
     reports = run_lemma_suite(g, default_config(g.n),
                               step3_samples=1, rng=random.Random(0))
     stats = {r.lemma_id.value: r.stats for r in reports}
-    assert stats["Stepss"] == {"classes": 134, "pairs": 136772,
-                               "condition_counts": [132928, 1922, 1922]}
+    assert stats["Stepss"] == {"classes": 64, "pairs": 124992,
+                               "condition_counts": [63488, 30752, 30752]}
     assert stats["Step3"] == {"family": 64480, "covered": 992,
                               "members_checked": 992}
     assert stats["SymStep3"] == {"family": 64480, "covered": 992,
@@ -199,19 +202,33 @@ def test_cyclic_table_still_satisfies_overlapp(cyclic8):
 
 
 def test_cyclic_table_breaks_stepss(cyclic8, cfg2):
-    r = verify_stepss(cyclic8, cfg2, rng=random.Random(0))
+    r = verify_stepss(cyclic8, cfg2)
     assert not r.passed
     assert r.counterexample["reason"] == "first n-1 letters are not a window prefix"
 
 
-def test_cyclic_table_breaks_step3(cyclic8, dihedral8, cfg2):
-    for g in (cyclic8, dihedral8):
-        for samples in (5, 1000):
-            r = verify_step3(g, cfg2, samples=samples, rng=random.Random(1))
-            assert not r.passed
-            assert "reason" in r.counterexample
-            r = verify_sym_step3(g, cfg2, samples=samples, rng=random.Random(1))
-            assert not r.passed
+@pytest.mark.parametrize("table", ["cyclic8", "dihedral8", "poisoned8",
+                                   "two_element8"])
+def test_planted_tables_get_the_chain_family_verdicts(request, table, cfg2):
+    # every planted table but two_element8 breaks Stepss, Step3 and
+    # SymStep3 whatever the Step3 budget, each time with a counterexample
+    # whose words the brute-force closure puts in one class
+    g = request.getfixturevalue(table)
+    fails = table != "two_element8"
+    r = verify_stepss(g, cfg2)
+    assert r.passed is not fails
+    if fails:
+        w1, w2 = (parse_word(r.counterexample[w], g.n) for w in ("w1", "w2"))
+        assert w1[0] != w2[0] and w2 in naive_class(w1, g)
+    for samples in (5, 1000):
+        for verify in (verify_step3, verify_sym_step3):
+            r = verify(g, cfg2, samples=samples, rng=random.Random(1))
+            assert r.passed is not fails, (verify.__name__, samples)
+            if fails:
+                c = r.counterexample
+                assert "reason" in c
+                assert (parse_word(c["w1"], g.n)
+                        in naive_class(parse_word(c["seed"], g.n), g))
 
 
 def test_step3_member_check_gives_each_reason(g2):

@@ -15,8 +15,8 @@ from qsemi.structure import (cancellation_report, canonical_ground_set,
                              run_tup_sweep)
 from qsemi.words import (class_of, default_config, find_relation_factors,
                          parse_word, random_word, words_equal)
-from reference_oracles import (EXHAUSTIVE, FORWARD,
-                               compared_cancellation_report, dict_stepss_seeds,
+from reference_oracles import (EXHAUSTIVE, FORWARD, chain_tails,
+                               compared_cancellation_report,
                                factor_occurrences, max_overlap,
                                randint_seeded_word,
                                relation_factors, reversed_table,
@@ -333,39 +333,55 @@ def test_exhaustive_orbit_cut_changes_no_report(planted, monkeypatch):
 
 
 def test_first_letter_reads_match_the_scans_where_letters_repeat(planted):
-    # where a letter starts two windows (poisoned8's 2) or none, the Stepss
-    # seeds chain the last window the letter starts, and draw the same bits,
-    # and Step3's tails list each window the letter starts in element order
+    # where a letter starts two windows (poisoned8's 2) or none, Step3's
+    # tails list each window that chains on, in overlap then element order
     doubled = 0
     for g in planted + RANDOM:
         for table in (g, g.mirrored):
-            n = table.n
-            xs = [()] + [(a,) for a in range(1, n + 1)]
-            for seed in range(10):
-                rng, ref = random.Random(seed), random.Random(seed)
-                seeds = lemmas.default_stepss_seeds(table, rng)
-                assert seeds == dict_stepss_seeds(table, ref)
-                assert rng.getstate() == ref.getstate()
-                doubled += sum(
-                    len(table.starting[s[n - 1]]) > 1
-                    and s[n:2 * n - 1] == table.starting[s[n - 1]][-1][1:]
-                    for s in seeds)
+            xs = [()] + [(a,) for a in range(1, table.n + 1)]
             for t in table.elements:
+                doubled += len(table.starting[t[-1]]) > 1
                 assert lemmas._step3_tails(table, t) == list(dict.fromkeys(
-                    [table.elements[idx][1:] + x for idx, _ in
-                     factor_occurrences(table, t[-1:], 1) for x in xs]
+                    [v + x for v in chain_tails(table, t) for x in xs]
                     + list(table.elements)))
     assert doubled
 
 
+def test_chain_tails_match_a_scan_of_the_overlaps(planted):
+    # the tails that chain a window onto t, read up to `max_overlap`,
+    # against every overlap of 1 to n-1 letters sliced from every tuple
+    poisoned8, two_element8 = planted[2:]
+    for g in (REAL[2], REAL[3], poisoned8, two_element8):
+        for table in (g, g.mirrored):
+            assert all(lemmas._chain_tails(table, t) == chain_tails(table, t)
+                       for t in table.elements)
+    # each letter of a real table starts one window, which shares it
+    for g in (REAL[2], REAL[3]):
+        assert all([len(v) for v in lemmas._chain_tails(g, t)] == [g.n - 1]
+                   for t in g.elements)
+    # poisoned8's letter 2 starts two windows, and a window ends with 2,1,
+    # which starts one: a tail of n-2 letters
+    assert {len(lemmas._chain_tails(poisoned8, t))
+            for t in poisoned8.elements} == {0, 1, 2}
+    assert any(len(v) == poisoned8.n - 2 for t in poisoned8.elements
+               for v in lemmas._chain_tails(poisoned8, t))
+    # on two_element8 no window chains onto another
+    assert all(lemmas._chain_tails(two_element8, t) == []
+               for t in two_element8.elements)
+
+
 def test_stepss_matches_reference(planted, cfg2):
+    # the reference walks every row; the orbit cut decides t0's classes,
+    # each standing for its orbit, and a relabelling carries any violation
+    # onto t0's row, which the reference walks first
     reasons = set()
     for g in planted + RANDOM:
         cfg = default_config(g.n)
-        holds, pairs, counts = stepss(g, cfg, random.Random(0))
-        r = verify_stepss(g, cfg, random.Random(0))
-        assert (r.passed, r.stats["pairs"]) == (holds, pairs), g.elements
+        holds, pairs, counts, failure = stepss(g, cfg)
+        r = verify_stepss(g, cfg)
+        assert (r.passed, r.counterexample) == (holds, failure), g.elements
         if holds:
+            assert r.stats["pairs"] == pairs
             assert r.stats["condition_counts"] == counts
             continue
         c = r.counterexample
@@ -380,9 +396,16 @@ def test_stepss_matches_reference(planted, cfg2):
         reasons.add(c["reason"])
     assert reasons == {"first n-1 letters are not a window prefix",
                        "both words break their window at letter n"}
-    assert [verify_stepss(g, cfg2, random.Random(0)).passed
-            for g in planted] == [
-        False, False, True, True]
+    assert [verify_stepss(g, cfg2).passed for g in planted] == [
+        False, False, False, True]
+
+
+def test_stepss_verdicts_hold_over_a_wider_radius(planted):
+    # chains of three windows, and 0- or 1-letter tails after each chain,
+    # on every row: the family `verify_stepss` argues adds nothing
+    for g in [REAL[2], REAL[3], *planted]:
+        cfg = default_config(g.n)
+        assert stepss(g, cfg, wide=True)[0] == verify_stepss(g, cfg).passed
 
 
 def test_step3_orbit_cut_matches_every_cell(planted):
@@ -391,7 +414,7 @@ def test_step3_orbit_cut_matches_every_cell(planted):
     # the orbit is the reference's member count (poisoned8 is not closed
     # under relabelling, so every cell runs); None marks a failing table
     cases = [(REAL[2], 8, 7616), (REAL[3], 12, 39600), (REAL[4], 16, 126720),
-             *zip(planted, (8, 8, 1, 2), (None, None, 7616, 56))]
+             *zip(planted, (8, 8, 1, 2), (None, None, None, 56))]
     for g, orbit, members in cases:
         cfg = default_config(g.n)
         for verify, table in ((verify_step3, g),
@@ -466,7 +489,7 @@ def test_sampled_counterexamples_hold_in_original_coordinates(cyclic8, cfg2):
     def is_prefix(w):
         return any(e[:n - 1] == w for e in g.elements)
 
-    r = verify_stepss(g, cfg2, random.Random(0))
+    r = verify_stepss(g, cfg2)
     w1, w2 = (parse_word(r.counterexample[w], n) for w in ("w1", "w2"))
     assert w1[0] != w2[0] and w2 in class_of(w1, g, cfg2).members
     assert r.counterexample["reason"] == "first n-1 letters are not a window prefix"
