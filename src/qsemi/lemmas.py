@@ -12,8 +12,9 @@ The second group (Stepss, Step3) is empirical: it enumerates members of
 congruence classes built on the windows that chain onto a window
 (`_chain_tails`) and confirms the forced prefix shapes of equivalent words
 in them, so it is evidence, not proof.  Stepss decides every pair of its
-classes; Step3 an exact tail family.  Both look window prefixes of n-1
-letters up in `GroupTable.prefixes`.
+classes; Step3 every member of the classes of t(i+1..n) v for the same
+tails v.  Both look window prefixes of n-1 letters up in
+`GroupTable.prefixes`, and neither draws anything.
 
 The mirror-image oracles (SymNotPossible, SymMaxOne, SymOverlapp, SymStep3)
 state the same lemmas read right to left.  Each runs its forward oracle on
@@ -34,7 +35,6 @@ counterexample.
 
 from __future__ import annotations
 
-import random
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable
@@ -285,31 +285,31 @@ def _stepss_failure(g: GroupTable, members: list[Word], classes: int,
                 stats={"classes": classes, "pairs": pairs})
 
 
-def _step3_tails(g: GroupTable, t: Perm) -> list[Word]:
-    """v x for each v in `_chain_tails` and each x of at most one letter,
-    then every window: the only tails up to length n that let t(i+1..n) v
-    hold a window, as MaxOne bars longer overlaps."""
-    xs = [()] + [(a,) for a in range(1, g.n + 1)]
-    return list(dict.fromkeys([v + x for v in _chain_tails(g, t) for x in xs]
-                              + list(g.elements)))
-
-
-def verify_step3(g: GroupTable, cfg: RewriteConfig, samples: int,
-                 rng: random.Random) -> LemmaReport:
+def verify_step3(g: GroupTable, cfg: RewriteConfig) -> LemmaReport:
     """Every member of the class of t(i+1..n) v keeps that exact prefix or
-    replaces its last letter by a fresh window prefix of length n-1.  Each
-    (element, i) cell takes `samples` of its `_step3_tails`, all if they fit.
+    replaces its last letter by a fresh window prefix of length n-1.
+
+    The tails v of each (element, i) cell are `_chain_tails`, as for
+    Stepss.  Where `max_overlap` <= 1 the other tails that let t(i+1..n) v
+    hold a window add nothing.  A window e that does not chain onto t gives
+    the class {t(i+1..n) e'}: a window reaching back into t(i+1..n) would
+    share two letters or more with t or with e.  A letter after a chain
+    cannot start a window that reaches back into the chain, and it lies
+    past the 2n-2-i letters that `_step3_member_check` reads.  On the
+    planted tables the tests' every-cell reference over those tails too
+    gives the same verdicts.
+
     The relabelling by s o t0^-1 (t0 the first element) carries the cell
     (t0, i), its tails, classes and checks onto (s, i); so where
     `relabellings` applies, `_rows` gives t0's cells alone, each counting
     for its orbit."""
-    cells = [(ti, t, _step3_tails(g, t)) for ti, t in _rows(g)]
+    cells = [(ti, t, _chain_tails(g, t)) for ti, t in _rows(g)]
     orbit = len(g) // len(cells)
     stats = {"family": orbit * (g.n - 1) * sum(len(c[2]) for c in cells),
              "covered": 0, "members_checked": 0}
     for ti, t, tails in cells:
         for i in range(1, g.n):
-            for v in tails if len(tails) <= samples else rng.sample(tails, samples):
+            for v in tails:
                 w = t[i:] + v
                 stats["covered"] += orbit
                 for w1 in class_of(w, g, cfg).members:
@@ -348,8 +348,7 @@ _SYM_STEP3_REASONS = {
 }
 
 
-def verify_sym_step3(g: GroupTable, cfg: RewriteConfig, samples: int,
-                     rng: random.Random) -> LemmaReport:
+def verify_sym_step3(g: GroupTable, cfg: RewriteConfig) -> LemmaReport:
     """Mirror of Step3 for suffixes: every member of the class of
     w2 t(1..i) either keeps that exact suffix or replaces the first letter
     of the t-part by a fresh length n-1 window suffix."""
@@ -357,34 +356,31 @@ def verify_sym_step3(g: GroupTable, cfg: RewriteConfig, samples: int,
     return _on_mirror(g, LemmaId.SYM_STEP3, verify_step3, lambda c: {
         "w1": _reversed_word(c["w1"]), "reason": _SYM_STEP3_REASONS[c["reason"]],
         "tau": c["tau"], "i": n - c["i"], "seed": _reversed_word(c["seed"])},
-        cfg=cfg, samples=samples, rng=rng)
+        cfg=cfg)
 
 
 def _reversed_word(text: str) -> str:
     return ",".join(reversed(text.split(",")))
 
 
-def run_lemma_suite(g: GroupTable, cfg: RewriteConfig, step3_samples: int,
-                    rng: random.Random) -> list[LemmaReport]:
-    """All ten oracles, deterministic order.  On a `self_dual` table a
-    passing forward report is carried over to its mirror lemma, stats
-    included: delta carries each instance or sampled tail of it onto one
-    of the mirror lemma, so no mirror oracle runs and nothing is drawn
-    from rng for it.  Otherwise the mirror oracle runs.  Only Step3 and
-    SymStep3 draw, and only where `step3_samples` cuts their tails."""
+def run_lemma_suite(g: GroupTable, cfg: RewriteConfig) -> list[LemmaReport]:
+    """All ten oracles, deterministic order, none of them drawing.  On a
+    `self_dual` table a passing forward report is carried over to its
+    mirror lemma, stats included: delta carries each instance, class and
+    tail of it onto one of the mirror lemma, so no mirror oracle runs.
+    Otherwise the mirror oracle runs."""
     forward = [
         verify_not_possible(g),
         verify_max_one(g),
         verify_big(g),
         verify_overlapp(g),
         verify_stepss(g, cfg),
-        verify_step3(g, cfg, samples=step3_samples, rng=rng),
+        verify_step3(g, cfg),
     ]
     not_possible, max_one, _, overlapp, _, step3 = forward
     mirrors = [(not_possible, verify_sym_not_possible, {}),
                (max_one, verify_sym_max_one, {}),
-               (step3, verify_sym_step3,
-                {"cfg": cfg, "samples": step3_samples, "rng": rng}),
+               (step3, verify_sym_step3, {"cfg": cfg}),
                (overlapp, verify_sym_overlapp, {})]
     return forward + [
         LemmaReport(LemmaId("Sym" + r.lemma_id.value), g.k, True,

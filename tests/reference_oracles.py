@@ -2,7 +2,9 @@
 
 - Brute-force scans of the four forward window lemmas, of the overlap bound,
   of Stepss and of Step3 over every cell: the slow reference for the
-  searching, counting and orbit-cut oracles in `qsemi.lemmas`.
+  searching, counting and orbit-cut oracles in `qsemi.lemmas`.  With
+  `wide`, Step3 also takes `step3_tails`' wider radius: each chain tail
+  followed by a tail of at most one letter, and every window.
 - `chain_tails`, the tails that chain a second window onto a window, by
   slicing every image tuple at every overlap, the reference for
   `lemmas._chain_tails`; `stepss_seeds` builds on it the classes Stepss
@@ -308,20 +310,33 @@ def unique_product_count(C, D, product):
     return len(seen) - len(repeated)
 
 
-def step3_every_cell(g):
-    """Step3 over every element t, every i and every tail v of the family
-    (v x for v in `chain_tails` and |x| <= 1, and every window),
-    with no orbit cut: `(holds, members)`, members counting every class
-    member checked.  Stops at the first member of t(i+1..n) v that neither
-    keeps t(i+1..n) nor reads t(i+1..n-1) and then a window prefix."""
+def step3_tails(g, t, wide=False):
+    """The tails v of each Step3 cell (t, i): `chain_tails`, the family
+    `lemmas.verify_step3` checks.  With `wide`, each chain tail followed
+    by every tail of at most one letter, and then every window: the tails
+    of up to n letters that let t(i+1..n) v hold a window, the radius that
+    `lemmas.verify_step3` argues adds nothing."""
+    tails = chain_tails(g, t)
+    if not wide:
+        return tails
+    xs = [()] + [(a,) for a in range(1, g.n + 1)]
+    return list(dict.fromkeys([v + x for v in tails for x in xs]
+                              + list(g.elements)))
+
+
+def step3_every_cell(g, wide=False):
+    """Step3 over every element t, every i and every tail v of
+    `step3_tails(g, t, wide)`, with no orbit cut: `(holds, members)`,
+    members counting every class member checked.  Stops at the first
+    member of t(i+1..n) v that neither keeps t(i+1..n) nor reads
+    t(i+1..n-1) and then a window prefix."""
     n = g.n
     prefixes = {e[:n - 1] for e in g.elements}
     members = 0
     for t in g.elements:
-        tails = {v + x for v in chain_tails(g, t)
-                 for x in [()] + [(a,) for a in range(1, n + 1)]}
+        tails = step3_tails(g, t, wide)
         for i in range(1, n):
-            for v in tails | set(g.elements):
+            for v in tails:
                 for w in naive_class(t[i:] + v, g):
                     members += 1
                     keeps = w[:n - i] == t[i:]

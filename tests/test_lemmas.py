@@ -1,13 +1,13 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from conftest import bare_table, bench_module
 from qsemi import lemmas
 from qsemi.lemmas import (LemmaId, LemmaReport, _SYM_STEP3_REASONS,
-                          _chain_tails, _step3_member_check, _step3_tails,
-                          run_lemma_suite,
+                          _chain_tails, _step3_member_check, run_lemma_suite,
                           verify_big, verify_max_one, verify_not_possible,
                           verify_overlapp, verify_step3, verify_stepss,
                           verify_sym_max_one, verify_sym_not_possible,
@@ -17,7 +17,8 @@ from qsemi.quaternion import (GroupTable, QuaternionConfig, generate_group,
                               relabellings, self_dual)
 from qsemi.words import class_of, default_config, parse_word, random_word
 from reference_oracles import (EXHAUSTIVE, collapse_canon, naive_class,
-                               stepss, ungraded_zero_divisor_search)
+                               step3_tails, stepss,
+                               ungraded_zero_divisor_search)
 
 SUITE_ORDER = ["NotPossible", "MaxOne", "Big", "Overlapp", "Stepss", "Step3",
                "SymNotPossible", "SymMaxOne", "SymStep3", "SymOverlapp"]
@@ -38,8 +39,7 @@ def test_report_invariant():
 
 
 def test_full_suite_passes_k2(g2, cfg2):
-    reports = run_lemma_suite(g2, cfg2, step3_samples=200,
-                              rng=random.Random(0))
+    reports = run_lemma_suite(g2, cfg2)
     assert [r.lemma_id.value for r in reports] == SUITE_ORDER
     for r in reports:
         assert r.passed, r.to_json()
@@ -84,29 +84,30 @@ def test_stepss_seed_words_cover_chained_windows(g2):
 
 
 def test_step3_enumerates_nontrivial_classes(g2, cfg2):
-    # every tail of the family fits 200 samples, so all 56 cells x 17 tails
-    # are decided; the one cell orbit enumerates 7 x 17 classes of 8 words
-    r = verify_step3(g2, cfg2, samples=200, rng=random.Random(1))
+    # all 56 cells hold one tail each; t0's 7 cells enumerate 7 classes of
+    # 8 words, each cell standing for its orbit of 8
+    r = verify_step3(g2, cfg2)
     assert r.passed
-    assert r.stats == {"family": 952, "covered": 952, "members_checked": 952}
+    assert r.stats == {"family": 56, "covered": 56, "members_checked": 56}
     # Step3 on the mirrored table covers what the hand-written mirror would
-    r = verify_sym_step3(g2, cfg2, samples=200, rng=random.Random(2))
+    r = verify_sym_step3(g2, cfg2)
     assert r.passed
-    assert r.stats == {"family": 952, "covered": 952, "members_checked": 952}
+    assert r.stats == {"family": 56, "covered": 56, "members_checked": 56}
 
 
 @pytest.mark.parametrize("k, max_tail, outside, inside",
                          [(2, 4, 262136, 952), (3, 2, 20724, 3300)])
 def test_step3_tail_family_is_exact(k, max_tail, outside, inside):
-    # over every cell, each short tail outside the family leaves the seed
-    # alone in its class, and each tail inside it gives a larger class
+    # over every cell, each short tail outside the reference's wide radius
+    # leaves the seed alone in its class, and each tail inside it gives a
+    # larger class: the radius holds every short tail that can rewrite
     g = generate_group(QuaternionConfig(k))
     cfg, n = default_config(g.n), g.n
     short = [v for m in range(max_tail + 1)
              for v in itertools.product(range(1, n + 1), repeat=m)]
     counts = [0, 0]
     for t in g.elements:
-        family = _step3_tails(g, t)
+        family = step3_tails(g, t, wide=True)
         assert len(family) == 2 * n + 1
         for i in range(1, n):
             for v in [v for v in short if v not in family] + family:
@@ -116,32 +117,45 @@ def test_step3_tail_family_is_exact(k, max_tail, outside, inside):
     assert counts == [outside, inside]
 
 
-def test_step3_covers_its_budget(g3, cfg3):
-    # each cell decides min(samples, 2n+1) tails of its family
-    g8 = generate_group(QuaternionConfig(8))
-    for g, cfg, samples in ((g8, default_config(g8.n), 1), (g3, cfg3, 5),
-                            (g3, cfg3, 1000)):
-        for verify in (verify_step3, verify_sym_step3):
-            r = verify(g, cfg, samples=samples, rng=random.Random(0))
-            assert r.passed
-            cells = len(g) * (g.n - 1)
-            assert r.stats["family"] == cells * (2 * g.n + 1)
-            assert r.stats["covered"] == cells * min(samples, 2 * g.n + 1)
+@pytest.mark.parametrize("k", range(2, 9))
+def test_each_step3_cell_holds_one_chain_tail(k):
+    # each letter starts one window, so each cell (t, i) holds the one tail
+    # f(2..n), f the window that starts with t(n); every cell is decided
+    g = generate_group(QuaternionConfig(k))
+    n = g.n
+    for t in g.elements:
+        (f,) = g.starting[t[-1]]
+        assert _chain_tails(g, t) == [f[1:]]
+    for verify in (verify_step3, verify_sym_step3):
+        r = verify(g, default_config(n))
+        assert r.passed
+        assert r.stats == {"family": n * (n - 1), "covered": n * (n - 1),
+                           "members_checked": n * (n - 1)}
 
 
 def test_sampled_coverage_at_k8():
     # the classes the k=8 suite enumerates, pinned: a faster class closure
     # must visit the same members
     g = generate_group(QuaternionConfig(8))
-    reports = run_lemma_suite(g, default_config(g.n),
-                              step3_samples=1, rng=random.Random(0))
+    reports = run_lemma_suite(g, default_config(g.n))
     stats = {r.lemma_id.value: r.stats for r in reports}
     assert stats["Stepss"] == {"classes": 64, "pairs": 124992,
                                "condition_counts": [63488, 30752, 30752]}
-    assert stats["Step3"] == {"family": 64480, "covered": 992,
+    assert stats["Step3"] == {"family": 992, "covered": 992,
                               "members_checked": 992}
-    assert stats["SymStep3"] == {"family": 64480, "covered": 992,
+    assert stats["SymStep3"] == {"family": 992, "covered": 992,
                                  "members_checked": 992}
+
+
+def test_lemma_suite_at_k16_passes_in_under_two_seconds():
+    # a scale guard: the suite takes about 0.05 s here, so only a family
+    # that grows with n again, not a slow host, crosses 2 s
+    g = generate_group(QuaternionConfig(16))
+    start = time.perf_counter()
+    reports = run_lemma_suite(g, default_config(g.n))
+    elapsed = time.perf_counter() - start
+    assert all(r.passed for r in reports)
+    assert elapsed < 2.0
 
 
 @pytest.mark.parametrize("k", [2, 3, 8])
@@ -168,8 +182,7 @@ def test_exhaustive_oracles_query_t0s_rows_alone(k, monkeypatch):
 
 
 def test_symmetric_analogs_order_and_pass(g3, cfg3):
-    reports = run_lemma_suite(g3, cfg3, step3_samples=50,
-                              rng=random.Random(3))[6:]
+    reports = run_lemma_suite(g3, cfg3)[6:]
     assert [r.lemma_id for r in reports] == [
         LemmaId.SYM_NOT_POSSIBLE, LemmaId.SYM_MAX_ONE, LemmaId.SYM_STEP3,
         LemmaId.SYM_OVERLAPP]
@@ -211,8 +224,9 @@ def test_cyclic_table_breaks_stepss(cyclic8, cfg2):
                                    "two_element8"])
 def test_planted_tables_get_the_chain_family_verdicts(request, table, cfg2):
     # every planted table but two_element8 breaks Stepss, Step3 and
-    # SymStep3 whatever the Step3 budget, each time with a counterexample
-    # whose words the brute-force closure puts in one class
+    # SymStep3, each in one run with a counterexample whose words the
+    # brute-force closure puts in one class; on two_element8 no window
+    # chains onto another, so Step3's family is empty
     g = request.getfixturevalue(table)
     fails = table != "two_element8"
     r = verify_stepss(g, cfg2)
@@ -220,15 +234,17 @@ def test_planted_tables_get_the_chain_family_verdicts(request, table, cfg2):
     if fails:
         w1, w2 = (parse_word(r.counterexample[w], g.n) for w in ("w1", "w2"))
         assert w1[0] != w2[0] and w2 in naive_class(w1, g)
-    for samples in (5, 1000):
-        for verify in (verify_step3, verify_sym_step3):
-            r = verify(g, cfg2, samples=samples, rng=random.Random(1))
-            assert r.passed is not fails, (verify.__name__, samples)
-            if fails:
-                c = r.counterexample
-                assert "reason" in c
-                assert (parse_word(c["w1"], g.n)
-                        in naive_class(parse_word(c["seed"], g.n), g))
+    for verify in (verify_step3, verify_sym_step3):
+        r = verify(g, cfg2)
+        assert r.passed is not fails, verify.__name__
+        if fails:
+            c = r.counterexample
+            assert "reason" in c
+            assert (parse_word(c["w1"], g.n)
+                    in naive_class(parse_word(c["seed"], g.n), g))
+        else:
+            assert r.stats == {"family": 0, "covered": 0,
+                               "members_checked": 0}
 
 
 def test_step3_member_check_gives_each_reason(g2):
@@ -278,7 +294,7 @@ def test_mirror_runs_reuse_one_mirrored_table(poisoned8, cfg2):
         e[::-1] for e in poisoned8.elements)
     sizes = []
     for _ in range(3):
-        verify_sym_step3(poisoned8, cfg2, samples=1, rng=random.Random(0))
+        verify_sym_step3(poisoned8, cfg2)
         sizes.append(relabellings.cache_info().currsize)
     assert sizes[0] == sizes[1] == sizes[2]
 
@@ -307,7 +323,7 @@ def _traced_suite(g, cfg):
     tracer = spans.Tracer()
     tracer.install()
     try:
-        cli.run_lemma_suite(g, cfg, step3_samples=2, rng=random.Random(0))
+        cli.run_lemma_suite(g, cfg)
     finally:
         tracer.uninstall()
     calls = {name: row["calls"]

@@ -651,7 +651,7 @@ def test_certificate_runs_once_per_table_content(monkeypatch, capsys):
     monkeypatch.setattr(words, "_rule_table", counting)
     words._certify.cache_clear()
     generate_group(QuaternionConfig(2))
-    assert cli.main(["verify-lemmas", "--k", "2", "--step3-samples", "2"]) == 0
+    assert cli.main(["verify-lemmas", "--k", "2"]) == 0
     assert runs == []
     capsys.readouterr()
     rng = random.Random(7)
