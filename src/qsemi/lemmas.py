@@ -13,8 +13,8 @@ congruence classes built on the windows that chain onto a window
 (`_chain_tails`) and confirms the forced prefix shapes of equivalent words
 in them, so it is evidence, not proof.  Stepss decides every pair of its
 classes; Step3 every member of the classes of t(i+1..n) v for the same
-tails v.  Both look window prefixes of n-1 letters up in
-`GroupTable.prefixes`, and neither draws anything.
+tails v.  Both walk classes in `class_of`'s order, reporting the least
+failure; they read `GroupTable.prefixes` and draw nothing.
 
 The mirror-image oracles (SymNotPossible, SymMaxOne, SymOverlapp, SymStep3)
 state the same lemmas read right to left.  Each runs its forward oracle on
@@ -35,7 +35,7 @@ counterexample.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -72,9 +72,8 @@ class LemmaReport:
             raise ValueError("a passing report cannot carry a counterexample")
 
     def to_json(self) -> dict:
-        data = asdict(self)
-        del data["by_duality"]
-        return {**data, "lemma_id": self.lemma_id.value}
+        return {"lemma_id": self.lemma_id.value, "k": self.k, "passed": self.passed,
+                "counterexample": self.counterexample, "stats": self.stats}
 
 
 def _failed(g: GroupTable, lemma_id: LemmaId, si: int, ti: int,
@@ -253,7 +252,7 @@ def verify_stepss(g: GroupTable, cfg: RewriteConfig) -> LemmaReport:
         if len(keep.keys() | brk.keys()) < 2:
             continue  # one first letter: no pair
         if len(brk) > 1 or not all(w[:n - 1] in g.prefixes for w in members):
-            return _stepss_failure(g, sorted(members), classes, pairs)
+            return _stepss_failure(g, members, classes, pairs)
         nk, nb = sum(keep.values()), sum(brk.values())
         both = orbit * (nk * nk - sum(v * v for v in keep.values()))
         one = orbit * sum(v * (nb - brk.get(a, 0)) for a, v in keep.items())
@@ -264,7 +263,7 @@ def verify_stepss(g: GroupTable, cfg: RewriteConfig) -> LemmaReport:
                               "condition_counts": cond_counts})
 
 
-def _stepss_failure(g: GroupTable, members: list[Word], classes: int,
+def _stepss_failure(g: GroupTable, members: tuple[Word, ...], classes: int,
                     pairs: int) -> LemmaReport:
     """The first pair of the sorted class that breaks Stepss; `pairs` counts
     the pairs decided before it, that one included."""

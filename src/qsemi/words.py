@@ -24,14 +24,14 @@ every critical pair of the rules with m <= 3 joins.  The certificate is
 computed on the first canonical form a table needs and cached per table
 (`generate_group` builds one table per k).  `canonical_form` looks the
 rules up at each call and rewrites with them on certified tables; on any
-other it takes the least member of the class from `class_of`, the one
-class enumerator, which is also the tests' reference, with the bare
-rewrite they keep as `normal_form`.  `class_of` writes a class down in
-closed form, {h e' t : e' a window}, when w = h e t holds one window e
-and two lookups show that no e' can chain with h or t; otherwise, and on
-tables whose windows overlap in two letters or more, it runs a
-breadth-first closure, the closed form's reference.  `words_equal` compares
-the canonical forms of words of one `grade`, under the same word-length cap.
+other it takes the first member from `class_of`, the one class enumerator,
+which sorts the members and is also the tests' reference, with the bare
+rewrite they keep as `normal_form`.  It writes a class down in closed form,
+{h e' t : e' a window}, when w = h e t holds one window e and two lookups
+show that no e' can chain with h or t; otherwise, and on tables whose
+windows overlap in two letters or more, it runs a breadth-first closure, the
+closed form's reference.  `words_equal` compares the canonical forms of
+words of one `grade`, under the same word-length cap.
 
 The samplers draw each integer with `draw`, which makes exactly the
 `getrandbits` calls `random.Random.randint` makes, so a seed gives the
@@ -84,7 +84,9 @@ def check_product_length(max_len: int, cfg: RewriteConfig) -> None:
 
 @dataclass(frozen=True)
 class CongruenceClass:
-    members: frozenset[Word]
+    """The members of one class, sorted in ascending order, no repeats."""
+
+    members: tuple[Word, ...]
 
 
 def check_word(w: Word, n: int) -> None:
@@ -159,36 +161,35 @@ def class_of(w: Word, g: GroupTable, cfg: RewriteConfig) -> CongruenceClass:
     that is e'(1), with the last n-1 letters of h before it, or e'(n), with
     the first n-1 letters of t after it.  So when neither the end of h is
     in `prefixes` nor the start of t in `suffixes`, every h e' t holds e'
-    alone, and the class is {h e' t}.
+    alone, and the class is {h e' t}, which sorts as its windows do and
+    trips the cap exactly where the closure would.
 
     Otherwise the closure runs.  Each window orbit is expanded once: a
     frontier word carries the 1-based position of the rewrite that made it
     (0 for w), and expanding it skips that position, since its parent's
     loop there already put every word with the same head and tail in
-    `seen`.  The skip adds and drops no word, so the members, their
-    insertion order and the member count at which the cap trips are those
-    of the plain BFS.  The closed form adds the same words in the same
-    order, and trips the cap exactly when the closure would.
+    `seen`.  The skip adds and drops no word, so the members and the
+    member count at which the cap trips are those of the plain BFS.
     """
     n = g.n
     if len(w) < n:
-        return CongruenceClass(frozenset((w,)))
+        return CongruenceClass((w,))
     _check_length(w, cfg)
     factors = find_relation_factors(w, g)
     if not factors:
-        return CongruenceClass(frozenset((w,)))
-    seen: set[Word] = {w}
+        return CongruenceClass((w,))
     elements = g.elements
     if len(factors) == 1:
         p0 = factors[0][0] - 1
         if (g.max_overlap <= 1
                 and w[max(p0 - n + 1, 0):p0] not in g.prefixes
                 and w[p0 + n:p0 + 2 * n - 1] not in g.suffixes):
-            head, tail = w[:p0], w[p0 + n:]
-            seen.update(head + e + tail for e in elements)
-            if len(seen) > cfg.max_class_size:
+            if len(elements) > cfg.max_class_size:
                 raise _too_large(w, cfg)
-            return CongruenceClass(frozenset(seen))
+            head, tail = w[:p0], w[p0 + n:]
+            # a list: tuple(generator) resizes, filling the n-tuple free list
+            return CongruenceClass(tuple([head + e + tail for e in sorted(elements)]))
+    seen: set[Word] = {w}
     frontier = [(w, 0)]
     while frontier:
         nxt = []
@@ -208,7 +209,7 @@ def class_of(w: Word, g: GroupTable, cfg: RewriteConfig) -> CongruenceClass:
                         raise _too_large(w, cfg)
                     nxt.append((new, pos))
         frontier = nxt
-    return CongruenceClass(frozenset(seen))
+    return CongruenceClass(tuple(sorted(seen)))
 
 
 class _Rules:
@@ -364,7 +365,7 @@ def canonical_form(w: Word, g: GroupTable, cfg: RewriteConfig) -> Word:
         return w
     rules = _certify(g)
     if rules is None:
-        return min(class_of(w, g, cfg).members)
+        return class_of(w, g, cfg).members[0]
     _check_length(w, cfg)
     return rules.rewrite(w)
 
@@ -439,5 +440,4 @@ def seeded_word(rng: random.Random, g: GroupTable, length: int) -> Word:
 
 
 def random_member(rng: random.Random, cls: CongruenceClass) -> Word:
-    members = sorted(cls.members)
-    return members[draw(rng, 0, len(members) - 1)]
+    return cls.members[draw(rng, 0, len(cls.members) - 1)]

@@ -326,25 +326,37 @@ def step3_tails(g, t, wide=False):
 
 def step3_every_cell(g, wide=False):
     """Step3 over every element t, every i and every tail v of
-    `step3_tails(g, t, wide)`, with no orbit cut: `(holds, members)`,
-    members counting every class member checked.  Stops at the first
-    member of t(i+1..n) v that neither keeps t(i+1..n) nor reads
-    t(i+1..n-1) and then a window prefix."""
+    `step3_tails(g, t, wide)`, with no orbit cut, each class's members in
+    sorted order: `(holds, members, failure)`, members counting every
+    class member checked.  Stops at the first member of t(i+1..n) v that
+    neither keeps t(i+1..n) nor reads t(i+1..n-1) and then a window
+    prefix; failure is that member, its reason, cell and seed in the
+    report's keys, None where Step3 holds."""
     n = g.n
     prefixes = {e[:n - 1] for e in g.elements}
     members = 0
-    for t in g.elements:
+    for ti, t in enumerate(g.elements):
         tails = step3_tails(g, t, wide)
         for i in range(1, n):
             for v in tails:
-                for w in naive_class(t[i:] + v, g):
+                seed = t[i:] + v
+                for w in sorted(naive_class(seed, g)):
                     members += 1
-                    keeps = w[:n - i] == t[i:]
-                    fresh = (w[:n - 1 - i] == t[i:n - 1]
-                             and w[n - 1 - i:2 * n - 2 - i] in prefixes)
-                    if not (keeps or fresh):
-                        return False, members
-    return True, members
+                    if w[:n - i] == t[i:]:
+                        continue
+                    if w[:n - 1 - i] != t[i:n - 1]:
+                        reason = "prefix leaves t(i+1..n-1) before letter n"
+                    elif len(w) < 2 * n - 2 - i:
+                        reason = "too short for the alternative prefix shape"
+                    elif w[n - 1 - i:2 * n - 2 - i] not in prefixes:
+                        reason = "no window prefix after t(i+1..n-1)"
+                    else:
+                        continue
+                    return False, members, {
+                        "w1": format_word(w), "reason": reason,
+                        "tau": g.label_name(ti), "i": i,
+                        "seed": format_word(seed)}
+    return True, members, None
 
 
 def point_of_label(label: Label, k: int) -> int:

@@ -4,7 +4,8 @@ is used by the package or the benchmark; each defaulted parameter of a
 package function is set by some call in the package or the benchmark and
 left out by another; no function of the package takes a parameter it
 never reads, but the `cmd_*` handlers' `(args, g)`; the package draws no random integer through
-`randint` or `randrange`; no module of the package but `__main__.py`
+`randint` or `randrange`; the package orders no class's members with
+`sorted`, `min` or `max`; no module of the package but `__main__.py`
 tests `__name__ == "__main__"`; every module of the package parses at
 the Python floor that `pyproject.toml` declares; every code name the
 README or a docstring or comment of the package cites still exists; and
@@ -268,6 +269,40 @@ def test_detects_a_slow_draw():
                          ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_package_draws_through_getrandbits(path):
     assert slow_draws(path.read_text()) == []
+
+
+ORDERINGS = {"sorted", "min", "max"}
+
+
+def member_orderings(source: str) -> list[str]:
+    """Each `sorted`, `min` or `max` call of a module with an argument that
+    ends in `.members` or is a name `members`.  `words.class_of` lists a
+    class's members in ascending order, so a caller that orders them again
+    makes a second owner of that order."""
+    return sorted(f"{node.func.id} (line {node.lineno})"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in ORDERINGS
+                  and any(isinstance(a, ast.Attribute) and a.attr == "members"
+                          or isinstance(a, ast.Name) and a.id == "members"
+                          for a in node.args))
+
+
+def test_detects_a_member_ordering():
+    assert member_orderings("sorted(cls.members)\n"
+                            "min(class_of(w, g, cfg).members)\n"
+                            "x = max(members, key=len)\n") == [
+        "max (line 3)", "min (line 2)", "sorted (line 1)"]
+    assert member_orderings("cls.members[0]\nlen(cls.members)\n"
+                            "sorted(cls.members_of)\nsorted(words)\n"
+                            "min(members[0])\nw.sorted(cls.members)\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_package_orders_no_class_members(path):
+    assert member_orderings(path.read_text()) == []
 
 
 def main_guards(source: str) -> list[int]:

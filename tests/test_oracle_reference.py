@@ -419,7 +419,7 @@ def test_step3_orbit_cut_matches_every_cell(planted):
         cfg = default_config(g.n)
         for verify, table in ((verify_step3, g),
                               (verify_sym_step3, reversed_table(g))):
-            holds, count = step3_every_cell(table)
+            holds, count, _ = step3_every_cell(table)
             r = verify(g, cfg)
             assert (r.passed, holds) == (members is not None,) * 2, g.elements
             if g.k < 4:
@@ -428,6 +428,41 @@ def test_step3_orbit_cut_matches_every_cell(planted):
                 assert count == members
                 assert r.stats["members_checked"] * orbit == count
                 assert r.stats["covered"] == r.stats["family"]
+
+
+# each Step3 reason and the SymStep3 reason it reads as on the mirror
+MIRROR_REASONS = {
+    "prefix leaves t(i+1..n-1) before letter n":
+        "suffix leaves t(2..i) after letter 1",
+    "too short for the alternative prefix shape":
+        "too short for the alternative suffix shape",
+    "no window prefix after t(i+1..n-1)": "no window suffix before t(2..i)",
+}
+
+
+def _reversed(text):
+    return ",".join(reversed(text.split(",")))
+
+
+@pytest.mark.parametrize("table", ["cyclic8", "dihedral8", "poisoned8"])
+def test_step3_reports_the_least_failing_member(request, table):
+    # the reference walks each class in sorted order, so the member it
+    # stops at, and the count up to it, pin the report: the lex-least
+    # failing member of the first failing class; SymStep3 is the reference
+    # on the reversed table, mapped back
+    g = request.getfixturevalue(table)
+    n, cfg = g.n, default_config(g.n)
+    holds, count, failure = step3_every_cell(g)
+    r = verify_step3(g, cfg)
+    assert not holds and not r.passed
+    assert (r.counterexample, r.stats["members_checked"]) == (failure, count)
+    holds, count, c = step3_every_cell(reversed_table(g))
+    r = verify_sym_step3(g, cfg)
+    assert not holds and not r.passed
+    assert r.counterexample == {
+        "w1": _reversed(c["w1"]), "reason": MIRROR_REASONS[c["reason"]],
+        "tau": c["tau"], "i": n - c["i"], "seed": _reversed(c["seed"])}
+    assert r.stats["members_checked"] == count
 
 
 def _tup_case(case, cfg2, two_element8):

@@ -73,7 +73,7 @@ def test_closure_scans_only_through_find_relation_factors(g2, cfg2, poisoned8,
                                                          monkeypatch):
     # the class closure has no window scan of its own
     monkeypatch.setattr(words, "find_relation_factors", lambda w, g: [])
-    assert class_of(REGRESSION_WORD, g2, cfg2).members == {REGRESSION_WORD}
+    assert class_of(REGRESSION_WORD, g2, cfg2).members == (REGRESSION_WORD,)
     # words_equal enumerates only on tables without a rewriting certificate
     assert not words_equal(poisoned8.t, poisoned8.u, poisoned8, cfg2)
 
@@ -102,15 +102,14 @@ def test_rewrite_step_rejects_bad_input(g2):
 
 def test_short_words_are_singletons(g2, cfg2):
     cls = class_of((1, 2, 3), g2, cfg2)
-    assert cls.members == frozenset(((1, 2, 3),))
-    assert min(cls.members) == (1, 2, 3)
+    assert cls.members == ((1, 2, 3),)
 
 
 def test_window_class_is_the_whole_table(g2, cfg2):
     for e in g2.elements:
         cls = class_of(e, g2, cfg2)
-        assert cls.members == frozenset(g2.elements)
-        assert min(cls.members) == tuple(range(1, 9))
+        assert cls.members == tuple(sorted(g2.elements))
+        assert cls.members[0] == tuple(range(1, 9))
 
 
 def chained_word(rng, g, windows, gap):
@@ -126,11 +125,11 @@ def test_class_matches_naive_closure(g2, g3, cfg2, cfg3):
     rng = random.Random(1)
     for _ in range(12):
         w = seeded_word(rng, g2, rng.randint(8, 11))
-        assert class_of(w, g2, cfg2).members == frozenset(naive_class(w, g2))
+        assert class_of(w, g2, cfg2).members == tuple(sorted(naive_class(w, g2)))
     # k=3, and words holding two or three windows, some of them chained
     for _ in range(6):
         w = seeded_word(rng, g3, rng.randint(12, 16))
-        assert class_of(w, g3, cfg3).members == frozenset(naive_class(w, g3))
+        assert class_of(w, g3, cfg3).members == tuple(sorted(naive_class(w, g3)))
     sizes = []
     # (three windows fill the 3n length cap, so they leave no gaps)
     for g, cfg, windows, gap in ((g2, cfg2, 2, 2), (g2, cfg2, 3, 0),
@@ -138,7 +137,7 @@ def test_class_matches_naive_closure(g2, g3, cfg2, cfg3):
         for _ in range(3):
             w = chained_word(rng, g, windows, gap)
             members = class_of(w, g, cfg).members
-            assert members == frozenset(naive_class(w, g))
+            assert members == tuple(sorted(naive_class(w, g)))
             sizes.append(len(members))
     assert max(sizes) > 100
 
@@ -168,7 +167,7 @@ def test_closed_form_classes_match_naive_closure(k):
         for _ in range(6):
             w = seeded_word(rng, g, length)
             members = class_of(w, g, cfg).members
-            assert members == frozenset(naive_class(w, g)), w
+            assert members == tuple(sorted(naive_class(w, g))), w
             sizes.add(len(members))
     assert {1, n} <= sizes
     for end in ("head", "tail"):
@@ -176,7 +175,7 @@ def test_closed_form_classes_match_naive_closure(k):
             w = chained_at_one_end(rng, g, end)
             assert len(find_relation_factors(w, g)) == 1
             members = class_of(w, g, cfg).members
-            assert members == frozenset(naive_class(w, g)), (end, w)
+            assert members == tuple(sorted(naive_class(w, g))), (end, w)
             assert len(members) > n
 
 
@@ -199,7 +198,7 @@ def test_closed_form_rests_on_the_largest_overlap(request, table, overlap,
                and any(d[:overlap] == f[n - overlap:] for d in els)]
     assert bool(chained) == bool(overlap)
     for w in cases + chained:
-        assert class_of(w, g, cfg2).members == frozenset(naive_class(w, g))
+        assert class_of(w, g, cfg2).members == tuple(sorted(naive_class(w, g)))
     for w in chained:
         assert len(find_relation_factors(w, g)) == 1
         assert len(class_of(w, g, cfg2).members) > len(els)
@@ -231,7 +230,7 @@ def test_class_matches_naive_closure_on_the_planted_tables(request, table,
     cases += [chained_word(rng, g, 2, 2) for _ in range(4)]
     for w in cases:
         members = class_of(w, g, cfg2).members
-        assert members == frozenset(naive_class(w, g))
+        assert members == tuple(sorted(naive_class(w, g)))
         if len(members) > 1:
             with pytest.raises(ClassTooLarge):
                 class_of(w, g, RewriteConfig(len(members) - 1, 24))
@@ -318,14 +317,41 @@ def test_class_size_cap_trips_one_member_past_the_cap(k, m, size):
         class_of(w, g, RewriteConfig(size - 1, len(w)))
 
 
+@pytest.mark.parametrize("table", ["g2", "g3", *PLANTED])
+def test_members_strictly_increase_on_every_path(request, monkeypatch, table):
+    # a class with one member, one written down in closed form (one window
+    # scan) and one closed by breadth first (a scan per frontier word): each
+    # lists its members in strictly increasing order
+    g = request.getfixturevalue(table)
+    n, cfg = g.n, default_config(g.n)
+    scans = []
+    scan = words.find_relation_factors
+    monkeypatch.setattr(words, "find_relation_factors",
+                        lambda w, g: scans.append(w) or scan(w, g))
+    rng = random.Random(9)
+    cases = [seeded_word(rng, g, length)
+             for length in range(1, 2 * n + 5) for _ in range(3)]
+    cases += [chained_word(rng, g, 2, 2) for _ in range(4)]
+    paths = set()
+    for w in cases:
+        scans.clear()
+        members = class_of(w, g, cfg).members
+        assert type(members) is tuple and w in members
+        assert all(a < b for a, b in zip(members, members[1:])), w
+        paths.add("closure" if len(scans) > 1
+                  else "closed form" if len(members) > 1 else "singleton")
+    assert paths == ({"singleton", "closed form", "closure"}
+                     if g.max_overlap <= 1 else {"singleton", "closure"})
+
+
 def test_regression_class(g2, cfg2):
     for word, canon in ((REGRESSION_WORD, REGRESSION_CANON),
                         (STUCK_WORD, STUCK_CANON)):
         cls = class_of(word, g2, cfg2)
         assert len(cls.members) == 15
-        assert min(cls.members) == canon
+        assert cls.members[0] == canon
         assert canonical_form(word, g2, cfg2) == canon
-        assert cls.members == frozenset(naive_class(word, g2))
+        assert cls.members == tuple(sorted(naive_class(word, g2)))
         assert all(len(m) == 15 for m in cls.members)
 
 
@@ -340,7 +366,7 @@ def test_word_length_cap(g2):
     with pytest.raises(ValueError):
         class_of((1,) * 10, g2, cfg)
     # below the relation length nothing is enumerated, so no cap applies
-    assert class_of((1,) * 7, g2, cfg).members == {(1,) * 7}
+    assert class_of((1,) * 7, g2, cfg).members == ((1,) * 7,)
 
 
 def _graded_above(u, v, g):
@@ -717,7 +743,7 @@ def test_certificate_fails_the_planted_tables(cyclic8, dihedral8, poisoned8,
         with pytest.raises(ValueError, match="not certified"):
             normal_form(w, g)
         # canonical forms there still come from the class enumeration
-        assert canonical_form(w, g, cfg2) == min(class_of(w, g, cfg2).members)
+        assert canonical_form(w, g, cfg2) == class_of(w, g, cfg2).members[0]
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -733,8 +759,8 @@ def test_certificate_fails_where_a_letter_starts_two_windows(k):
         table = bare_table(k, els)
         assert words._rule_table(table) is None
         assert words._certify(table) is None
-        assert canonical_form(extra, table, cfg) == ident == min(
-            class_of(extra, table, cfg).members)
+        assert canonical_form(extra, table, cfg) == ident == class_of(
+            extra, table, cfg).members[0]
         assert words_equal(extra, ident, table, cfg)
 
 
