@@ -49,6 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qsemi",
         description="Verification tools for the quaternion-relation monoid")
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices  # name -> the subcommand's own parser
     # flag groups; each subcommand takes the ones it reads
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--k", type=_int_at_least(2), required=True,
@@ -242,8 +243,20 @@ def cmd_zero_divisor(args, g: GroupTable) -> tuple[bool, dict, list[str]]:
     return False, details, lines
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """argv read in one pass: the namespace of `_build_parser().parse_args`,
+    from the subcommand's own parser when argv starts with one; the top
+    level handles only help and a missing or unknown command."""
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         g = generate_group(QuaternionConfig(args.k))
         passed, details, lines = args.run(args, g)

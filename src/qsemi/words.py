@@ -1,11 +1,10 @@
 """Words over n generators and the congruence generated by window rewrites.
 
 A word is a tuple of 1-based letters.  The monoid is presented by equating,
-for every table element s, the word s(1) s(2) ... s(n) with the word
-1 2 ... n; equivalently any length-n factor spelling out one element's image
-tuple may be replaced by any other element's image tuple.  All relations
-preserve length, so each congruence class is finite; the canonical form of
-a word is the lexicographically least member of its class.
+for every table element s, the word s(1) s(2) ... s(n) with 1 2 ... n: any
+length-n factor spelling out one element's image tuple may be replaced by
+any other's.  All relations preserve length, so each congruence class is
+finite; the canonical form of a word is the lex-least member of its class.
 
 Canonical forms and equality come from a rewriting system whose rules each
 replace a factor by a lexicographically smaller one of the same class:
@@ -18,20 +17,15 @@ replace a factor by a lexicographically smaller one of the same class:
 `_Rules.rewrite` applies them in one left-to-right scan, which after each
 rewrite backs up over the whole run of 1..n-1 blocks to its left.  Its
 result is the lex-least member of the class when the table passes a
-completeness certificate (`_certify`): the table contains the identity, its
+completeness certificate (`_certify`, computed on the first canonical form
+a table needs and cached per table): the table contains the identity, its
 elements are permutations, each letter starts exactly one of them, and
-every critical pair of the rules with m <= 3 joins.  The certificate is
-computed on the first canonical form a table needs and cached per table
-(`generate_group` builds one table per k).  `canonical_form` looks the
-rules up at each call and rewrites with them on certified tables; on any
-other it takes the first member from `class_of`, the one class enumerator,
-which sorts the members and is also the tests' reference, with the bare
-rewrite they keep as `normal_form`.  It writes a class down in closed form,
-{h e' t : e' a window}, when w = h e t holds one window e and two lookups
-show that no e' can chain with h or t; otherwise, and on tables whose
-windows overlap in two letters or more, it runs a breadth-first closure, the
-closed form's reference.  `words_equal` compares the canonical forms of
-words of one `grade`, under the same word-length cap.
+every critical pair of the rules with m <= 2 joins where windows overlap
+in one letter at most, m <= 3 elsewhere.  On any other table
+`canonical_form` takes the first member from `class_of`, the one class
+enumerator, which is also the tests' reference, with the bare rewrite
+they keep as `normal_form`.  `words_equal` compares the canonical forms
+of words of one `grade`, under the same word-length cap.
 
 The samplers draw each integer with `draw`, which makes exactly the
 `getrandbits` calls `random.Random.randint` makes, so a seed gives the
@@ -153,23 +147,21 @@ def class_of(w: Word, g: GroupTable, cfg: RewriteConfig) -> CongruenceClass:
     window whose orbit gains no other, else by breadth-first closure under
     window rewrites.
 
-    Closed form: let w = h e t hold its only window e.  A window of
-    h e' t (e' in the table) that is not e' itself lies partly in e',
-    since one inside h or t would be a window of w; being n letters long,
-    it shares a proper prefix or suffix with e'.  When no window's suffix
-    meets another's prefix in more than one letter (`max_overlap` <= 1),
-    that is e'(1), with the last n-1 letters of h before it, or e'(n), with
-    the first n-1 letters of t after it.  So when neither the end of h is
-    in `prefixes` nor the start of t in `suffixes`, every h e' t holds e'
-    alone, and the class is {h e' t}, which sorts as its windows do and
-    trips the cap exactly where the closure would.
+    Closed form: let w = h e t hold its only window e.  A window of h e' t
+    (e' in the table) other than e' lies partly in e', since one inside h
+    or t would be a window of w; being n letters long, it shares a proper
+    prefix or suffix with e'.  Where windows overlap in one letter at most
+    (`max_overlap` <= 1), that is e'(1), after the last n-1 letters of h,
+    or e'(n), before the first n-1 letters of t.  So when neither the end
+    of h is in `prefixes` nor the start of t in `suffixes`, the class is
+    {h e' t}, which sorts as its windows do and trips the cap exactly
+    where the closure would.
 
     Otherwise the closure runs.  Each window orbit is expanded once: a
     frontier word carries the 1-based position of the rewrite that made it
     (0 for w), and expanding it skips that position, since its parent's
     loop there already put every word with the same head and tail in
-    `seen`.  The skip adds and drops no word, so the members and the
-    member count at which the cap trips are those of the plain BFS.
+    `seen`; the members and the cap's trip point are those of plain BFS.
     """
     n = g.n
     if len(w) < n:
@@ -214,14 +206,12 @@ def class_of(w: Word, g: GroupTable, cfg: RewriteConfig) -> CongruenceClass:
 
 class _Rules:
     """The length-preserving rewriting system of one table, oriented toward
-    the lexicographically smaller side (see the module docstring).
-
+    the lexicographically smaller side (the module docstring lists it):
     `starts[x]` is the element s whose image tuple starts with the letter
     x, None for the identity (which is no left side); `heads[x]` is the
     first 2n-1 letters `(1..n) e[2..n]` of the right side of s's schema
     rules, None when s has none; `cycle` is c = f[2..n] with f(1) = n.  (A
-    plain class: building a dataclass would add to the import time of
-    every command.)
+    plain class: a dataclass would add to every command's import time.)
     """
 
     __slots__ = ("n", "starts", "heads", "cycle")
@@ -230,55 +220,51 @@ class _Rules:
                  heads: tuple[Word | None, ...], cycle: Word) -> None:
         self.n, self.starts, self.heads, self.cycle = n, starts, heads, cycle
 
-    def rewrite(self, w: Word) -> Word:
-        """Rewrite w until no left side occurs: scan left to right, rewrite
-        the redex starting at the scan position, and rescan from where the
-        leftmost redex the rewrite can have created would start."""
+    def rewrite(self, w: Word, p: int = 0) -> Word:
+        """Rewrite w until no left side occurs, given that w[:p] holds
+        none: scan from where the leftmost redex reaching past p would
+        start, rewrite the first redex found, and rescan the same way."""
         n, starts, heads, cycle = self.n, self.starts, self.heads, self.cycle
-        ident = tuple(range(1, n + 1))
+        ident, size = tuple(range(1, n + 1)), len(w)
         block = ident[:-1]
-        size, p = len(w), 0
-        while p <= size - n:
-            # every left side starting at p begins with s[:n-1]
-            s, end = starts[w[p]], 0
-            if s is None or w[p + 1] != s[1]:
-                p += 1
-                continue
-            if w[p:p + n] == s:
-                new, end = ident, p + n
-            elif (head := heads[w[p]]) is not None and w[p:p + n - 1] == s[:-1]:
-                # a run of `1..n-1` blocks, the last followed by n
-                q, m = p + n - 1, 0
-                while w[q:q + n - 1] == block:
-                    q, m = q + n - 1, m + 1
-                    if q < size and w[q] == n:
-                        new, end = head + cycle * (m - 1), q + 1
-                        break
-            if not end:
-                p += 1
-                continue
-            w = w[:p] + new + w[end:]
-            # No redex starts left of p, so a new one reaches past p.  A
-            # window starts at most n-1 letters back.  Every right side
-            # starts with 1..n, so a schema left side reaching past p holds
-            # the whole run of blocks that ends at p, and n-1 letters of s
-            # before it.
+        if p and w[p - (j := w[p - 1]):p] == ident[:j]:
+            p -= j  # back to the start of a block that p cuts
+        while True:
+            # No redex starts left of p, so one reaches past p: a window at
+            # most n-1 letters back, a schema left side n-1 letters before
+            # the whole run of blocks that ends at p, which cuts none of its
+            # blocks (a right side's 1..n starts at p, or the step above).
             while p >= n - 1 and w[p - n + 1:p] == block:
                 p -= n - 1
             p = max(0, p - (n - 1))
-        return w
-
-
-# bound on the chain length m of the schema rules whose critical pairs the
-# certificate joins; see `_certify` for why it carries to every m
-_SCHEMA_BOUND = 3
+            while p <= size - n:
+                # each left side at p begins with s[:n-1]: check two letters
+                s, end = starts[w[p]], 0
+                if s is None or w[p + 1] != s[1] or w[p + n - 2] != s[-2]:
+                    p += 1
+                    continue
+                if w[p:p + n] == s:
+                    new, end = ident, p + n
+                elif (head := heads[w[p]]) is not None and w[p:p + n - 1] == s[:-1]:
+                    # a run of `1..n-1` blocks, the last followed by n
+                    q, m = p + n - 1, 0
+                    while w[q:q + n - 1] == block:
+                        q, m = q + n - 1, m + 1
+                        if q < size and w[q] == n:
+                            new, end = head + cycle * (m - 1), q + 1
+                            break
+                if end:
+                    break
+                p += 1
+            else:
+                return w
+            w = w[:p] + new + w[end:]
 
 
 def _rule_table(g: GroupTable) -> _Rules | None:
     """The rules of g, or None unless g contains the identity, its elements
     are permutations of 1..n and each letter starts exactly one of them."""
-    n = g.n
-    ident = tuple(range(1, n + 1))
+    n, ident = g.n, tuple(range(1, g.n + 1))
     if (ident not in g.index or not g.permutes
             or any(len(s) != 1 for s in g.starting[1:])):
         return None
@@ -291,8 +277,7 @@ def _rule_table(g: GroupTable) -> _Rules | None:
 def _rule_list(rules: _Rules, max_m: int) -> list[tuple[Word, Word]]:
     """(left, right) of the base rules and of the schema rules up to chain
     length max_m."""
-    n = rules.n
-    ident, block = tuple(range(1, n + 1)), tuple(range(1, n))
+    ident, block = tuple(range(1, rules.n + 1)), tuple(range(1, rules.n))
     listed = [(s, ident) for s in rules.starts if s is not None]
     for s, head in zip(rules.starts, rules.heads):
         if head is not None:
@@ -302,25 +287,32 @@ def _rule_list(rules: _Rules, max_m: int) -> list[tuple[Word, Word]]:
 
 
 def _critical_pairs(rules: _Rules, max_m: int):
-    """(word, reduct, reduct) for every overlap of two left sides among
-    `_rule_list(rules, max_m)` and every left side inside another."""
-    listed = _rule_list(rules, max_m)
+    """(left, right, tail, reduct) for every overlap of two left sides
+    among `_rule_list(rules, max_m)` and every left side inside another:
+    left + tail rewrites to right + tail and to reduct.  Each left side
+    starting with x starts with s[:n-1], s = starts[x]: a start is checked
+    against those letters once, first the last that the outer side holds."""
+    n, starts, listed = rules.n, rules.starts, _rule_list(rules, max_m)
     by_first: dict[int, list[tuple[Word, Word]]] = {}
     for rule in listed:
         by_first.setdefault(rule[0][0], []).append(rule)
     for outer in listed:
         left, right = outer
         for i, x in enumerate(left):
-            for inner in by_first.get(x, ()):
+            j = min(len(left), i + n - 1)
+            if ((s := starts[x]) is None or left[j - 1] != s[j - i - 1]
+                    or left[i:j] != s[:j - i]):
+                continue
+            for inner in by_first[x]:
                 if i == 0 and inner is outer:
                     continue
                 l2, r2 = inner
                 cut = len(left) - i
                 if len(l2) <= cut:
                     if left[i:i + len(l2)] == l2:
-                        yield left, right, left[:i] + r2 + left[i + len(l2):]
+                        yield left, right, (), left[:i] + r2 + left[i + len(l2):]
                 elif i and left[i:] == l2[:cut]:
-                    yield left + l2[cut:], right + l2[cut:], left[:i] + r2
+                    yield left, right, l2[cut:], left[:i] + r2
 
 
 @cache
@@ -329,32 +321,40 @@ def _certify(g: GroupTable) -> _Rules | None:
     None; computed once per table.
 
     Every rule is a consequence of the relations and shrinks its word in
-    the lexicographic order, which is well founded on words of one length,
-    so rewriting terminates; it then decides the word problem, with the
-    lex-least member of each class as the class's only irreducible word,
-    exactly when every critical pair joins.  The pairs are checked for
-    chain lengths m <= 3, and that stands for every m because the pairs
-    are periodic in m.  A schema left side is S B^(m-1) (1..n), with
-    S = s[:n-1] and B = 1..n-1.  From any point of its run B^(m-1) (1..n)
-    on, the letters are a rotation of B repeated, then n: the same for
-    every m up to the number of blocks.  So where another left side can
-    start inside it, counted from either end, does not depend on m once
-    the run holds a block on each side of that point, and the pairs of
-    chain m+1 > 3 are those of chain m with one more B in the run.  Both
-    sides of such a pair rewrite by the same steps as at m, the extra B
-    carried along until a schema right side turns the run into c^m, so a
-    pair that joins at m joins at m+1.  Chains 1 and 2 are the ends where
-    the run holds no whole block or one; chain 3 is the first whose pairs
-    have the generic shape.  (On the quaternion tables no left side lies
-    inside another and every overlap joins the last n letters of one to
-    the first n-1 of the next, so chains a, b >= 1 share the same n-2
-    pairs whatever a and b.)
+    the lexicographic order, well founded on words of one length, so
+    rewriting terminates, and it decides the word problem (each class's
+    lex-least member its only irreducible word) exactly when every
+    critical pair joins; any reductions of both reducts to irreducible
+    words then meet, so each right side is rewritten once, and right + tail
+    resumes after its normal form.
+
+    The pairs are periodic in the chain length m.  A schema left side is
+    S B^(m-1) (1..n), with S = s[:n-1] and B = 1..n-1, and from any point
+    of its run on, the letters are a rotation of B repeated, then n.  So
+    where another left side can start inside it, counted from either end,
+    does not depend on m once the run holds a block on each side of that
+    point: the pairs of chain m+1 are those of chain m with one more B in
+    the run, both sides rewrite by the same steps, the extra B carried
+    along until a schema right side turns the run into c^m, and a pair
+    that joins at m joins at m+1.  Chain 3 is the first with a block on
+    each side of every point, so m <= 3 stands for every m, and m <= 2
+    where windows share one letter at most (`max_overlap` <= 1, every
+    quaternion table).  There a left side at i inside S is the window
+    S[i:] 1..i+1 (a schema side has 1 where the run has i+1), whose last
+    i+1 letters begin 1..n; one starting in the run meets it in a suffix of
+    1..n, as n letters of the run repeat one unless they end it and
+    S' = B would make s' the identity.  So every overlap is the outer
+    side's last letter, no left side lies inside another, and the one
+    point, the end of the run, has a block before it from chain 2 on
+    (chain 1 has S there); the inner side's run lies past it.
     """
-    rules = _rule_table(g)
-    if rules is None:
+    if (rules := _rule_table(g)) is None:
         return None
-    for _, a, b in _critical_pairs(rules, _SCHEMA_BOUND):
-        if rules.rewrite(a) != rules.rewrite(b):
+    normal = cache(rules.rewrite)  # each right side rewritten once
+    for _, right, tail, reduct in _critical_pairs(
+            rules, 2 if g.max_overlap <= 1 else 3):
+        head = normal(right)
+        if rules.rewrite(head + tail, len(head)) != rules.rewrite(reduct):
             return None
     return rules
 

@@ -38,6 +38,13 @@
   compares ac with bc and ca with cb on every trial and decides a = b
   only after an antecedent hit: the reference for
   `structure.cancellation_report`, which settles a = b first.
+- `critical_pairs`, every overlap of two left sides of a table's rewrite
+  rules and every left side inside another, found by slicing each left
+  side at every letter against the left sides that start with it, the
+  reference for `words._critical_pairs`; and
+  `certify`, which joins all of them up to chain length 3, each reduct
+  rewritten from its first letter: the full join that the reference for
+  `words._certify` keeps, which needs chains of 3 on any table.
 - `normal_form`, one rewrite under a table's certified rules, which
   `words.canonical_form` inlines; and the word samplers as they were
   drawn through `randint` and `randrange`, the stream that `words.draw`
@@ -467,6 +474,38 @@ def compared_cancellation_report(g, cfg, trials, max_len, rng):
         "violations": violations,
         "passed": not violations,
     }
+
+
+def critical_pairs(rules, max_m):
+    """(word, reduct, reduct) for every overlap of two left sides among
+    `words._rule_list(rules, max_m)` and every left side inside another."""
+    listed = words._rule_list(rules, max_m)
+    by_first = {}
+    for rule in listed:
+        by_first.setdefault(rule[0][0], []).append(rule)
+    for outer in listed:
+        left, right = outer
+        for i, x in enumerate(left):
+            for inner in by_first.get(x, ()):
+                if i == 0 and inner is outer:
+                    continue
+                l2, r2 = inner
+                cut = len(left) - i
+                if len(l2) <= cut:
+                    if left[i:i + len(l2)] == l2:
+                        yield left, right, left[:i] + r2 + left[i + len(l2):]
+                elif i and left[i:] == l2[:cut]:
+                    yield left + l2[cut:], right + l2[cut:], left[:i] + r2
+
+
+def certify(g):
+    """The rules of g when every critical pair with chains up to 3 joins,
+    each reduct rewritten from its first letter, else None."""
+    rules = words._rule_table(g)
+    if rules is None or any(rules.rewrite(a) != rules.rewrite(b)
+                            for _, a, b in critical_pairs(rules, 3)):
+        return None
+    return rules
 
 
 def normal_form(w, g):

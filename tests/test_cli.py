@@ -520,7 +520,8 @@ def test_rejects_flags_the_subcommand_does_not_read(argv):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv, params", [
+# each subcommand's own flags, and the JSON params they give
+OWN_FLAGS = [
     (["gen-group"], {}),
     (["verify-lemmas", "--seed", "4", "--step3-samples", "2",
       "--max-class-size", "5000"],
@@ -533,12 +534,48 @@ def test_rejects_flags_the_subcommand_does_not_read(argv):
      {"trials": 5, "max_len": 4, "seed": 3}),
     (["zero-divisor", "--p", "3", "--trials", "5", "--max-support", "2",
       "--max-len", "4", "--seed", "3"],
-     {"p": 3, "trials": 5, "max_support": 2, "max_len": 4, "seed": 3})],
-    ids=["gen-group", "verify-lemmas", "word-eq", "tup-check",
-         "cancel-sample", "zero-divisor"])
+     {"p": 3, "trials": 5, "max_support": 2, "max_len": 4, "seed": 3})]
+OWN_FLAG_IDS = ["gen-group", "verify-lemmas", "word-eq", "tup-check",
+                "cancel-sample", "zero-divisor"]
+
+
+@pytest.mark.parametrize("argv, params", OWN_FLAGS, ids=OWN_FLAG_IDS)
 def test_json_params_are_the_subcommands_own_flags(capsys, argv, params):
     _, payload = run_json(capsys, argv[:1] + ["--k", "2"] + argv[1:])
     assert payload["params"] == params
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in OWN_FLAGS],
+                         ids=OWN_FLAG_IDS)
+def test_a_subcommand_is_parsed_once(monkeypatch, argv):
+    # its own parser alone reads argv, into the namespace the whole tree
+    # would give
+    argv = argv[:1] + ["--k", "2"] + argv[1:] + ["--format", "json"]
+    parses = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    args = cli._parse(argv)
+    assert parses == [f"qsemi {argv[0]}"]
+    assert vars(args) == vars(cli._build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, code, usage", [
+    ([], 2, "qsemi: error: the following arguments are required: command"),
+    (["--help"], 0, ""), (["word-eq", "--help"], 0, ""),
+    (["word-eq", "--k", "2", "1", "1", "--bogus"], 2,
+     "qsemi word-eq: error: unrecognized arguments: --bogus")],
+    ids=["no-command", "help", "subcommand-help", "unknown-flag"])
+def test_help_and_usage_errors_exit_as_argparse_does(capsys, argv, code,
+                                                     usage):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert usage in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, entry, result, fail_line", [

@@ -18,7 +18,8 @@ from qsemi.words import (RewriteConfig, canonical_form, canonicalizer,
                          parse_word, random_member, random_word,
                          rewrite_step, seeded_word, words_equal)
 from conftest import CountingTuple, bare_table
-from reference_oracles import (naive_class, normal_form, overlap_bound,
+from reference_oracles import (certify, critical_pairs, naive_class,
+                               normal_form, overlap_bound,
                                randint_member, randint_seeded_word,
                                randint_word)
 
@@ -697,14 +698,112 @@ def test_certificate_runs_once_per_table_content(monkeypatch, capsys):
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_certificate_passes_on_the_quaternion_tables(k):
+    # the full join of the reference: every pair with chains up to 3
     g = generate_group(QuaternionConfig(k))
     rules = words._rule_table(g)
-    pairs = list(words._critical_pairs(rules, words._SCHEMA_BOUND))
+    pairs = list(critical_pairs(rules, 3))
     assert len(pairs) == 93 + 64 * (k - 2)
     assert all(rules.rewrite(a) == rules.rewrite(b) for _, a, b in pairs)
     certified = words._certify(g)
     assert (certified.starts, certified.heads, certified.cycle) == (
         rules.starts, rules.heads, rules.cycle)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_certificate_joins_the_pairs_of_chains_up_to_two(monkeypatch, k):
+    # windows overlap in one letter, so the chain bound is 2, and the pairs
+    # number (m+1)^2 (n-2) - m at bound m: 9n - 20, where the full join of
+    # chains up to 3 has 16n - 35
+    g = generate_group(QuaternionConfig(k))
+    joined = []
+
+    def counting(rules, max_m, orig=words._critical_pairs):
+        for pair in orig(rules, max_m):
+            joined.append(pair)
+            yield pair
+
+    monkeypatch.setattr(words, "_critical_pairs", counting)
+    assert g.max_overlap == 1
+    assert words._certify.__wrapped__(g) is not None
+    assert len(joined) == 9 * g.n - 20 == 36 * k - 20
+
+
+def perturbed_tables(seed, count):
+    """Real k=2 and k=3 tables with a few non-identity windows each given
+    two of their letters after the first swapped: every letter still starts
+    one window, and some of the tables overlap in more letters."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.choice((2, 3))
+        g = generate_group(QuaternionConfig(k))
+        els = list(g.elements)
+        for idx in rng.sample(range(1, len(els)), rng.randint(1, 3)):
+            e = list(els[idx])
+            i, j = rng.sample(range(1, g.n), 2)
+            e[i], e[j] = e[j], e[i]
+            els[idx] = tuple(e)
+        yield bare_table(k, els)
+
+
+def inside_table():
+    """Each letter starts one window, and the window 5..8 1..4 lies inside
+    s[:7] (1..7)^(m-1) 1..8, the schema left sides of s = 2,3,1,5,6,7,8,4;
+    each other letter starts the rest of n..1."""
+    ident = tuple(range(1, 9))
+    return bare_table(2, [ident, (2, 3, 1, 5, 6, 7, 8, 4),
+                          (5, 6, 7, 8, 1, 2, 3, 4)] + [
+        (x,) + tuple(y for y in range(8, 0, -1) if y != x)
+        for x in (3, 4, 6, 7, 8)])
+
+
+def two_starts_tables():
+    """The real k=2 and k=3 tables plus the window 2,1,3,...,n, listed
+    first or last, so that the letter 2 starts two windows."""
+    for k in (2, 3):
+        g = generate_group(QuaternionConfig(k))
+        extra = (2, 1) + tuple(range(3, g.n + 1))
+        yield from (bare_table(k, [extra, *g.elements]),
+                    bare_table(k, [*g.elements, extra]))
+
+
+def test_certificate_matches_the_full_join(monkeypatch, cyclic8, dihedral8,
+                                           poisoned8, two_element8):
+    tables = [generate_group(QuaternionConfig(k)) for k in range(2, 9)]
+    tables += [cyclic8, dihedral8, poisoned8, two_element8, inside_table(),
+               *two_starts_tables()]
+    joined = []
+
+    def counting(rules, max_m, orig=words._critical_pairs):
+        joined.append(max_m)
+        yield from orig(rules, max_m)
+
+    monkeypatch.setattr(words, "_critical_pairs", counting)
+    verdicts = set()
+    for g in tables + list(perturbed_tables(1, 60)):
+        reference = certify(g)
+        joined.clear()
+        rules = words._certify.__wrapped__(g)
+        assert (rules is None) == (reference is None)
+        if rules is not None:
+            assert (rules.starts, rules.heads, rules.cycle) == (
+                reference.starts, reference.heads, reference.cycle)
+        # chains up to 3 wherever windows overlap in two letters or more
+        assert joined == ([] if words._rule_table(g) is None else
+                          [2 if g.max_overlap <= 1 else 3])
+        verdicts.add((g.max_overlap <= 1, rules is not None))
+    # both bounds are taken, and the full bound both passes and fails
+    assert verdicts >= {(True, True), (False, True), (False, False)}
+
+
+def test_critical_pairs_match_the_sliced_reference(cyclic8, dihedral8):
+    tables = [generate_group(QuaternionConfig(k)) for k in (2, 3, 5)]
+    tables += [cyclic8, dihedral8, inside_table(), *perturbed_tables(4, 8)]
+    for g in tables:
+        rules = words._rule_table(g)
+        for m in (1, 2, 3, 4):
+            assert [(left + tail, right + tail, b) for left, right, tail, b
+                    in words._critical_pairs(rules, m)] == list(
+                critical_pairs(rules, m))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -716,10 +815,32 @@ def test_critical_pairs_are_periodic_in_the_chain_length(k):
     rules = words._rule_table(g)
     counts = [sum(1 for _ in words._critical_pairs(rules, m))
               for m in range(1, 7)]
+    assert counts == [(m + 1) ** 2 * (n - 2) - m for m in range(1, 7)]
     steps = [b - a for a, b in zip(counts, counts[1:])]
     assert [b - a for a, b in zip(steps, steps[1:])] == [2 * (n - 2)] * 4
-    assert all(rules.rewrite(a) == rules.rewrite(b)
-               for _, a, b in words._critical_pairs(rules, 6))
+    assert all(rules.rewrite(right + tail) == rules.rewrite(b)
+               for _, right, tail, b in words._critical_pairs(rules, 6))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_rewrite_resumes_after_a_prefix_that_holds_no_left_side(k):
+    # p anywhere a prefix holds no left side, also inside a run of blocks
+    # that a schema left side reaching past p starts left of it
+    g = generate_group(QuaternionConfig(k))
+    n, rules = g.n, words._certify(g)
+    block = tuple(range(1, n))
+    rng = random.Random(k)
+    cases = [s[:n - 1] + block * j + e for s in g.elements[1:6]
+             for e in g.elements[:4] for j in (1, 2)]
+    cases += [chained_word(rng, g, 3, 2) for _ in range(40)]
+    resumed = 0
+    for w in cases:
+        whole = rules.rewrite(w)
+        for p in range(len(w) + 1):
+            if not has_redex(w[:p], g):
+                assert rules.rewrite(w, p) == whole, (w, p)
+                resumed += p > 0 and whole != w
+    assert resumed > 500
 
 
 def test_certificate_fails_the_planted_tables(cyclic8, dihedral8, poisoned8,
@@ -728,8 +849,8 @@ def test_certificate_fails_the_planted_tables(cyclic8, dihedral8, poisoned8,
     for g in (cyclic8, dihedral8):
         rules = words._rule_table(g)
         assert rules is not None
-        assert any(rules.rewrite(a) != rules.rewrite(b) for _, a, b
-                   in words._critical_pairs(rules, words._SCHEMA_BOUND))
+        assert any(rules.rewrite(right + tail) != rules.rewrite(b)
+                   for _, right, tail, b in words._critical_pairs(rules, 3))
     # poisoned and two-element: some letter starts no element
     for g in (poisoned8, two_element8):
         assert words._rule_table(g) is None
@@ -764,24 +885,40 @@ def test_certificate_fails_where_a_letter_starts_two_windows(k):
         assert words_equal(extra, ident, table, cfg)
 
 
+def test_certificate_resumes_only_after_a_prefix_that_holds_no_left_side(
+        monkeypatch, cyclic8):
+    rewrite, resumed = words._Rules.rewrite, []
+
+    def checked(rules, w, p=0):
+        if p:
+            assert not has_redex(w[:p], g)
+            assert rewrite(rules, w, p) == rewrite(rules, w)
+            resumed.append(p)
+        return rewrite(rules, w, p)
+
+    monkeypatch.setattr(words._Rules, "rewrite", checked)
+    tables = [generate_group(QuaternionConfig(k)) for k in (2, 3)]
+    # seed 2 holds tables whose right sides are not all irreducible
+    for g in tables + [cyclic8, *perturbed_tables(2, 40)]:
+        words._certify.__wrapped__(g)
+    assert len(resumed) > 100
+
+
 def test_critical_pairs_include_a_left_side_inside_another():
-    # the window 5..8 1..4 lies inside s[:7] (1..7)^(m-1) 1..8, the schema
-    # left sides of s; each other letter starts the rest of n..1
+    g = inside_table()
     ident, block = tuple(range(1, 9)), tuple(range(1, 8))
-    s = (2, 3, 1, 5, 6, 7, 8, 4)
-    g = bare_table(2, [ident, s, (5, 6, 7, 8, 1, 2, 3, 4)] + [
-        (x,) + tuple(y for y in range(8, 0, -1) if y != x)
-        for x in (3, 4, 6, 7, 8)])
+    s = g.elements[1]
     rules = words._rule_table(g)
-    bound = words._SCHEMA_BOUND
-    lefts = {left for left, _ in words._rule_list(rules, bound)}
-    inside = [w for w, _, _ in words._critical_pairs(rules, bound)
-              if w in lefts]
-    assert inside == [s[:7] + block * m + ident for m in range(bound)]
+    # windows overlap in four letters, so the certificate keeps chains of 3
+    assert g.max_overlap == 4
+    lefts = {left for left, _ in words._rule_list(rules, 3)}
+    pairs = [(left + tail, right + tail, b)
+             for left, right, tail, b in words._critical_pairs(rules, 3)]
+    inside = [w for w, _, _ in pairs if w in lefts]
+    assert inside == [s[:7] + block * m + ident for m in range(3)]
     assert words._certify(g) is None
     # every pair at the bound: up to 54 letters and classes of 4,607 members
     cfg = RewriteConfig(max_class_size=5_000, max_word_length=54)
-    pairs = list(words._critical_pairs(rules, bound))
     assert len(pairs) == 41
     lengths, sizes = [], []
     for w, a, b in pairs:
