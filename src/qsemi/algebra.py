@@ -2,10 +2,10 @@
 
 Elements are dictionaries from canonical word forms to nonzero coefficients
 mod p.  Multiplication concatenates supports pairwise and hands the pairs to
-`element_from_pairs`, which builds sampled elements too: it canonicalizes
-each word, so coefficients of equivalent products merge (and may cancel
-mod p).  The zero-divisor search draws random nonzero elements looking for
-a vanishing product.
+`element_from_pairs`, which canonicalizes each word, so coefficients of
+equivalent products merge (and may cancel mod p).  The zero-divisor search
+draws random nonzero elements looking for a vanishing product, each in one
+loop that merges its terms the same way.
 
 The relations of the monoid keep each word's `words.grade`, so the
 products of x's and y's support words of the top grade are the only terms
@@ -22,18 +22,19 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import Counter
-from typing import Callable, Iterable, NamedTuple
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable
 
 from .quaternion import GroupTable
 from .words import (Canon, RewriteConfig, Word, canonicalizer,
-                    check_product_length, draw, format_word, grade,
-                    seeded_word)
+                    check_product_length, format_word, grade, word_sampler)
 
 
 @functools.cache
 def _is_prime(p: int) -> bool:
-    """Trial division, run once per modulus: every element checks its own."""
+    """Trial division, run once per modulus: every element built by
+    `AlgebraElement` or `element_from_pairs`, and every search, checks its
+    own."""
     if p < 2:
         return False
     d = 2
@@ -113,19 +114,6 @@ def mul_with_canon(x: AlgebraElement, y: AlgebraElement,
                                for w2, c2 in y.terms.items()), x.p, canon)
 
 
-def random_element(rng: random.Random, p: int, canon: Canon,
-                   word_sampler: Callable[[random.Random], Word],
-                   max_support: int) -> AlgebraElement:
-    """Random nonzero element; resamples if everything cancels."""
-    while True:
-        size = draw(rng, 1, max_support)
-        pairs = [(word_sampler(rng), draw(rng, 1, p - 1))
-                 for _ in range(size)]
-        x = element_from_pairs(pairs, p, canon)
-        if not x.is_zero():
-            return x
-
-
 def unique_top_product(x_top: list[Word], y_top: list[Word],
                        canon: Canon) -> bool:
     """True when some product u + v, u in x_top and v in y_top, has a
@@ -138,15 +126,11 @@ def unique_top_product(x_top: list[Word], y_top: list[Word],
     return 1 in counts.values()
 
 
-class SearchResult(NamedTuple):
-    """The first vanishing product (x, y) and its 0-based trial, or None
-    and None; and the trials run, split into those certified by a unique
-    top-grade product and those multiplied in full."""
-
-    found: tuple[AlgebraElement, AlgebraElement] | None
-    trial: int | None
-    certified: int
-    multiplied: int
+SearchResult = namedtuple("SearchResult",
+                          ("found", "trial", "certified", "multiplied"))
+SearchResult.__doc__ = """The first vanishing product (x, y) and its 0-based
+trial, or None and None; and the trials run, split into those certified by
+a unique top-grade product and those multiplied in full."""
 
 
 def zero_divisor_search(g: GroupTable, cfg: RewriteConfig, p: int,
@@ -159,14 +143,38 @@ def zero_divisor_search(g: GroupTable, cfg: RewriteConfig, p: int,
     top-grade product is certified without the multiplication; the rule
     draws nothing, so the stream of trials is that of multiplying every
     one.  ValueError if 2 * max_len exceeds the word-length cap, or else if
-    p is not prime."""
+    p is not prime or max_support or max_len is not positive.  p is checked
+    here once, so the elements drawn skip `AlgebraElement`'s checks."""
     check_product_length(max_len, cfg)
     if not _is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
+    if max_support < 1:  # getrandbits(0) is always 0: no size would do
+        raise ValueError(f"max_support {max_support} is not positive")
     canon = canonicalizer(g, cfg)
+    word = word_sampler(rng, g, max_len)
+    bits = rng.getrandbits
+    k_size, k_coef = max_support.bit_length(), (p - 1).bit_length()
 
-    def sampler(r: random.Random) -> Word:
-        return seeded_word(r, g, draw(r, 1, max_len))
+    def element() -> AlgebraElement:
+        # a nonzero element, redrawn if everything cancels: its size, then
+        # each term's word and coefficient, `draw`'s loop inlined
+        while True:
+            size = bits(k_size)
+            while size >= max_support:
+                size = bits(k_size)
+            terms: dict[Word, int] = {}
+            for _ in range(size + 1):
+                key = canon(word())
+                c = bits(k_coef)
+                while c >= p - 1:
+                    c = bits(k_coef)
+                terms[key] = (terms.get(key, 0) + c + 1) % p
+            if 0 in terms.values():
+                terms = {w: c for w, c in terms.items() if c}
+            if terms:
+                x = AlgebraElement.__new__(AlgebraElement)
+                x.p, x.terms = p, terms
+                return x
 
     def top(x: AlgebraElement) -> list[Word]:
         # graded only on a tie: grading every word costs more than it saves
@@ -178,8 +186,8 @@ def zero_divisor_search(g: GroupTable, cfg: RewriteConfig, p: int,
 
     certified = multiplied = 0
     for trial in range(trials):
-        x = random_element(rng, p, canon, sampler, max_support)
-        y = random_element(rng, p, canon, sampler, max_support)
+        x = element()
+        y = element()
         if unique_top_product(top(x), top(y), canon):
             certified += 1
         else:

@@ -35,9 +35,9 @@ counterexample.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 from .perms import Perm
 from .quaternion import GroupTable, relabellings, self_dual

@@ -13,13 +13,13 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections.abc import Callable, Iterator, Sequence
 from math import comb
-from typing import Callable, Iterator, Sequence
 
 from .quaternion import GroupTable, relabellings
 from .words import (RewriteConfig, Word, canonicalizer,
-                    check_product_length, class_of, draw, format_word,
-                    grade, random_member, seeded_word, words_equal)
+                    check_product_length, class_of, format_word, grade,
+                    random_member, word_sampler, words_equal)
 
 Side = tuple[int, ...]  # a subset of the ground set, as sorted rep indices
 
@@ -239,16 +239,17 @@ def run_tup_sweep(g: GroupTable, cfg: RewriteConfig, reps: Sequence[Word],
 def _sampled_triples(g: GroupTable, cfg: RewriteConfig, trials: int,
                      max_len: int, rng: random.Random
                      ) -> Iterator[tuple[Word, Word, Word]]:
-    """`trials` random (a, b, c); half the time b is drawn from the class of
-    a, so the antecedent is frequently true instead of almost never."""
+    """`trials` random (a, b, c) from one `word_sampler`; half the time b
+    is drawn from the class of a, so the antecedent is frequently true
+    instead of almost never."""
+    word, coin = word_sampler(rng, g, max_len), rng.random
     for _ in range(trials):
-        la = draw(rng, 1, max_len)
-        a = seeded_word(rng, g, la)
-        if rng.random() < 0.5:
+        a = word()
+        if coin() < 0.5:
             b = random_member(rng, class_of(a, g, cfg))
         else:
-            b = seeded_word(rng, g, la)
-        yield a, b, seeded_word(rng, g, draw(rng, 1, max_len))
+            b = word(len(a))
+        yield a, b, word()
 
 
 def cancellation_report(g: GroupTable, cfg: RewriteConfig, trials: int,

@@ -27,17 +27,19 @@ enumerator, which is also the tests' reference, with the bare rewrite
 they keep as `normal_form`.  `words_equal` compares the canonical forms
 of words of one `grade`, under the same word-length cap.
 
-The samplers draw each integer with `draw`, which makes exactly the
-`getrandbits` calls `random.Random.randint` makes, so a seed gives the
+A run's words come from one `word_sampler`, which draws each word in one
+Python frame: its length and letters by the rejection loop of `draw`
+inlined, and its window and offset by `draw`, which makes exactly the
+`getrandbits` calls `random.Random.randint` makes.  So a seed gives the
 same words as it did through `randint` and `randrange`.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
 
 from .errors import BadFactor, ClassTooLarge
 from .perms import Perm
@@ -401,7 +403,9 @@ def canonicalizer(g: GroupTable, cfg: RewriteConfig) -> Canon:
 def draw(rng: random.Random, lo: int, hi: int) -> int:
     """`rng.randint(lo, hi)` without its three Python frames: the same
     `getrandbits` calls, retried while the bits overshoot, so the value and
-    the state left in rng are those of randint."""
+    the state left in rng are those of randint.  The samplers' hot draws
+    (`word_sampler`'s lengths and letters, the zero-divisor search's sizes
+    and coefficients) inline this loop."""
     n = hi - lo + 1
     if n < 1:  # getrandbits(0) is always 0, which would retry forever
         raise ValueError(f"empty range {lo}..{hi}")
@@ -412,31 +416,44 @@ def draw(rng: random.Random, lo: int, hi: int) -> int:
     return lo + r
 
 
-def random_word(rng: random.Random, n_letters: int, length: int) -> Word:
-    """`length` letters, each `draw(rng, 1, n_letters)` inlined."""
-    if n_letters < 1:
-        raise ValueError("no letters to draw from")
-    bits, k = rng.getrandbits, n_letters.bit_length()
-    word = []
-    for _ in range(length):
-        r = bits(k)
-        while r >= n_letters:
+def word_sampler(rng: random.Random, g: GroupTable,
+                 max_len: int) -> Callable[..., Word]:
+    """The sampler of one run's words over g: `word(length)` draws a word
+    of `length` letters, which with probability 1/2 and room permitting
+    contains some element's image tuple as a factor, and `word()` first
+    draws its length as `draw(rng, 1, max_len)`.  Each word is one Python
+    frame: the length and every letter are `draw`'s rejection loop inlined
+    on one bound `getrandbits`, and only the window and its offset call
+    `draw`.  The letters around the window are drawn in one run, the same
+    bits as head then tail."""
+    if max_len < 1:  # getrandbits(0) is always 0, which would retry forever
+        raise ValueError(f"empty range 1..{max_len}")
+    n, elements = g.n, g.elements
+    bits, coin = rng.getrandbits, rng.random
+    k, k_len, last = n.bit_length(), max_len.bit_length(), len(elements) - 1
+
+    def word(length: int | None = None) -> Word:
+        if length is None:
+            length = bits(k_len)
+            while length >= max_len:
+                length = bits(k_len)
+            length += 1
+        window = length >= n and coin() < 0.5
+        if window:
+            e = elements[draw(rng, 0, last)]
+            off = draw(rng, 0, length - n)
+            length -= n
+        letters = []
+        for _ in range(length):
             r = bits(k)
-        word.append(r + 1)
-    return tuple(word)
+            while r >= n:
+                r = bits(k)
+            letters.append(r + 1)
+        if window:
+            return (*letters[:off], *e, *letters[off:])
+        return tuple(letters)
 
-
-def seeded_word(rng: random.Random, g: GroupTable, length: int) -> Word:
-    """Random word that, with probability 1/2 and room permitting, contains
-    some element's image tuple as a factor."""
-    n = g.n
-    if length >= n and rng.random() < 0.5:
-        e = g.elements[draw(rng, 0, len(g.elements) - 1)]
-        off = draw(rng, 0, length - n)
-        # one draw of head and tail: the same letters as two in a row
-        pad = random_word(rng, n, length - n)
-        return pad[:off] + e + pad[off:]
-    return random_word(rng, n, length)
+    return word
 
 
 def random_member(rng: random.Random, cls: CongruenceClass) -> Word:

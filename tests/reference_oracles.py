@@ -46,11 +46,16 @@
   rewritten from its first letter: the full join that the reference for
   `words._certify` keeps, which needs chains of 3 on any table.
 - `normal_form`, one rewrite under a table's certified rules, which
-  `words.canonical_form` inlines; and the word samplers as they were
-  drawn through `randint` and `randrange`, the stream that `words.draw`
-  must reproduce bit for bit.  `randint_seeded_word` also takes the window
-  probability that `words.seeded_word` fixes at 1/2, for the tests that
-  want windows more often.
+  `words.canonical_form` inlines.
+- The samplers in slow form: `random_word` and `seeded_word`, one word
+  through a frame per draw, the reference for `words.word_sampler`, which
+  inlines them; `random_element`, an element through `element_from_pairs`,
+  the reference for the elements `algebra.zero_divisor_search` draws in
+  one loop; and the word samplers as they were drawn through `randint`
+  and `randrange`, the stream that `words.draw` must reproduce bit for
+  bit.  `randint_seeded_word` also takes the window probability that
+  `words.word_sampler` fixes at 1/2, for the tests that want windows more
+  often.  The tests also draw their own random words through these.
 """
 
 from __future__ import annotations
@@ -58,12 +63,12 @@ from __future__ import annotations
 import itertools
 
 from qsemi import algebra, structure, words
-from qsemi.algebra import AlgebraElement, SearchResult
+from qsemi.algebra import AlgebraElement, SearchResult, element_from_pairs
 from qsemi.lemmas import (verify_big, verify_max_one, verify_not_possible,
                           verify_overlapp, verify_sym_max_one,
                           verify_sym_not_possible, verify_sym_overlapp)
 from qsemi.quaternion import GroupTable, Label
-from qsemi.words import (check_product_length, class_of, format_word,
+from qsemi.words import (check_product_length, class_of, draw, format_word,
                          words_equal)
 
 # the oracles that scan their whole quantifier range, in suite order
@@ -437,8 +442,8 @@ def ungraded_zero_divisor_search(canon, word_sampler, p, trials, max_support,
     through the module attribute `algebra.mul_with_canon`, the name the
     benchmark traces."""
     for trial in range(trials):
-        x = algebra.random_element(rng, p, canon, word_sampler, max_support)
-        y = algebra.random_element(rng, p, canon, word_sampler, max_support)
+        x = random_element(rng, p, canon, word_sampler, max_support)
+        y = random_element(rng, p, canon, word_sampler, max_support)
         if algebra.mul_with_canon(x, y, canon).is_zero():
             return SearchResult((x, y), trial, 0, trial + 1)
     return SearchResult(None, None, 0, trials)
@@ -516,6 +521,44 @@ def normal_form(w, g):
     if rules is None:
         raise ValueError("the table's rewriting system is not certified complete")
     return rules.rewrite(w)
+
+
+def random_word(rng, n_letters, length):
+    """`length` letters, each `draw(rng, 1, n_letters)` inlined."""
+    if n_letters < 1:
+        raise ValueError("no letters to draw from")
+    bits, k = rng.getrandbits, n_letters.bit_length()
+    word = []
+    for _ in range(length):
+        r = bits(k)
+        while r >= n_letters:
+            r = bits(k)
+        word.append(r + 1)
+    return tuple(word)
+
+
+def seeded_word(rng, g, length):
+    """Random word that, with probability 1/2 and room permitting, contains
+    some element's image tuple as a factor."""
+    n = g.n
+    if length >= n and rng.random() < 0.5:
+        e = g.elements[draw(rng, 0, len(g.elements) - 1)]
+        off = draw(rng, 0, length - n)
+        # one draw of head and tail: the same letters as two in a row
+        pad = random_word(rng, n, length - n)
+        return pad[:off] + e + pad[off:]
+    return random_word(rng, n, length)
+
+
+def random_element(rng, p, canon, word_sampler, max_support):
+    """Random nonzero element; resamples if everything cancels."""
+    while True:
+        size = draw(rng, 1, max_support)
+        pairs = [(word_sampler(rng), draw(rng, 1, p - 1))
+                 for _ in range(size)]
+        x = element_from_pairs(pairs, p, canon)
+        if not x.is_zero():
+            return x
 
 
 def randint_word(rng, n_letters, length):

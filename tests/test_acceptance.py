@@ -9,17 +9,18 @@ import random
 from time import perf_counter
 
 from conftest import quiet
-from qsemi.algebra import mul_with_canon, random_element, zero_divisor_search
+from qsemi.algebra import mul_with_canon, zero_divisor_search
 from qsemi.lemmas import verify_step3, verify_stepss, verify_sym_step3
 from qsemi.perms import identity, power
 from qsemi.quaternion import QuaternionConfig, generate_group, group_checks
 from qsemi.structure import canonical_ground_set, cancellation_report, run_tup_sweep
 from qsemi.words import (canonical_form, canonicalizer, class_of,
-                         default_config, find_relation_factors, random_word,
-                         rewrite_step, seeded_word, words_equal)
+                         default_config, find_relation_factors,
+                         rewrite_step, words_equal)
 from reference_oracles import (EXHAUSTIVE, algebra_add, collapse_canon,
                                label_mul, label_of_point, overlap_bound,
                                point_of_label, randint_seeded_word,
+                               random_element, random_word, seeded_word,
                                support_lengths, ungraded_zero_divisor_search)
 
 K2_T = (2, 3, 4, 1, 6, 7, 8, 5)

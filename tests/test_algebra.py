@@ -5,13 +5,13 @@ import pytest
 
 from qsemi import algebra
 from qsemi.algebra import (AlgebraElement, element_from_pairs,
-                           mul_with_canon, random_element, unique_top_product,
+                           mul_with_canon, unique_top_product,
                            zero_divisor_search)
 from qsemi.quaternion import QuaternionConfig, generate_group
-from qsemi.words import (canonicalizer, default_config, draw, grade,
-                         random_word, seeded_word)
+from qsemi.words import canonicalizer, default_config, draw, grade
 from conftest import quiet
-from reference_oracles import (algebra_add, collapse_canon, support_lengths,
+from reference_oracles import (algebra_add, collapse_canon, random_element,
+                               random_word, seeded_word, support_lengths,
                                ungraded_zero_divisor_search)
 
 
@@ -295,27 +295,67 @@ def test_the_top_grade_rule_rewrites_almost_nothing_at_the_bench_setting(
     assert len(rewritten) <= 10
 
 
-@pytest.mark.parametrize("p, max_len", [(2, 10), (3, 6), (5, 4)])
-def test_grading_changes_neither_the_hits_nor_the_stream(g2, cfg2, p,
+@pytest.mark.parametrize("k, p, max_support, max_len", [
+    (2, 2, 3, 10), (2, 3, 3, 6), (2, 5, 3, 4),
+    (2, 2147483647, 3, 10),  # 31-bit coefficient draws
+    (2, 2, 1, 10),  # draw(1, 1) still takes a bit per size
+    (2, 3, 4, 10),
+    (3, 2, 3, 16)],  # the bench's k=3 job
+    ids=["2-10", "3-6", "5-4", "p2^31-1", "support1", "support4", "k3-len16"])
+def test_grading_changes_neither_the_hits_nor_the_stream(k, p, max_support,
                                                          max_len):
-    # the graded search against the reference that multiplies every trial
-    # over the same sampler: same result, same trials, same rng state
-    canon = canonicalizer(g2, cfg2)
+    # the graded search, which draws each element in one loop, against the
+    # reference that multiplies every trial over elements drawn through
+    # `random_element` and `seeded_word`: same result, same trials, same
+    # rng state
+    g = generate_group(QuaternionConfig(k))
+    cfg = default_config(g.n)
+    canon = canonicalizer(g, cfg)
 
     def sampler(r):
-        return seeded_word(r, g2, draw(r, 1, max_len))
+        return seeded_word(r, g, draw(r, 1, max_len))
 
     for seed in range(3):
         graded_rng, full_rng = random.Random(seed), random.Random(seed)
-        graded = zero_divisor_search(g2, cfg2, p, 200, 3, max_len, graded_rng,
-                                     quiet)
-        full = ungraded_zero_divisor_search(canon, sampler, p, 200, 3,
-                                            full_rng)
+        graded = zero_divisor_search(g, cfg, p, 200, max_support, max_len,
+                                     graded_rng, quiet)
+        full = ungraded_zero_divisor_search(canon, sampler, p, 200,
+                                            max_support, full_rng)
         assert (graded.found, graded.trial) == (full.found, full.trial)
         assert (graded.certified + graded.multiplied == full.multiplied
                 == 200)
         assert graded.found is None and graded.certified > 0
         assert graded_rng.getstate() == full_rng.getstate()
+
+
+def test_search_elements_are_those_of_the_reference(g2, cfg2, monkeypatch):
+    # every element the search draws, term for term and in term order,
+    # against `random_element` over the same stream
+    drawn = []
+    top_words = AlgebraElement.top_words
+
+    def recorded_top(x):
+        drawn.append((x.p, list(x.terms.items())))
+        return top_words(x)
+
+    monkeypatch.setattr(AlgebraElement, "top_words", recorded_top)
+    canon = canonicalizer(g2, cfg2)
+    for p, max_support in ((2, 3), (7, 4)):
+        drawn.clear()
+        rng, ref = random.Random(p), random.Random(p)
+        zero_divisor_search(g2, cfg2, p, 100, max_support, 10, rng, quiet)
+        expected = [random_element(
+            ref, p, canon, lambda r: seeded_word(r, g2, draw(r, 1, 10)),
+            max_support) for _ in range(200)]
+        assert drawn == [(p, list(x.terms.items())) for x in expected]
+        assert rng.getstate() == ref.getstate()
+
+
+def test_search_rejects_an_empty_support_range(g2, cfg2):
+    with pytest.raises(ValueError, match="max_support 0"):
+        zero_divisor_search(g2, cfg2, 2, 1, 0, 4, random.Random(0), quiet)
+    with pytest.raises(ValueError, match="empty range 1..0"):
+        zero_divisor_search(g2, cfg2, 2, 1, 1, 0, random.Random(0), quiet)
 
 
 def test_graded_search_stops_where_the_reference_does_on_two_elements(
@@ -328,7 +368,11 @@ def test_graded_search_stops_where_the_reference_does_on_two_elements(
     def part(r, g, length):
         return parts[draw(r, 0, 2)]
 
-    monkeypatch.setattr(algebra, "seeded_word", part)
+    def sampler(r, g, max_len):
+        # word() draws its length, as `words.word_sampler`'s does
+        return lambda: part(r, g, draw(r, 1, max_len))
+
+    monkeypatch.setattr(algebra, "word_sampler", sampler)
     canon = canonicalizer(two_element8, cfg2)
     graded_rng, full_rng = random.Random(0), random.Random(0)
     graded = zero_divisor_search(two_element8, cfg2, 2, 200, 3, 6, graded_rng,
@@ -342,8 +386,9 @@ def test_graded_search_stops_where_the_reference_does_on_two_elements(
 
 
 def test_each_modulus_is_trial_divided_once(g2, cfg2):
-    # every element checks its modulus; at p = 2^31 - 1 one trial division
-    # takes ~46,000 steps, which 900 checks in this search must not repeat
+    # the search checks its modulus once at entry, and its elements none;
+    # at p = 2^31 - 1 one trial division takes ~46,000 steps, which no
+    # element or product may repeat
     p = 2147483647
     trial_division = algebra._is_prime.__wrapped__.__code__
     algebra._is_prime.cache_clear()

@@ -356,7 +356,7 @@ def _one_bit_short(rng, lo, hi):
 
 @pytest.mark.parametrize("command", ["zero-divisor", "cancel-sample"])
 def test_rng_digest_names_the_drawn_stream(monkeypatch, capsys, command):
-    # the words reach the window length, so seeded_word draws windows
+    # the words reach the window length, so word_sampler draws windows
     # through words.draw
     def digest(seed):
         code, payload = run_json(capsys, [command, "--k", "2", "--trials",
@@ -427,6 +427,44 @@ def test_bench_sampling_jobs_replay_seed_zero(capsys, argv, pinned):
     code, payload = run_json(capsys, argv + ["--seed", "0"])
     assert code == 0
     assert {key: payload["details"][key] for key in pinned} == pinned
+
+
+# the same jobs' whole details at seeds 1 and 2, recorded before each word
+# was drawn in one frame and each element in one loop
+_ZD2 = ["zero-divisor", "--k", "2", "--trials", "6000"]
+_ZD3 = ["zero-divisor", "--k", "3", "--trials", "4000", "--max-len", "16"]
+_CS2 = ["cancel-sample", "--k", "2", "--trials", "12000"]
+_CS3 = ["cancel-sample", "--k", "3", "--trials", "12000"]
+
+
+def _zero_divisor_details(trials, digest):
+    return {"trials": trials, "found": None, "rng_digest": digest,
+            "certified_by_unique_top": trials, "multiplied_in_full": 0}
+
+
+def _cancel_sample_details(hits, unequal, digest):
+    return {"trials": 12000, "max_len": 12, "antecedent_hits": hits,
+            "unequal_same_letters": unequal, "violations": [],
+            "passed": True, "rng_digest": digest}
+
+
+@pytest.mark.parametrize("argv, seed, details", [
+    (_ZD2, 1, _zero_divisor_details(6000, "32f39adb")),
+    (_ZD2, 2, _zero_divisor_details(6000, "5b0e1110")),
+    (_ZD3, 1, _zero_divisor_details(4000, "87e3cf65")),
+    (_ZD3, 2, _zero_divisor_details(4000, "07f5d228")),
+    (_CS2, 1, _cancel_sample_details(12408, 26, "8aac1f61")),
+    (_CS2, 2, _cancel_sample_details(12184, 25, "0f07d13e")),
+    (_CS3, 1, _cancel_sample_details(12476, 7, "a1a37777")),
+    (_CS3, 2, _cancel_sample_details(12126, 4, "0d7bc6b9"))],
+    ids=["zero-divisor-k2-1", "zero-divisor-k2-2", "zero-divisor-k3-1",
+         "zero-divisor-k3-2", "cancel-sample-k2-1", "cancel-sample-k2-2",
+         "cancel-sample-k3-1", "cancel-sample-k3-2"])
+def test_bench_sampling_jobs_replay_seeds_one_and_two(capsys, argv, seed,
+                                                      details):
+    code, payload = run_json(capsys, argv + ["--seed", str(seed)])
+    assert code == 0
+    assert payload["details"] == details
 
 
 def test_verify_lemmas_replays_recorded_stepss_seeds(capsys):

@@ -10,12 +10,15 @@ tests `__name__ == "__main__"`; every module of the package parses at
 the Python floor that `pyproject.toml` declares; every code name the
 README or a docstring or comment of the package cites still exists; and
 the README's CLI section cites exactly the flags the subcommands
-register."""
+register; and importing the CLI loads no `typing`."""
 
 import argparse
 import ast
 import io
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -249,8 +252,9 @@ SLOW_DRAWS = {"randint", "randrange"}
 
 def slow_draws(source: str) -> list[str]:
     """Each `.randint(` or `.randrange(` call of a module.  They go through
-    three Python frames per integer; `words.draw` and `words.random_word`
-    make the same `getrandbits` calls in one."""
+    three Python frames per integer; `words.draw` makes the same
+    `getrandbits` calls in one, and `words.word_sampler` and the
+    zero-divisor search inline them, a word or an element per frame."""
     return sorted(f"{node.func.attr} (line {node.lineno})"
                   for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Call)
@@ -453,3 +457,14 @@ def test_readme_cli_section_cites_every_registered_flag():
     section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
     section = section.split("\n## ", 1)[0]
     assert flag_drift(section, cli._build_parser()) == []
+
+
+def test_the_cli_imports_no_typing():
+    # the bench runs each job in `python -S`, where nothing else loads
+    # `typing`: importing it would cost every command a few milliseconds
+    fresh = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, qsemi.cli\nprint('typing' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert fresh.stdout.split() == ["False"]

@@ -15,9 +15,9 @@ from qsemi.lemmas import (LemmaId, LemmaReport, _SYM_STEP3_REASONS,
 from qsemi.perms import compose
 from qsemi.quaternion import (GroupTable, QuaternionConfig, generate_group,
                               relabellings, self_dual)
-from qsemi.words import class_of, default_config, parse_word, random_word
+from qsemi.words import class_of, default_config, parse_word
 from reference_oracles import (EXHAUSTIVE, collapse_canon, naive_class,
-                               step3_tails, stepss,
+                               random_word, step3_tails, stepss,
                                ungraded_zero_divisor_search)
 
 SUITE_ORDER = ["NotPossible", "MaxOne", "Big", "Overlapp", "Stepss", "Step3",

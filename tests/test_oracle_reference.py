@@ -14,11 +14,11 @@ from qsemi.quaternion import QuaternionConfig, generate_group, relabellings
 from qsemi.structure import (cancellation_report, canonical_ground_set,
                              run_tup_sweep)
 from qsemi.words import (class_of, default_config, find_relation_factors,
-                         parse_word, random_word, words_equal)
+                         parse_word, words_equal)
 from reference_oracles import (EXHAUSTIVE, FORWARD, chain_tails,
                                compared_cancellation_report,
                                factor_occurrences, max_overlap,
-                               randint_seeded_word,
+                               randint_seeded_word, random_word,
                                relation_factors, reversed_table,
                                step3_every_cell, stepss, tup_sweep)
 

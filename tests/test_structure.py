@@ -12,9 +12,9 @@ from qsemi.structure import (canonical_ground_set, cancellation_report,
                              product_report, run_tup_sweep, subset_specs_over,
                              subsets_colex)
 from qsemi.words import (canonical_form, canonicalizer, class_of,
-                         default_config, seeded_word, words_equal)
+                         default_config, words_equal)
 import reference_oracles
-from reference_oracles import (randint_seeded_word, tup_sweep,
+from reference_oracles import (randint_seeded_word, seeded_word, tup_sweep,
                                unique_product_count)
 
 # both halves of the identity window against both halves shifted by one

@@ -15,13 +15,13 @@ from qsemi.quaternion import QuaternionConfig, generate_group
 from qsemi.words import (RewriteConfig, canonical_form, canonicalizer,
                          check_word, class_of, default_config, draw,
                          find_relation_factors, format_word, grade,
-                         parse_word, random_member, random_word,
-                         rewrite_step, seeded_word, words_equal)
+                         parse_word, random_member, rewrite_step,
+                         word_sampler, words_equal)
 from conftest import CountingTuple, bare_table
 from reference_oracles import (certify, critical_pairs, naive_class,
                                normal_form, overlap_bound,
                                randint_member, randint_seeded_word,
-                               randint_word)
+                               randint_word, random_word, seeded_word)
 
 # 15 letters with windows at positions 1 (identity) and 8 (t^3 u)
 REGRESSION_WORD = (1, 2, 3, 4, 5, 6, 7, 8, 7, 6, 5, 2, 1, 4, 3)
@@ -559,12 +559,15 @@ def test_word_samplers(g2):
     rng = random.Random(4)
     w = random_word(rng, 8, 30)
     assert len(w) == 30 and all(1 <= x <= 8 for x in w)
+    word = word_sampler(rng, g2, 10)
     windowed = 0
     for _ in range(40):
-        w = seeded_word(rng, g2, 10)
-        assert len(w) == 10
+        w = word(10)
+        assert len(w) == 10 and all(1 <= x <= 8 for x in w)
         windowed += any(w[i:i + 8] in g2.index for i in range(3))
     assert 10 <= windowed <= 30  # a window with probability 1/2
+    assert {len(word()) for _ in range(200)} == set(range(1, 11))
+    assert word(0) == ()
 
 
 # letter counts and moduli minus one (1 is p - 1 for p = 2, the last
@@ -591,21 +594,50 @@ def test_draws_replay_the_randint_stream(seed, n):
 def test_word_samplers_replay_the_randint_stream(g2, g3, cfg2, seed):
     ours, ref = random.Random(seed), random.Random(seed)
     for g in (g2, g3):
+        word = word_sampler(ours, g, 3 * g.n)
         for length in [*range(3 * g.n)] * 2:
-            assert (seeded_word(ours, g, length)
-                    == randint_seeded_word(ref, g, length))
+            assert word(length) == randint_seeded_word(ref, g, length)
+            assert word() == randint_seeded_word(ref, g,
+                                                 ref.randint(1, 3 * g.n))
     for w in ((1, 2), REGRESSION_WORD, g2.t + g2.u):
         cls = class_of(w, g2, cfg2)
         assert random_member(ours, cls) == randint_member(ref, cls)
     assert ours.getstate() == ref.getstate()
 
 
-def test_draw_rejects_an_empty_range():
+def test_draw_rejects_an_empty_range(g2):
     rng = random.Random(0)
     with pytest.raises(ValueError):
         draw(rng, 3, 2)
     with pytest.raises(ValueError):
         random_word(rng, 0, 3)
+    with pytest.raises(ValueError, match="empty range 1..0"):
+        word_sampler(rng, g2, 0)
+
+
+@pytest.mark.parametrize("table", ["k2", "k3", "k4", "cyclic8", "dihedral8",
+                                   "poisoned8", "two_element8"])
+def test_word_sampler_draws_the_slow_samplers_stream(request, table):
+    # one frame per word against `seeded_word` and `random_word`, a frame
+    # per draw, at every length up to the cap and at drawn lengths, with
+    # the coin of the caller between words: the same words and the same
+    # generator state (`two_element8` has only two windows to draw from)
+    if table.startswith("k"):
+        g = generate_group(QuaternionConfig(int(table[1:])))
+    else:
+        g = request.getfixturevalue(table)
+    n = g.n
+    for seed in range(3):
+        ours, ref = random.Random(seed), random.Random(seed)
+        word = word_sampler(ours, g, 3 * n)
+        for length in [*range(3 * n + 1)] * 3:
+            assert word(length) == seeded_word(ref, g, length)
+            assert ours.random() == ref.random()
+            assert word() == seeded_word(ref, g, draw(ref, 1, 3 * n))
+        short = word_sampler(ours, g, 1)  # draw(1, 1) still takes a bit
+        assert [short() for _ in range(5)] == [
+            seeded_word(ref, g, draw(ref, 1, 1)) for _ in range(5)]
+        assert ours.getstate() == ref.getstate()
 
 
 def bfs_least(w, g):
